@@ -6,7 +6,9 @@
 //! peak tape backing capacity, and an allocations-per-step proxy (arena
 //! buffers created or grown, which is zero once the arena has warmed up).
 //! A cold-start column rebuilds the tape from scratch every step for
-//! contrast. Writes `BENCH_train_step.json` to the repo root.
+//! contrast. Writes `BENCH_train_step.json` to the repo root and exits
+//! nonzero if a steady-state step allocates or the tape backs more than
+//! half of what it did with per-edge tensors on it.
 //!
 //! `SPLPG_BENCH_MS` shrinks the measured step count for smoke runs.
 
@@ -25,6 +27,11 @@ const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Steps run before measuring: step 1 grows the arena to the working-set
 /// high-water mark, step 2 proves it stays there.
 const WARMUP_STEPS: usize = 2;
+/// `peak_tape_bytes` of the reused tape on this shape before the fused
+/// `aggregate` op and gradient-need pruning (per-edge gather/scale
+/// tensors recorded, every interior gradient held to the end of
+/// `backward`). The gate below fails the bench above half of it.
+const UNFUSED_PEAK_TAPE_BYTES: usize = 13_927_168;
 
 struct Record {
     mode: &'static str,
@@ -215,7 +222,14 @@ fn main() {
         "steady-state arena allocations per step: {}",
         if steady { "0 (zero-realloc)" } else { "NONZERO — arena reuse regressed" }
     );
-    if !steady {
+    let peak = records.iter().map(|r| r.peak_tape_bytes).max().unwrap_or(0);
+    let lean = 2 * peak <= UNFUSED_PEAK_TAPE_BYTES;
+    println!(
+        "peak tape bytes: {peak} ({:.0} % of the unfused tape's {UNFUSED_PEAK_TAPE_BYTES}){}",
+        100.0 * peak as f64 / UNFUSED_PEAK_TAPE_BYTES as f64,
+        if lean { "" } else { " — ABOVE the 50 % gate" }
+    );
+    if !steady || !lean {
         std::process::exit(1);
     }
 }

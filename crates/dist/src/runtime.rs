@@ -435,8 +435,9 @@ impl MasterNet {
         }
     }
 
-    /// One synchronization unit: send `make(worker, attempt)` to every
-    /// live worker and collect responses into worker-indexed slots.
+    /// One synchronization unit: send `req`, re-addressed per worker and
+    /// attempt, to every live worker and collect responses into
+    /// worker-indexed slots.
     ///
     /// Every accepted response resets the retry ladder: a worker is only
     /// declared dead after the cluster made no progress at all through a
@@ -448,14 +449,15 @@ impl MasterNet {
     /// internal failure.
     fn gather(
         &mut self,
-        unit: (u64, u64),
-        make: impl Fn(u32, u32) -> Request,
+        mut req: Request,
     ) -> Result<Vec<Option<Response>>, DistError> {
+        let unit = req.id().unit();
         let p = self.hub.workers();
         let mut slots: Vec<Option<Response>> = (0..p).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..p).filter(|&w| self.live[w]).collect();
         for &w in &pending {
-            let _ = self.hub.send(w, &make(w as u32, 0));
+            req.address(w as u32, 0);
+            let _ = self.hub.send(w, &req);
         }
         let mut attempt: u32 = 0;
         while !pending.is_empty() {
@@ -516,7 +518,8 @@ impl MasterNet {
                         attempt += 1;
                         self.hub.note_retry();
                         for &w in &pending {
-                            let _ = self.hub.send(w, &make(w as u32, attempt));
+                            req.address(w as u32, attempt);
+                            let _ = self.hub.send(w, &req);
                         }
                     }
                 }
@@ -559,8 +562,8 @@ impl Backend {
     ) -> Result<Vec<EpochSlot>, DistError> {
         match self {
             Backend::Net(net) => {
-                let slots = net.gather((epoch as u64, 0), |w, attempt| Request::Epoch {
-                    id: MsgId { worker: w, epoch: epoch as u64, round: 0, attempt },
+                let slots = net.gather(Request::Epoch {
+                    id: MsgId { worker: 0, epoch: epoch as u64, round: 0, attempt: 0 },
                     params: flat.to_vec(),
                 })?;
                 Ok(slots
@@ -597,8 +600,8 @@ impl Backend {
     ) -> Result<Vec<RoundSlot>, DistError> {
         match self {
             Backend::Net(net) => {
-                let slots = net.gather((epoch as u64, round), |w, attempt| Request::Round {
-                    id: MsgId { worker: w, epoch: epoch as u64, round, attempt },
+                let slots = net.gather(Request::Round {
+                    id: MsgId { worker: 0, epoch: epoch as u64, round, attempt: 0 },
                     params: flat.to_vec(),
                 })?;
                 Ok(slots

@@ -449,6 +449,27 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_epochs_meter_each_first_fetch_once() {
+        let (v, t) = fixture(RemoteMode::None);
+        let mut v = v.with_feature_cache_rows(1);
+        let row = 2 * crate::BYTES_PER_FEATURE;
+        let _ = v.gather(&[3, 4, 3]); // 3 priced and cached, 4 priced (cache full), 3 free
+        assert_eq!(t.feature_bytes(), 2 * row);
+        v.begin_epoch(1);
+        let _ = v.gather(&[4, 3]); // new epoch: 4 takes the one slot, 3 priced uncached
+        assert_eq!(t.feature_bytes(), 4 * row);
+        v.begin_epoch(1); // idempotent within an epoch: 4 stays cached
+        let _ = v.gather(&[4, 3]);
+        assert_eq!(t.feature_bytes(), 5 * row);
+        // Returning to an earlier epoch number is a new epoch too — nothing
+        // cached under epoch 0 or 1 may read as current.
+        v.begin_epoch(0);
+        let _ = v.clone().gather(&[3]);
+        let _ = v.gather(&[3, 4]);
+        assert_eq!(t.feature_bytes(), 7 * row);
+    }
+
+    #[test]
     fn cache_capacity_bounds_membership() {
         let (v, t) = fixture(RemoteMode::None);
         let mut v = v.with_feature_cache_rows(1);

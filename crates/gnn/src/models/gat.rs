@@ -161,7 +161,8 @@ impl GnnModel for Gat {
                     h = tape.dropout(h, self.dropout, rng);
                 }
             }
-            let (e_src, e_dst, e_w) = with_self_loops(block);
+            let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
+            with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
             // Sparsifier edge weights bias the attention mass: e += ln w.
             let ln_weight_bias = if e_w.iter().any(|&w| w != 1.0) {
                 let lnw: Vec<f32> = e_w.iter().map(|&w| w.max(1e-12).ln()).collect();
@@ -278,7 +279,8 @@ impl GnnModel for GatV2 {
                     h = tape.dropout(h, self.dropout, rng);
                 }
             }
-            let (e_src, e_dst, e_w) = with_self_loops(block);
+            let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
+            with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
             let zl = tape.matmul(h, binding.var(layer.weight_left));
             let zr = tape.matmul(h, binding.var(layer.weight_right));
             let s_dst = tape.gather_rows(zl, &e_dst);

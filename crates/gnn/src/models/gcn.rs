@@ -46,21 +46,15 @@ impl Gcn {
     }
 
     fn propagate(tape: &mut Tape, h_src: Var, block: &Block) -> Var {
-        let (e_src, e_dst, e_w) = with_self_loops(block);
         // Symmetric normalization with self-loop-adjusted degrees.
-        let norm: Vec<f32> = e_src
-            .iter()
-            .zip(&e_dst)
-            .zip(&e_w)
-            .map(|((&s, &d), &w)| {
-                let ds = block.src_degree[s as usize] + 1.0;
-                let dd = block.src_degree[d as usize] + 1.0;
-                w / (ds * dd).sqrt()
-            })
-            .collect();
-        let msgs = tape.gather_rows(h_src, &e_src);
-        let scaled = tape.scale_rows(msgs, &norm);
-        tape.segment_sum(scaled, &e_dst, block.num_dst)
+        let deg = |i: u32| block.src_degree[i as usize] + 1.0;
+        let edges = block.num_edges() + block.num_dst;
+        tape.aggregate_with(h_src, edges, block.num_dst, |src, dst, norm| {
+            with_self_loops(block, src, dst, norm);
+            for ((w, &s), &d) in norm.iter_mut().zip(src.iter()).zip(dst.iter()) {
+                *w /= (deg(s) * deg(d)).sqrt();
+            }
+        })
     }
 }
 

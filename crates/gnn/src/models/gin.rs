@@ -79,16 +79,13 @@ impl GnnModel for Gin {
                 }
             }
             // Weighted neighbor sum.
-            let msgs = tape.gather_rows(h, &block.edge_src);
-            let weighted = tape.scale_rows(msgs, &block.edge_weight);
-            let agg = tape.segment_sum(weighted, &block.edge_dst, block.num_dst);
-            // (1 + eps) * h_self: broadcast the scalar epsilon by building
-            // a per-row factor column from it on the tape.
-            let self_idx: Vec<u32> = (0..block.num_dst as u32).collect();
-            let h_self = tape.gather_rows(h, &self_idx);
-            // eps_col = gather the 1x1 epsilon to [num_dst, 1].
-            let eps_rows = vec![0u32; block.num_dst];
-            let eps_col = tape.gather_rows(binding.var(layer.epsilon), &eps_rows);
+            let (src, dst) = (&block.edge_src, &block.edge_dst);
+            let agg = tape.aggregate(h, src, dst, &block.edge_weight, block.num_dst);
+            // (1 + eps) * h_self: broadcast the 1x1 epsilon to a
+            // [num_dst, 1] factor column on the tape.
+            let h_self = tape.row_prefix(h, block.num_dst);
+            let eps = binding.var(layer.epsilon);
+            let eps_col = tape.gather_rows_with(eps, block.num_dst, |i| i.resize(block.num_dst, 0));
             let eps_term = tape.mul_col_broadcast(h_self, eps_col);
             let self_plus = tape.add(h_self, eps_term); // (1 + eps) h_v
             let combined = tape.add(self_plus, agg);

@@ -51,25 +51,23 @@ pub trait GnnModel {
     ) -> Var;
 }
 
-/// Appends a self-loop edge `(i -> i)` for every destination to the block's
-/// edge lists. GCN/GAT-style layers need each node to attend to itself;
-/// the dst prefix property guarantees `i` is a valid source index.
-///
-/// Returns `(edge_src, edge_dst, edge_weight)` with self-loops of weight 1.
-pub(crate) fn with_self_loops(block: &Block) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
-    let extra = block.num_dst;
-    let mut src = Vec::with_capacity(block.edge_src.len() + extra);
-    let mut dst = Vec::with_capacity(src.capacity());
-    let mut w = Vec::with_capacity(src.capacity());
-    src.extend_from_slice(&block.edge_src);
-    dst.extend_from_slice(&block.edge_dst);
+/// Writes the block's edge lists into `src`/`dst`/`w`, followed by a
+/// weight-1 self-loop `(i -> i)` for every destination. GCN/GAT-style
+/// layers need each node to attend to itself; the dst prefix property
+/// guarantees `i` is a valid source index. This is the one owner of the
+/// edge order — sampled edges first, then the loops in destination order —
+/// that the summation order of those layers rests on.
+pub(crate) fn with_self_loops(
+    block: &Block,
+    src: &mut Vec<u32>,
+    dst: &mut Vec<u32>,
+    w: &mut Vec<f32>,
+) {
+    let num_dst = u32::try_from(block.num_dst).expect("block indices are u32");
+    src.extend(block.edge_src.iter().copied().chain(0..num_dst));
+    dst.extend(block.edge_dst.iter().copied().chain(0..num_dst));
     w.extend_from_slice(&block.edge_weight);
-    for i in 0..extra as u32 {
-        src.push(i);
-        dst.push(i);
-        w.push(1.0);
-    }
-    (src, dst, w)
+    w.extend(std::iter::repeat_n(1.0, block.num_dst));
 }
 
 #[cfg(test)]
@@ -112,7 +110,8 @@ mod tests {
     fn self_loops_appended_per_dst() {
         let batch = test_support::path_batch();
         let b = &batch.blocks[0];
-        let (src, dst, w) = with_self_loops(b);
+        let (mut src, mut dst, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        with_self_loops(b, &mut src, &mut dst, &mut w);
         assert_eq!(src.len(), b.num_edges() + b.num_dst);
         // The appended loops are (0,0) and (1,1) with weight 1.
         assert_eq!(&src[b.num_edges()..], &[0, 1]);

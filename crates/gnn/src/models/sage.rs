@@ -45,18 +45,18 @@ impl GraphSage {
 
     /// Weighted neighbor mean for one block.
     fn aggregate(tape: &mut Tape, h_src: Var, block: &Block) -> Var {
-        // Weighted sum of neighbor messages per destination...
-        let msgs = tape.gather_rows(h_src, &block.edge_src);
-        let weighted = tape.scale_rows(msgs, &block.edge_weight);
-        let summed = tape.segment_sum(weighted, &block.edge_dst, block.num_dst);
-        // ...normalized by each destination's received weight.
-        let mut weight_sum = vec![0.0f32; block.num_dst];
-        for (&d, &w) in block.edge_dst.iter().zip(&block.edge_weight) {
-            weight_sum[d as usize] += w;
-        }
-        let inv: Vec<f32> =
-            weight_sum.iter().map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 }).collect();
-        tape.scale_rows(summed, &inv)
+        let (src, dst, weight) = (&block.edge_src, &block.edge_dst, &block.edge_weight);
+        let summed = tape.aggregate(h_src, src, dst, weight, block.num_dst);
+        // Normalize by each destination's received weight.
+        tape.scale_rows_with(summed, |inv| {
+            inv.resize(block.num_dst, 0.0);
+            for (&d, &w) in dst.iter().zip(weight) {
+                inv[d as usize] += w;
+            }
+            for s in inv.iter_mut() {
+                *s = if *s > 0.0 { 1.0 / *s } else { 0.0 };
+            }
+        })
     }
 }
 
@@ -86,8 +86,7 @@ impl GnnModel for GraphSage {
                 }
             }
             let h_neigh = Self::aggregate(tape, h, block);
-            let self_idx: Vec<u32> = (0..block.num_dst as u32).collect();
-            let h_self = tape.gather_rows(h, &self_idx);
+            let h_self = tape.row_prefix(h, block.num_dst);
             let cat = tape.concat_cols(h_self, h_neigh);
             h = layer.forward(tape, binding, cat);
             if i + 1 < self.layers.len() {

@@ -99,10 +99,10 @@ impl LinkPredictor {
         dropout_rng: Option<&mut dyn RngCore>,
     ) -> Var {
         let emb = self.gnn.forward(tape, binding, input, &batch.blocks, dropout_rng);
-        let us: Vec<u32> = pairs.iter().map(|&(u, _)| u).collect();
-        let vs: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
-        let h_u = tape.gather_rows(emb, &us);
-        let h_v = tape.gather_rows(emb, &vs);
+        let h_u =
+            tape.gather_rows_with(emb, pairs.len(), |us| us.extend(pairs.iter().map(|&(u, _)| u)));
+        let h_v =
+            tape.gather_rows_with(emb, pairs.len(), |vs| vs.extend(pairs.iter().map(|&(_, v)| v)));
         self.predictor.score(tape, binding, h_u, h_v)
     }
 }

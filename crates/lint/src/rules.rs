@@ -69,11 +69,13 @@ pub const RULE_AS_CAST_TRUNCATION: &str = "as-cast-truncation";
 pub const RULE_STALE_PRAGMA: &str = "stale-pragma";
 
 /// Files whose loop bodies are sampling/kernel hot paths: fresh `Vec`s
-/// per iteration there defeat the reusable-scratch design.
+/// per iteration there defeat the reusable-scratch design. The tape is
+/// in: what it records and differentiates per node comes from its arena.
 pub const HOT_LOOP_FILES: &[&str] = &[
     "crates/gnn/src/sampler.rs",
     "crates/tensor/src/kernels.rs",
     "crates/tensor/src/segment.rs",
+    "crates/tensor/src/tape.rs",
 ];
 
 /// The sanctioned deterministic-reduction helpers: these files implement
@@ -110,6 +112,7 @@ pub const SANCTIONED_UNSAFE_FILES: &[&str] = &["crates/net/src/shm.rs"];
 pub const CAST_HOT_FILES: &[&str] = &[
     "crates/tensor/src/kernels.rs",
     "crates/tensor/src/segment.rs",
+    "crates/tensor/src/tape.rs",
     "crates/gnn/src/sampler.rs",
     "crates/net/src/compress.rs",
 ];
@@ -161,10 +164,10 @@ pub fn describe(rule: &str) -> &'static str {
         }
         RULE_ALLOC_IN_HOT_LOOP => {
             "no Vec::new()/vec![…] inside loop bodies of sampling/kernel hot \
-             paths (gnn/sampler.rs, tensor/kernels.rs, tensor/segment.rs): \
-             per-iteration empty Vecs reallocate from cold every hop — reuse \
-             scratch buffers, or Vec::with_capacity for output-owned arrays \
-             sized once before the loop"
+             paths (gnn/sampler.rs, tensor/kernels.rs, tensor/segment.rs, \
+             tensor/tape.rs): per-iteration empty Vecs reallocate from cold \
+             every hop — reuse scratch buffers, or Vec::with_capacity for \
+             output-owned arrays sized once before the loop"
         }
         RULE_FLOAT_ACCUM_IN_PAR => {
             "no order-sensitive `+=`/`-=` into indexed or deref targets \
@@ -189,8 +192,8 @@ pub fn describe(rule: &str) -> &'static str {
              retry ladder"
         }
         RULE_AS_CAST_TRUNCATION => {
-            "no narrowing `as` casts (as u8/u16/u32/i8/i16/i32) in kernel \
-             and sampler hot paths: an oversized node/edge id silently \
+            "no narrowing `as` casts (as u8/u16/u32/i8/i16/i32) in kernel, \
+             tape and sampler hot paths: an oversized node/edge id silently \
              wraps — use try_from with a documented invariant, or widen \
              the type"
         }

@@ -244,6 +244,19 @@ fn alloc_in_hot_loop_passes_good_fixture_and_other_files() {
 }
 
 #[test]
+fn the_tape_is_hot_for_allocs_and_casts() {
+    // The file that records and differentiates the fused `aggregate` op
+    // joined both hot sets: a heap buffer or a narrowing cast per node
+    // fires…
+    let tape = "crates/tensor/src/tape.rs";
+    let bad = fired_content(tape, include_str!("fixtures/aggregate_layer_bad.rs"));
+    assert_eq!(bad, ["alloc-in-hot-loop", "as-cast-truncation"]);
+    // …and the arena-backed form of the same loop is clean.
+    let good = fired_content(tape, include_str!("fixtures/aggregate_layer_good.rs"));
+    assert!(good.is_empty(), "{good:?}");
+}
+
+#[test]
 fn float_accum_fires_on_bad_fixture() {
     // Three shapes: inline closure, let-bound closure dispatched by name,
     // helper fn called from a parallel region.
@@ -302,12 +315,7 @@ fn net_call_passes_good_fixture_and_wrapper_layer() {
 
 #[test]
 fn as_cast_fires_on_bad_fixture_in_every_hot_file() {
-    for path in [
-        "crates/tensor/src/kernels.rs",
-        "crates/tensor/src/segment.rs",
-        "crates/gnn/src/sampler.rs",
-        "crates/net/src/compress.rs",
-    ] {
+    for path in splpg_lint::rules::CAST_HOT_FILES {
         let d = check_source(path, include_str!("fixtures/as_cast_bad.rs"));
         let hits: Vec<_> = d.iter().filter(|d| d.rule == "as-cast-truncation").collect();
         assert_eq!(hits.len(), 2, "{path}: {hits:?}");

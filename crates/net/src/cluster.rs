@@ -79,7 +79,7 @@ impl MasterHub {
     pub fn send(&mut self, worker: usize, req: &Request) -> bool {
         let Some(slot) = self.to_workers.get_mut(worker) else { return false };
         let Some(lane) = slot else { return false };
-        let frame = codec::encode_with(&Message::Request(req.clone()), self.codec);
+        let frame = codec::encode_request(req, self.codec);
         let (kind, wire) = (frame[4], frame.len() as u64);
         let raw = codec::raw_request_frame_len(req) as u64;
         match lane.send(frame) {
@@ -233,7 +233,7 @@ impl WorkerPort {
     ///
     /// [`NetError::Closed`] when the master hung up.
     pub fn send(&mut self, resp: &Response) -> Result<(), NetError> {
-        self.lane.send(codec::encode_with(&Message::Response(resp.clone()), self.codec))
+        self.lane.send(codec::encode_response(resp, self.codec))
     }
 }
 

@@ -130,9 +130,12 @@ impl Writer {
         self.count(vs.len() as u64);
         match self.cfg.features {
             FeatCodec::F32 => {
-                self.buf.reserve(vs.len() * 4);
-                for &v in vs {
-                    self.f32(v);
+                // One resize and a bulk little-endian store into the new
+                // tail, not a capacity check and a 4-byte append per value.
+                let at = self.buf.len();
+                self.buf.resize(at + vs.len() * 4, 0);
+                for (bytes, &v) in self.buf[at..].chunks_exact_mut(4).zip(vs) {
+                    bytes.copy_from_slice(&v.to_le_bytes());
                 }
             }
             FeatCodec::F16 => {
@@ -252,7 +255,11 @@ impl<'a> Reader<'a> {
         }
         let n = n as usize;
         match self.cfg.features {
-            FeatCodec::F32 => (0..n).map(|_| self.f32()).collect(),
+            FeatCodec::F32 => Ok(self
+                .take(n * 4)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("exact chunk")))
+                .collect()),
             FeatCodec::F16 => {
                 let mut out = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -319,18 +326,33 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// configuration.
 pub fn encode_with(msg: &Message, cfg: CodecConfig) -> Vec<u8> {
     match msg {
-        Message::Request(Request::Epoch { id, params }) => {
+        Message::Request(req) => encode_request(req, cfg),
+        Message::Response(resp) => encode_response(resp, cfg),
+    }
+}
+
+/// [`encode_with`] for a request the caller holds by reference, without
+/// wrapping (and so cloning) it into a [`Message`].
+pub fn encode_request(req: &Request, cfg: CodecConfig) -> Vec<u8> {
+    match req {
+        Request::Epoch { id, params } => {
             let mut w = Writer::new(KIND_REQ_EPOCH, cfg, *id);
             w.f32s(params);
             w.finish()
         }
-        Message::Request(Request::Round { id, params }) => {
+        Request::Round { id, params } => {
             let mut w = Writer::new(KIND_REQ_ROUND, cfg, *id);
             w.f32s(params);
             w.finish()
         }
-        Message::Request(Request::Stop { id }) => Writer::new(KIND_REQ_STOP, cfg, *id).finish(),
-        Message::Response(Response::Epoch { id, params, loss_sum, batches, ledger }) => {
+        Request::Stop { id } => Writer::new(KIND_REQ_STOP, cfg, *id).finish(),
+    }
+}
+
+/// [`encode_with`] for a response held by reference.
+pub fn encode_response(resp: &Response, cfg: CodecConfig) -> Vec<u8> {
+    match resp {
+        Response::Epoch { id, params, loss_sum, batches, ledger } => {
             let mut w = Writer::new(KIND_RESP_EPOCH, cfg, *id);
             w.f32s(params);
             w.f64(*loss_sum);
@@ -338,7 +360,7 @@ pub fn encode_with(msg: &Message, cfg: CodecConfig) -> Vec<u8> {
             w.ledger(ledger);
             w.finish()
         }
-        Message::Response(Response::Round { id, active, loss, grads, ledger }) => {
+        Response::Round { id, active, loss, grads, ledger } => {
             let mut w = Writer::new(KIND_RESP_ROUND, cfg, *id);
             w.u8(u8::from(*active));
             w.f32(*loss);
@@ -346,10 +368,8 @@ pub fn encode_with(msg: &Message, cfg: CodecConfig) -> Vec<u8> {
             w.ledger(ledger);
             w.finish()
         }
-        Message::Response(Response::Unavailable { id }) => {
-            Writer::new(KIND_RESP_UNAVAILABLE, cfg, *id).finish()
-        }
-        Message::Response(Response::Failed { id, error }) => {
+        Response::Unavailable { id } => Writer::new(KIND_RESP_UNAVAILABLE, cfg, *id).finish(),
+        Response::Failed { id, error } => {
             let mut w = Writer::new(KIND_RESP_FAILED, cfg, *id);
             w.str(error);
             w.finish()

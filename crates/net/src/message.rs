@@ -116,6 +116,18 @@ impl Request {
             Request::Epoch { id, .. } | Request::Round { id, .. } | Request::Stop { id } => *id,
         }
     }
+
+    /// Rewrites the recipient and the delivery attempt, leaving the unit
+    /// and the payload untouched: one request body serves every worker
+    /// and every retransmission of a broadcast.
+    pub fn address(&mut self, worker: u32, attempt: u32) {
+        match self {
+            Request::Epoch { id, .. } | Request::Round { id, .. } | Request::Stop { id } => {
+                id.worker = worker;
+                id.attempt = attempt;
+            }
+        }
+    }
 }
 
 /// Worker→master messages.

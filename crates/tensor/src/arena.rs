@@ -10,15 +10,19 @@
 //!
 //! The free lists are kept sorted by capacity and served best-fit: the
 //! smallest pooled buffer that fits the request wins. When nothing fits,
-//! the largest pooled buffer is grown (bounding total growth), and only
-//! when the pool is empty is a brand-new buffer allocated. The
-//! [`ArenaStats`] counters distinguish the three cases so benches and
-//! tests can assert the steady state allocates nothing.
+//! the largest pooled buffer is grown to the requested size (bounding
+//! the pool's buffer count when shapes drift upward from step to step) —
+//! unless it is under half that size, in which case growing it would
+//! free next to nothing and take a small buffer from the small requests
+//! that come back for it next step, so a brand-new buffer is allocated
+//! instead. The [`ArenaStats`] counters distinguish the three cases so
+//! benches and tests can assert the steady state allocates nothing.
 
 /// Counters describing how the tape arena served buffer requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Requests served by allocating a brand-new buffer (pool was empty).
+    /// Requests served by allocating a brand-new buffer (nothing pooled
+    /// was worth growing).
     pub fresh: u64,
     /// Requests served by growing a pooled buffer whose capacity fell
     /// short of the request.
@@ -36,8 +40,9 @@ impl ArenaStats {
     }
 }
 
-/// Takes a cleared buffer with capacity for `len` elements from `pool`
-/// (sorted ascending by capacity), preferring the smallest that fits.
+/// Takes a buffer with capacity for `len` elements from `pool` (sorted
+/// ascending by capacity), preferring the smallest that fits. The buffer
+/// still holds whatever its previous user left in it.
 fn take_from<T>(pool: &mut Vec<Vec<T>>, len: usize, stats: &mut ArenaStats) -> Vec<T> {
     if len == 0 {
         // Zero-capacity vectors never allocate; don't disturb the pool.
@@ -45,15 +50,16 @@ fn take_from<T>(pool: &mut Vec<Vec<T>>, len: usize, stats: &mut ArenaStats) -> V
     }
     if let Some(i) = pool.iter().position(|b| b.capacity() >= len) {
         stats.reused += 1;
-        let mut b = pool.remove(i);
-        b.clear();
-        return b;
+        return pool.remove(i);
     }
-    match pool.pop() {
+    // Growing a buffer far smaller than the request would save nothing and
+    // cost the pool a size the next step asks for again.
+    match pool.pop_if(|b| b.capacity() * 2 >= len) {
         Some(mut b) => {
             stats.grown += 1;
+            // Stale contents need not survive the move to a larger block.
             b.clear();
-            b.reserve(len);
+            b.reserve_exact(len);
             b
         }
         None => {
@@ -86,12 +92,26 @@ pub(crate) struct TapeArena {
 impl TapeArena {
     /// Cleared `f32` buffer with capacity for at least `len` elements.
     pub(crate) fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        take_from(&mut self.free_f32, len, &mut self.stats)
+        let mut b = take_from(&mut self.free_f32, len, &mut self.stats);
+        b.clear();
+        b
     }
 
     /// Cleared `u32` buffer with capacity for at least `len` elements.
     pub(crate) fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        take_from(&mut self.free_u32, len, &mut self.stats)
+        let mut b = take_from(&mut self.free_u32, len, &mut self.stats);
+        b.clear();
+        b
+    }
+
+    /// `f32` buffer of exactly `len` elements with **unspecified
+    /// contents** (whatever the pooled buffer last held, zeros beyond
+    /// that): for outputs a kernel overwrites in full, which makes
+    /// [`TapeArena::zeroed_f32`]'s fill a wasted pass over the buffer.
+    pub(crate) fn stale_f32(&mut self, len: usize) -> Vec<f32> {
+        let mut b = take_from(&mut self.free_f32, len, &mut self.stats);
+        b.resize(len, 0.0);
+        b
     }
 
     /// Zero-filled `f32` buffer of exactly `len` elements.
@@ -180,12 +200,23 @@ mod tests {
     fn grows_largest_when_nothing_fits() {
         let mut a = TapeArena::default();
         a.recycle_f32(Vec::with_capacity(10));
-        a.recycle_f32(Vec::with_capacity(20));
+        a.recycle_f32(Vec::with_capacity(40));
         let b = a.take_f32(64);
-        assert!(b.capacity() >= 64);
+        assert_eq!(b.capacity(), 64, "grown to the request, not doubled");
         assert_eq!(a.stats().grown, 1);
         // The smaller buffer is still pooled.
         assert_eq!(a.take_f32(10).capacity(), 10);
+    }
+
+    #[test]
+    fn far_smaller_buffers_are_left_alone() {
+        let mut a = TapeArena::default();
+        a.recycle_f32(Vec::with_capacity(10));
+        a.recycle_f32(Vec::with_capacity(20));
+        let b = a.take_f32(64);
+        assert_eq!(b.capacity(), 64);
+        assert_eq!((a.stats().fresh, a.stats().grown), (1, 0));
+        assert_eq!(a.pooled_bytes(), 30 * 4, "both small buffers stay pooled");
     }
 
     #[test]

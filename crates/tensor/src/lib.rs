@@ -7,7 +7,10 @@
 //!
 //! * [`Tensor`] — a 2-D row-major `f32` matrix with the usual arithmetic;
 //! * [`Tape`] — an arena-based autograd tape. Operations append nodes; a
-//!   single [`Tape::backward`] pass computes gradients for every leaf.
+//!   single [`Tape::backward`] pass computes gradients for every
+//!   parameter leaf, skipping whatever only a constant input
+//!   ([`Tape::leaf_with`]) would consume and releasing interior
+//!   gradients as it goes.
 //!   Tapes are thread-local, so each simulated worker differentiates
 //!   independently — mirroring how each GPU in DDP holds its own autograd
 //!   graph. Trainers hold **one tape across steps**: [`Tape::reset`]
@@ -17,9 +20,11 @@
 //! * [`segment`] — the deterministic parallel aggregation kernels behind
 //!   the tape's graph ops, bit-identical to their scalar counterparts at
 //!   every thread count;
-//! * graph-specific ops: [`Tape::gather_rows`], [`Tape::segment_sum`]
-//!   (neighborhood aggregation), [`Tape::segment_softmax`] (GAT attention),
-//!   [`Tape::scale_rows`] (GCN normalization / sparsifier edge weights);
+//! * graph-specific ops: [`Tape::aggregate`] (weighted neighborhood
+//!   aggregation as one op, no per-edge tensors), and the primitives
+//!   attention layers compose: [`Tape::gather_rows`],
+//!   [`Tape::segment_sum`], [`Tape::segment_softmax`],
+//!   [`Tape::scale_rows`];
 //! * [`grad_check`] — central-difference gradient verification used
 //!   extensively by the test suite.
 //!

@@ -1,9 +1,10 @@
 //! Parallel segment/gather and row-wise elementwise kernels for the
 //! aggregation hot path.
 //!
-//! These back [`Tape`](crate::Tape)'s message-passing ops
-//! (`gather_rows`, `segment_sum`, `segment_softmax`, row scaling) and the
-//! row-wise elementwise activations, forward *and* backward. Each kernel
+//! These back [`Tape`](crate::Tape)'s message-passing ops (the fused
+//! `aggregate`, and the `gather_rows`, `segment_sum`, `segment_softmax`,
+//! row-scaling primitives attention layers compose) and the row-wise
+//! elementwise activations, forward *and* backward. Each kernel
 //! partitions a contiguous range of **destination rows or segments** per
 //! thread over a [`Pool`] — never interleaving by thread id — and every
 //! accumulator runs over its contributions in ascending input order, so
@@ -84,6 +85,25 @@ fn row_scale_one(o: &mut [f32], x: &[f32], f: f32) {
     }
     for (ov, &xv) in ot.iter_mut().zip(&x[blocks..]) {
         *ov = xv * f;
+    }
+}
+
+/// `o[j] += x[j] * f` over one row, lane-blocked like [`row_add`]. The
+/// product is rounded before the add (Rust never contracts the pair into
+/// a fused multiply-add), so one call is bit-identical to
+/// [`row_scale_one`] into a temporary row followed by [`row_add`].
+#[inline]
+fn row_axpy(o: &mut [f32], x: &[f32], f: f32) {
+    debug_assert_eq!(o.len(), x.len(), "row_axpy shape");
+    let blocks = o.len() / LANES * LANES;
+    let (oh, ot) = o.split_at_mut(blocks);
+    for (ob, xb) in oh.chunks_exact_mut(LANES).zip(x[..blocks].chunks_exact(LANES)) {
+        for j in 0..LANES {
+            ob[j] += xb[j] * f;
+        }
+    }
+    for (ov, &xv) in ot.iter_mut().zip(&x[blocks..]) {
+        *ov += xv * f;
     }
 }
 
@@ -232,6 +252,59 @@ pub fn segment_sum(a: &[f32], m: usize, seg: &[u32], out: &mut [f32], pool: &Poo
         }
     };
     if par_scatter(seg.len(), m, pool) {
+        pool.parallel_for_mut(out, m, min_rows(2 * m), run);
+    } else {
+        run(0, out);
+    }
+}
+
+/// Fused weighted aggregation: `out[to[e]] += coeff[e] * x[from[e]]` for
+/// every edge `e` in ascending order — [`gather_rows`], [`row_scale`] and
+/// [`segment_sum`] in one pass that never materializes a per-edge row.
+///
+/// With `(from, to) = (edge_src, edge_dst)` this is the forward
+/// neighborhood sum; with the two swapped and `x` the output gradient it
+/// is the backward scatter into the source rows. Per element the product
+/// is formed, rounded, then added, in edge order, so the result is
+/// bit-identical to the three-kernel composition. `out` (zero-initialized
+/// by the caller) is partitioned by destination row exactly like
+/// [`segment_sum`]: each thread scans the edge list ascending and
+/// accumulates only the rows it owns.
+///
+/// # Panics
+///
+/// Panics if an index is out of range or buffer lengths disagree.
+pub fn aggregate(
+    x: &[f32],
+    m: usize,
+    from: &[u32],
+    to: &[u32],
+    coeff: &[f32],
+    out: &mut [f32],
+    pool: &Pool,
+) {
+    assert_eq!(from.len(), to.len(), "edge arrays must be parallel");
+    assert_eq!(from.len(), coeff.len(), "one coefficient per edge");
+    if m == 0 {
+        return;
+    }
+    assert_eq!(x.len() % m, 0, "input must hold whole rows");
+    assert_eq!(out.len() % m, 0, "out must hold whole rows");
+    let (n_in, n_out) = (x.len() / m, out.len() / m);
+    for (&s, &d) in from.iter().zip(to) {
+        assert!((s as usize) < n_in, "aggregate source {s} out of range {n_in}");
+        assert!((d as usize) < n_out, "aggregate destination {d} out of range {n_out}");
+    }
+    let run = |row0: usize, chunk: &mut [f32]| {
+        let rows = chunk.len() / m;
+        for ((&s, &d), &c) in from.iter().zip(to).zip(coeff) {
+            let (s, d) = (s as usize, d as usize);
+            if d >= row0 && d < row0 + rows {
+                row_axpy(&mut chunk[(d - row0) * m..(d - row0 + 1) * m], &x[s * m..(s + 1) * m], c);
+            }
+        }
+    };
+    if par_scatter(from.len(), m, pool) {
         pool.parallel_for_mut(out, m, min_rows(2 * m), run);
     } else {
         run(0, out);
@@ -650,6 +723,35 @@ mod tests {
             segment_sum(&a, DIM, &seg, &mut out, &Pool::new(t));
             assert_eq!(out, reference, "segment_sum at {t} threads");
         }
+    }
+
+    #[test]
+    fn aggregate_bit_identical_across_threads_and_to_the_unfused_chain() {
+        let x = rand_vec(NODES * DIM, 21);
+        let from = rand_idx(EDGES, NODES, 22);
+        let to = rand_idx(EDGES, SEGS, 23);
+        let coeff = rand_vec(EDGES, 24);
+        let one = Pool::new(1);
+        // Oracle: gather -> row scale -> segment sum, per-edge rows and all.
+        let mut msgs = vec![0.0; EDGES * DIM];
+        gather_rows(&x, DIM, &from, &mut msgs, &one);
+        let mut weighted = vec![0.0; EDGES * DIM];
+        row_scale(&msgs, DIM, &coeff, &mut weighted, &one);
+        let mut reference = vec![0.0; SEGS * DIM];
+        segment_sum(&weighted, DIM, &to, &mut reference, &one);
+        for t in THREADS {
+            let mut out = vec![0.0; SEGS * DIM];
+            aggregate(&x, DIM, &from, &to, &coeff, &mut out, &Pool::new(t));
+            let same = out.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "aggregate at {t} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn aggregate_checks_bounds() {
+        let mut out = vec![0.0; 2];
+        aggregate(&[0.0; 4], 2, &[0], &[1], &[1.0], &mut out, &Pool::new(1));
     }
 
     #[test]

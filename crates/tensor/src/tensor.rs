@@ -275,8 +275,8 @@ impl Tensor {
         Tensor { rows: n, cols: m, data: out }
     }
 
-    /// [`Tensor::matmul_nt`] writing into a caller-provided zero-filled
-    /// buffer.
+    /// [`Tensor::matmul_nt`] writing into a caller-provided buffer, every
+    /// element of which is overwritten (it need not be zero-filled).
     pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut [f32]) {
         assert_eq!(self.cols, other.cols, "matmul_nt col dims");
         let (n, k, m) = (self.rows, self.cols, other.rows);

@@ -5,7 +5,7 @@
 //! loop index, so failures reproduce exactly from the printed case number.
 
 use splpg_rng::{Rng, SeedableRng};
-use splpg_tensor::{grad_check, Tensor};
+use splpg_tensor::{grad_check, Tape, Tensor};
 
 const CASES: u64 = 24;
 
@@ -105,5 +105,87 @@ fn col_row_sums_agree_with_manual() {
         let total: f32 = x.data().iter().sum();
         assert!((x.col_sums().sum() - total).abs() < 1e-3, "case {case}");
         assert!((x.row_sums().sum() - total).abs() < 1e-3, "case {case}");
+    }
+}
+
+/// One random block: `num_src` rows of width `dim`, `edges` weighted edges
+/// into the first `num_dst` rows (the dst-prefix convention).
+struct AggCase {
+    h: Tensor,
+    w: Tensor,
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    coeff: Vec<f32>,
+    num_dst: usize,
+}
+
+fn agg_case(seed: u64, dim: usize, num_src: usize, num_dst: usize, edges: usize) -> AggCase {
+    let mut r = rng(seed);
+    // Every third destination receives no edge (zero in-degree); sources
+    // repeat freely, and so do whole (src, dst) pairs.
+    let fed: Vec<u32> = (0..num_dst as u32).filter(|d| d % 3 != 1).collect();
+    let mut src: Vec<u32> = (0..edges).map(|_| r.gen_range(0..num_src) as u32).collect();
+    let mut dst: Vec<u32> = (0..edges).map(|_| fed[r.gen_range(0..fed.len())]).collect();
+    (src[1], dst[1]) = (src[0], dst[0]);
+    AggCase {
+        h: Tensor::from_fn(num_src, dim, |_, _| r.gen_range(-2.0f32..2.0)),
+        w: Tensor::from_fn(dim, 3, |_, _| r.gen::<f32>() - 0.5),
+        coeff: (0..edges).map(|_| r.gen_range(-1.5f32..1.5)).collect(),
+        src,
+        dst,
+        num_dst,
+    }
+}
+
+/// Forward value of the aggregation and the gradients of both leaves, as
+/// bit patterns, through the fused op or the three-op composition it
+/// replaced (kept here as the oracle). `h` has a second consumer so its
+/// gradient is an accumulation, not a single hand-over.
+fn agg_bits(case: &AggCase, fused: bool, threads: usize) -> [Vec<u32>; 3] {
+    splpg_par::set_num_threads(threads);
+    let mut tape = Tape::new();
+    let h = tape.leaf_copy(&case.h);
+    let w = tape.leaf_copy(&case.w);
+    let agg = if fused {
+        tape.aggregate(h, &case.src, &case.dst, &case.coeff, case.num_dst)
+    } else {
+        let msgs = tape.gather_rows(h, &case.src);
+        let scaled = tape.scale_rows(msgs, &case.coeff);
+        tape.segment_sum(scaled, &case.dst, case.num_dst)
+    };
+    let own = tape.row_prefix(h, case.num_dst);
+    let mixed = tape.add(own, agg);
+    let y = tape.matmul(mixed, w);
+    let t = tape.tanh(y);
+    let loss = tape.mean_all(t);
+    let grads = tape.backward(loss);
+    splpg_par::set_num_threads(0);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    [
+        bits(tape.value(agg)),
+        bits(grads.get(h).expect("h gradient")),
+        bits(grads.get(w).expect("w gradient")),
+    ]
+}
+
+#[test]
+fn aggregate_bit_equal_to_gather_scale_segment_sum() {
+    for (i, &dim) in [1usize, 7, 8, 64].iter().enumerate() {
+        for case in 0..6 {
+            let c = agg_case(6000 + 10 * i as u64 + case, dim, 40, 17, 90);
+            let oracle = agg_bits(&c, false, 1);
+            let unfed = &oracle[0][dim..2 * dim];
+            assert!(unfed.iter().all(|&b| b == 0), "destination 1 receives no edge");
+            for threads in [1, 4] {
+                assert_eq!(agg_bits(&c, true, threads), oracle, "dim {dim} case {case} t{threads}");
+            }
+        }
+    }
+    // Wide enough (2 * edges * dim >= 2M flops) that a 4-thread pool takes
+    // the destination-partitioned path on a multi-core host.
+    let big = agg_case(6100, 64, 6_000, 2_500, 20_000);
+    let oracle = agg_bits(&big, false, 1);
+    for threads in [1, 4] {
+        assert_eq!(agg_bits(&big, true, threads), oracle, "wide block t{threads}");
     }
 }

@@ -110,3 +110,55 @@ fn graph_io_round_trips_generated_dataset() {
     let f2 = splpg::graph::read_features(fbuf.as_slice()).expect("read features");
     assert_eq!(data.features, f2);
 }
+
+#[test]
+fn train_step_tape_is_under_half_the_unfused_footprint() {
+    // The `train_step` bench shape (3000 nodes / 12000 edges, GCN 2x32,
+    // fanouts 10/5, batch 256). With per-edge gather/scale tensors on the
+    // tape and every interior gradient held until `backward` returned,
+    // the warmed-up tape backed 13 927 168 bytes on this shape
+    // (BENCH_train_step.json before the fused `aggregate` op).
+    use splpg::datasets::{generate_community_graph, CommunityGraphParams};
+    use splpg::gnn::trainer::batch_grads;
+    use splpg::gnn::{
+        FullFeatureAccess, FullGraphAccess, PerSourceNegativeSampler, SamplerScratch,
+    };
+    const UNFUSED_TAPE_BYTES: usize = 13_927_168;
+
+    let shape = CommunityGraphParams { nodes: 3_000, edges: 12_000, ..Default::default() };
+    let mut r = splpg_rng::rngs::StdRng::seed_from_u64(7);
+    let (graph, features, _) = generate_community_graph(&shape, &mut r).expect("valid params");
+    let config = TrainConfig {
+        layers: 2,
+        hidden: 32,
+        fanouts: vec![Some(10), Some(5)],
+        seed: 17,
+        ..TrainConfig::default()
+    };
+    let mut params = splpg::nn::ParamSet::new();
+    let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
+    let model = config.build_model(ModelKind::Gcn, features.dim(), &mut params, &mut init);
+    let batch = &graph.edges()[..config.batch_size];
+    let negatives = PerSourceNegativeSampler::global(graph.num_nodes());
+    let mut tape = splpg::tensor::Tape::new();
+    let mut scratch = SamplerScratch::new();
+    for _ in 0..3 {
+        let mut step_rng = splpg_rng::rngs::StdRng::seed_from_u64(1_000);
+        let (_, grads) = batch_grads(
+            &model,
+            &params,
+            &FullGraphAccess::new(&graph),
+            &mut FullFeatureAccess::new(&features),
+            &config.sampler(),
+            &negatives,
+            batch,
+            &mut step_rng,
+            &mut tape,
+            &mut scratch,
+        )
+        .expect("training step");
+        grads.into_iter().for_each(|g| tape.recycle(g));
+    }
+    let bytes = tape.backing_bytes();
+    assert!(2 * bytes <= UNFUSED_TAPE_BYTES, "tape backs {bytes} B after backward");
+}

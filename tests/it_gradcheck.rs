@@ -117,9 +117,11 @@ fn gradcheck_model(kind: ModelKind, seed: u64) -> Vec<(String, f64)> {
     // the check also exercises the buffer-reuse path the trainers run on.
     let mut tape = splpg::tensor::Tape::new();
 
-    // Analytic gradients, flattened in canonical parameter order.
+    // Analytic gradients, flattened in canonical parameter order. The
+    // input is a constant leaf, as in the trainers, so this is the pruned
+    // backward pass they run.
     let binding = params.bind(&mut tape);
-    let x = tape.leaf_copy(&input);
+    let x = tape.leaf_with(input.rows(), input.cols(), |buf| buf.extend_from_slice(input.data()));
     let logits = model.score_pairs(&mut tape, &binding, x, &batch, &pairs, None);
     let loss = tape.bce_with_logits(logits, &labels);
     let mut grads = tape.backward(loss);
@@ -238,14 +240,79 @@ fn gin_gradients_match_finite_differences() {
 }
 
 #[test]
-fn gcn_gradients_match_on_a_pooled_multi_thread_tape() {
+fn aggregate_models_match_on_a_pooled_multi_thread_tape() {
     // Same check through the arena-reusing tape with a >1-thread pool
-    // active: kernel outputs are thread-count invariant by construction,
-    // so the pooled run must agree with finite differences exactly as the
+    // active, for every model whose layers run on the fused `aggregate`
+    // op: kernel outputs are thread-count invariant by construction, so
+    // the pooled run must agree with finite differences exactly as the
     // default run does.
     splpg_par::set_num_threads(4);
     assert_gradients_match(ModelKind::Gcn, 11);
+    assert_gradients_match(ModelKind::GraphSage, 12);
+    assert_gradients_match(ModelKind::Gin, 15);
     splpg_par::set_num_threads(0);
+}
+
+/// FNV-1a over the loss bits and every parameter-gradient bit of one
+/// forward/backward step of `kind` on the gradcheck fixture.
+fn step_fingerprint(kind: ModelKind, seed: u64) -> u64 {
+    let graph = test_graph();
+    let features = test_features(graph.num_nodes(), 3, seed ^ 0xFEED);
+    let cfg = TrainConfig {
+        layers: 2,
+        hidden: 4,
+        dropout: 0.0,
+        fanouts: vec![None, None],
+        seed,
+        ..TrainConfig::default()
+    };
+    let mut params = ParamSet::new();
+    let model = cfg.build_model(kind, 3, &mut params, &mut StdRng::seed_from_u64(seed));
+    let positives = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(5, 6), Edge::new(8, 9)];
+    let negatives = vec![Edge::new(0, 7), Edge::new(2, 11), Edge::new(5, 9), Edge::new(1, 8)];
+    let (seeds, pairs, labels) = edges_to_pairs(&positives, &negatives);
+    let access = FullGraphAccess::new(&graph);
+    let batch =
+        NeighborSampler::full(2).sample(&access, &seeds, &mut StdRng::seed_from_u64(seed));
+    let input = FullFeatureAccess::new(&features).gather(batch.input_nodes());
+
+    let mut tape = splpg::tensor::Tape::new();
+    let binding = params.bind(&mut tape);
+    let x = tape.leaf_with(input.rows(), input.cols(), |buf| buf.extend_from_slice(input.data()));
+    let logits = model.score_pairs(&mut tape, &binding, x, &batch, &pairs, None);
+    let loss = tape.bce_with_logits(logits, &labels);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |v: f32| {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    absorb(tape.value(loss).get(0, 0));
+    let mut grads = tape.backward(loss);
+    for g in binding.collect_grads(&params, &mut grads) {
+        g.data().iter().copied().for_each(&mut absorb);
+    }
+    hash
+}
+
+#[test]
+fn every_model_keeps_the_bits_of_the_unfused_unpruned_tape() {
+    // Recorded on the commit before SAGE/GCN/GIN moved to the fused
+    // `aggregate` op and before `Tape::backward` learned to prune
+    // constants, recycle interior gradients mid-pass and take un-zeroed
+    // outputs. GAT and GATv2 still record the primitive gather / softmax /
+    // segment-sum ops but share that backward pass, so a bit moved by
+    // either change shows here.
+    let recorded: [(ModelKind, u64, u64); 5] = [
+        (ModelKind::Gcn, 11, 0x1fd1_031a_20ec_5ba1),
+        (ModelKind::GraphSage, 12, 0x4bb4_5392_543b_7952),
+        (ModelKind::Gat, 13, 0xecef_b639_bcab_cc14),
+        (ModelKind::GatV2, 14, 0x9520_a2b3_f87b_c7c9),
+        (ModelKind::Gin, 15, 0x676d_2431_eddd_6801),
+    ];
+    for (kind, seed, fingerprint) in recorded {
+        assert_eq!(step_fingerprint(kind, seed), fingerprint, "{kind:?} loss/gradient bits moved");
+    }
 }
 
 #[test]
