@@ -1,15 +1,15 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (Section V).
 //!
-//! One binary per table/figure (see `src/bin/`): `fig03` … `fig14`,
-//! `table2`, `table3`, plus `repro` which runs the full suite. Each binary
-//! prints the same rows/series the paper reports, on synthetic stand-in
-//! datasets (see [`splpg_datasets`]). Absolute numbers differ from the
-//! paper's GPU testbed; the *shape* — who wins, by roughly what factor,
-//! where crossovers fall — is the reproduction target (see
-//! `EXPERIMENTS.md`).
+//! One `repro` binary runs them (see `src/bin/repro.rs`): `fig03` …
+//! `fig14`, `table2`, `table3` and the `ablation_sparsifier` extension,
+//! chosen by name as positional arguments (none = all). Each prints the
+//! same rows/series the paper reports, on synthetic stand-in datasets
+//! (see [`splpg_datasets`]). Absolute numbers differ from the paper's GPU
+//! testbed; the *shape* — who wins, by roughly what factor, where
+//! crossovers fall — is the reproduction target (see `EXPERIMENTS.md`).
 //!
-//! Every binary accepts the same flags:
+//! Flags apply to every experiment:
 //!
 //! ```text
 //! --scale <f64>     dataset scale factor        (default 0.2)
@@ -20,6 +20,7 @@
 //! --layers <n>      GNN layers                  (default 2)
 //! --hits-k <n>      Hits@K cutoff               (default 0 = auto)
 //! --seed <n>        RNG seed                    (default 1)
+//! --datasets <n>    accuracy datasets, 1-4      (default 4)
 //! --quick           smoke-test profile (tiny datasets, few epochs)
 //! ```
 
@@ -73,46 +74,38 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `std::env::args`; unknown flags abort with a message.
+    /// Parses `args` (program name excluded) into the options and the
+    /// positional arguments, in order.
     ///
     /// # Panics
     ///
-    /// Panics (with a usage message) on malformed flags.
-    pub fn from_args() -> Self {
+    /// Panics (with a usage message) on unknown or malformed flags.
+    pub fn parse(args: &[String]) -> (Self, Vec<String>) {
+        fn num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+            let value = value.unwrap_or_else(|| panic!("flag {flag} needs a value"));
+            value.parse().unwrap_or_else(|_| panic!("numeric value required for {flag}"))
+        }
         let mut opts = ExpOptions::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].clone();
-            if flag == "--quick" {
-                opts.quick = true;
-                i += 1;
-                continue;
-            }
-            i += 1;
-            let value = args
-                .get(i)
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"))
-                .clone();
-            let numeric = |what: &str| -> String { format!("numeric value required for {what}") };
-            match flag.as_str() {
-                "--scale" => opts.scale = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--scale"))),
-                "--features" => opts.feature_cap = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--features"))),
-                "--epochs" => opts.epochs = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--epochs"))),
-                "--comm-epochs" => {
-                    opts.comm_epochs = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--comm-epochs")))
+        let mut positional = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            match flag {
+                "--quick" => opts.quick = true,
+                "--scale" => opts.scale = num(flag, args.next()),
+                "--features" => opts.feature_cap = num(flag, args.next()),
+                "--epochs" => opts.epochs = num(flag, args.next()),
+                "--comm-epochs" => opts.comm_epochs = num(flag, args.next()),
+                "--hidden" => opts.hidden = num(flag, args.next()),
+                "--layers" => opts.layers = num(flag, args.next()),
+                "--hits-k" => opts.hits_k = num(flag, args.next()),
+                "--seed" => opts.seed = num(flag, args.next()),
+                "--datasets" => opts.datasets = num(flag, args.next()),
+                other if other.starts_with("--") => {
+                    panic!("unknown flag {other}; see crate docs for usage")
                 }
-                "--hidden" => opts.hidden = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--hidden"))),
-                "--layers" => opts.layers = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--layers"))),
-                "--hits-k" => opts.hits_k = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--hits-k"))),
-                "--seed" => opts.seed = value.parse().unwrap_or_else(|_| panic!("{}", numeric("--seed"))),
-                "--datasets" => {
-                    opts.datasets =
-                        value.parse().unwrap_or_else(|_| panic!("{}", numeric("--datasets")))
-                }
-                other => panic!("unknown flag {other}; see crate docs for usage"),
+                name => positional.push(name.to_string()),
             }
-            i += 1;
         }
         if opts.quick {
             opts.scale = opts.scale.min(0.05);
@@ -121,7 +114,7 @@ impl ExpOptions {
             opts.feature_cap = opts.feature_cap.min(16);
             opts.hidden = opts.hidden.min(8);
         }
-        opts
+        (opts, positional)
     }
 
     /// The scale profile for ordinary (DGL-sized) datasets.
@@ -252,12 +245,9 @@ impl ExpOptions {
         let dist = DistConfig {
             num_workers: if strategy == Strategy::Centralized { 1 } else { workers },
             strategy,
-            sync: SyncMethod::ModelAveraging,
             alpha,
             eval_every: 3,
             setup_seed: self.seed.wrapping_mul(31).wrapping_add(workers as u64),
-            faults: None,
-            sparsifier: SparsifierKind::default(),
             ..DistConfig::default()
         };
         let mut train = self.train_config(model, epochs);
@@ -317,14 +307,22 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_everything() {
-        let mut o = ExpOptions::default();
-        o.quick = true;
-        // from_args applies the quick clamp; emulate it here.
-        o.scale = o.scale.min(0.05);
-        o.epochs = o.epochs.min(3);
+        let (o, names) = ExpOptions::parse(&["--quick".to_string()]);
+        assert!(names.is_empty());
+        assert!(o.scale <= 0.05);
         assert_eq!(o.partition_counts(), vec![4]);
         assert_eq!(o.accuracy_specs().len(), 1);
         assert!(o.epochs <= 3);
+    }
+
+    #[test]
+    fn parse_splits_flags_from_experiment_names() {
+        let args: Vec<String> =
+            ["fig03", "--seed", "7", "table2", "--quick"].iter().map(|s| s.to_string()).collect();
+        let (o, names) = ExpOptions::parse(&args);
+        assert_eq!(names, ["fig03", "table2"]);
+        assert_eq!(o.seed, 7);
+        assert!(o.quick);
     }
 
     #[test]

@@ -975,7 +975,7 @@ mod tests {
         let s = FileScope::of("crates/graph/src/io.rs");
         assert_eq!(s.crate_name.as_deref(), Some("graph"));
         assert!(!s.is_binary);
-        let b = FileScope::of("crates/bench/src/bin/fig03.rs");
+        let b = FileScope::of("crates/bench/src/bin/repro.rs");
         assert!(b.is_binary);
         assert!(FileScope::of("crates/gnn/src/lib.rs").is_crate_root);
     }

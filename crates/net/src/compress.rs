@@ -721,8 +721,8 @@ mod tests {
         assert_eq!(feature_wire_bytes(10, 64, FeatCodec::F32), 2560);
         assert_eq!(feature_wire_bytes(10, 64, FeatCodec::F16), 1280);
         assert_eq!(feature_wire_bytes(10, 64, FeatCodec::Int8), 720);
-        // The int8 feature ratio at dim 64: 2560 / 720 ≈ 3.56 ≥ 3.5,
-        // the gate the wire_compress bench enforces end to end.
+        // The int8 feature ratio at dim 64: 2560 / 720 ≈ 3.56 ≥ 3.5. This
+        // test is the repo's int8 ratio gate.
         let raw = feature_wire_bytes(10, 64, FeatCodec::F32) as f64;
         let wire = feature_wire_bytes(10, 64, FeatCodec::Int8) as f64;
         assert!(raw / wire >= 3.5);

@@ -58,7 +58,7 @@ pub use cluster::{build_cluster, run_cluster, ClusterConfig, MasterHub, WorkerPo
 pub use compress::{CodecConfig, FeatCodec, StructCodec};
 pub use fault::{FaultPlan, FaultyTransport, RetryPolicy};
 pub use message::{FetchLedger, Message, MsgId, Request, Response};
-pub use shm::{SegmentSpec, ShmError, ShmLane, ShmOwner, ShmSegment, ShmTransport};
+pub use shm::{SegmentSpec, ShmError, ShmLane, ShmOwner, ShmSegment};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{ChannelTransport, KindStat, Transport, WireSnapshot, WireStats};
 

@@ -16,10 +16,7 @@
 //! * [`ShmError`] — the typed failure taxonomy: every way an attach can
 //!   go wrong (missing, torn, version-skewed, corrupt, wrong run) maps
 //!   to one variant so callers can degrade to the wire path and record
-//!   the reason, never crash;
-//! * [`ShmTransport`] — a duplex frame lane over two one-directional
-//!   shared-memory rings, held to the same conformance battery as the
-//!   channel and TCP transports.
+//!   the reason, never crash.
 //!
 //! The segment name travels master→worker through the existing
 //! `SPLPG_PROC_*` environment handoff (see [`crate::process`]).
@@ -53,12 +50,8 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-use crate::transport::{Transport, WireStats};
-use crate::NetError;
 
 /// First 8 bytes of every feature-bus segment.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SPLPGFB1";
@@ -203,7 +196,6 @@ pub fn segment_name(tag: &str) -> String {
 use std::ffi::c_void;
 
 const PROT_READ: i32 = 1;
-const PROT_WRITE: i32 = 2;
 const MAP_SHARED: i32 = 1;
 
 extern "C" {
@@ -218,32 +210,32 @@ extern "C" {
     fn munmap(addr: *mut c_void, len: usize) -> i32;
 }
 
-/// A `MAP_SHARED` mapping of one segment file, unmapped on drop. The
-/// single place raw pages enter Rust: everything above it works with
-/// bounds-checked slices derived from `ptr`/`len`.
+/// A read-only `MAP_SHARED` mapping of one segment file, unmapped on
+/// drop. The single place raw pages enter Rust: everything above it
+/// works with bounds-checked slices derived from `ptr`/`len`.
 struct Mapping {
     ptr: *mut u8,
     len: usize,
 }
 
-// The mapping is plain memory with no thread affinity; concurrent
-// access discipline is enforced by the structures built on top (sealed
-// read-only segments, ring-buffer cursors with acquire/release pairs).
+// The mapping is plain read-only memory with no thread affinity, and
+// only sealed segments are ever mapped.
 // splpg-lint: allow(forbid-unsafe) — shared mapping is Send: no thread-affine state
 unsafe impl Send for Mapping {}
-// splpg-lint: allow(forbid-unsafe) — shared mapping is Sync: readers see sealed or cursor-published bytes only
+// splpg-lint: allow(forbid-unsafe) — shared mapping is Sync: readers see sealed bytes only
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Maps `len` bytes of `file` (`MAP_SHARED`), optionally writable.
-    fn map(file: &File, len: usize, writable: bool) -> Result<Mapping, ShmError> {
+    /// Maps `len` bytes of `file` (`MAP_SHARED`, read-only).
+    fn map(file: &File, len: usize) -> Result<Mapping, ShmError> {
         use std::os::unix::io::AsRawFd;
         if len == 0 {
             return Err(ShmError::Geometry("cannot map an empty segment".to_string()));
         }
-        let prot = if writable { PROT_READ | PROT_WRITE } else { PROT_READ };
         // splpg-lint: allow(forbid-unsafe) — the one mmap call; fd and length are validated above
-        let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, file.as_raw_fd(), 0) };
+        let ptr = unsafe {
+            mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, file.as_raw_fd(), 0)
+        };
         if ptr.is_null() || ptr as isize == -1 {
             return Err(ShmError::Unavailable("mmap failed".to_string()));
         }
@@ -251,8 +243,7 @@ impl Mapping {
     }
 
     /// The mapped bytes as a shared slice. Sound for sealed read-only
-    /// segments (no writer exists after seal); ring buffers never use
-    /// this — they go through cursor-published raw copies instead.
+    /// segments (no writer exists after seal).
     fn bytes(&self) -> &[u8] {
         // splpg-lint: allow(forbid-unsafe) — ptr/len come from a successful mmap of exactly len bytes
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
@@ -362,8 +353,8 @@ impl ShmOwner {
     }
 
     /// Flips one payload byte *after* sealing, leaving the recorded
-    /// checksum stale — the deterministic corruption the fallback tests
-    /// and the `shm_bus` bench's degraded row are built on.
+    /// checksum stale — the deterministic corruption the torn-bus
+    /// fallback tests are built on.
     ///
     /// # Errors
     ///
@@ -442,7 +433,7 @@ impl ShmSegment {
                 "file is {file_len} bytes, header claims {want}"
             )));
         }
-        let map = Mapping::map(&file, HEADER_LEN + payload_len, false)?;
+        let map = Mapping::map(&file, HEADER_LEN + payload_len)?;
         let bytes = map.bytes();
         if bytes[OFF_MAGIC..OFF_MAGIC + 8] != SEGMENT_MAGIC {
             return Err(ShmError::BadMagic);
@@ -539,264 +530,6 @@ impl ShmLane {
     /// Elements per row.
     pub fn dim(&self) -> usize {
         self.segment.dim()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared-memory ring transport.
-// ---------------------------------------------------------------------
-
-/// Sleep quantum for ring polling (no wall-clock reads: waits are
-/// attempt-counted, matching the TCP transport's discipline).
-const POLL_MS: u64 = 2;
-
-/// Attempts a send will wait on a persistently full ring before calling
-/// the lane wedged.
-const FULL_RING_ATTEMPTS: usize = 5000;
-
-/// Per-direction ring header size (cursors + close flags, padded so the
-/// data region stays cache-line- and f32-aligned).
-const RING_HDR: usize = 64;
-
-const OFF_HEAD: usize = 0;
-const OFF_TAIL: usize = 8;
-const OFF_TX_CLOSED: usize = 16;
-const OFF_RX_CLOSED: usize = 20;
-
-/// One mapped ring file shared by both endpoints of a pair: two
-/// one-directional rings, each `[head, tail, closed flags | data]`.
-struct RingMap {
-    map: Mapping,
-    cap: usize,
-}
-
-impl RingMap {
-    fn dir_base(&self, dir: usize) -> usize {
-        dir * (RING_HDR + self.cap)
-    }
-
-    fn atomic_u64(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off + 8 <= self.map.len && off.is_multiple_of(8));
-        // splpg-lint: allow(forbid-unsafe) — 8-aligned in-bounds cursor word of a shared mapping
-        unsafe { &*self.map.ptr.add(off).cast::<AtomicU64>() }
-    }
-
-    fn atomic_u32(&self, off: usize) -> &AtomicU32 {
-        debug_assert!(off + 4 <= self.map.len && off.is_multiple_of(4));
-        // splpg-lint: allow(forbid-unsafe) — 4-aligned in-bounds flag word of a shared mapping
-        unsafe { &*self.map.ptr.add(off).cast::<AtomicU32>() }
-    }
-
-    fn head(&self, dir: usize) -> &AtomicU64 {
-        self.atomic_u64(self.dir_base(dir) + OFF_HEAD)
-    }
-
-    fn tail(&self, dir: usize) -> &AtomicU64 {
-        self.atomic_u64(self.dir_base(dir) + OFF_TAIL)
-    }
-
-    fn tx_closed(&self, dir: usize) -> &AtomicU32 {
-        self.atomic_u32(self.dir_base(dir) + OFF_TX_CLOSED)
-    }
-
-    fn rx_closed(&self, dir: usize) -> &AtomicU32 {
-        self.atomic_u32(self.dir_base(dir) + OFF_RX_CLOSED)
-    }
-
-    /// Copies `src` into direction `dir`'s data region at logical
-    /// position `pos` (wrapping). Only the single producer of `dir`
-    /// writes here, and only between claiming space and publishing
-    /// `head`, so the range is exclusively owned for the duration.
-    fn write_at(&self, dir: usize, pos: u64, src: &[u8]) {
-        let data = self.dir_base(dir) + RING_HDR;
-        let at = usize::try_from(pos % self.cap as u64).expect("ring offset fits usize");
-        let first = src.len().min(self.cap - at);
-        // splpg-lint: allow(forbid-unsafe) — producer-owned unpublished range, bounds checked above
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), self.map.ptr.add(data + at), first);
-            if first < src.len() {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr().add(first),
-                    self.map.ptr.add(data),
-                    src.len() - first,
-                );
-            }
-        }
-    }
-
-    /// Copies `dst.len()` bytes out of direction `dir` at logical
-    /// position `pos` (wrapping). Only called for ranges below a
-    /// `head` loaded with acquire ordering, so the bytes are published.
-    fn read_at(&self, dir: usize, pos: u64, dst: &mut [u8]) {
-        let data = self.dir_base(dir) + RING_HDR;
-        let at = usize::try_from(pos % self.cap as u64).expect("ring offset fits usize");
-        let first = dst.len().min(self.cap - at);
-        // splpg-lint: allow(forbid-unsafe) — consumer-owned published range, bounds checked above
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.map.ptr.add(data + at), dst.as_mut_ptr(), first);
-            if first < dst.len() {
-                std::ptr::copy_nonoverlapping(
-                    self.map.ptr.add(data),
-                    dst.as_mut_ptr().add(first),
-                    dst.len() - first,
-                );
-            }
-        }
-    }
-}
-
-/// A duplex [`Transport`] endpoint over shared-memory rings — the
-/// shm-backed lane the conformance battery certifies alongside the
-/// channel and TCP transports.
-///
-/// Framing inside the ring is `[len u32 LE][frame bytes]`; `head` is
-/// published (release) only after the whole frame is in place, so a
-/// consumer that observes `head` (acquire) always reads complete
-/// frames. Each endpoint owns exactly one producer cursor and one
-/// consumer cursor.
-pub struct ShmTransport {
-    ring: Arc<RingMap>,
-    /// Direction this endpoint sends on (it receives on `1 - dir_tx`).
-    dir_tx: usize,
-    stats: WireStats,
-    max_frame: usize,
-}
-
-impl std::fmt::Debug for ShmTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShmTransport")
-            .field("dir_tx", &self.dir_tx)
-            .field("max_frame", &self.max_frame)
-            .finish()
-    }
-}
-
-impl ShmTransport {
-    /// A connected duplex pair over a fresh shared-memory segment. The
-    /// backing file is unlinked immediately (the mapping keeps it
-    /// alive), so nothing leaks even on abnormal exit.
-    ///
-    /// # Errors
-    ///
-    /// [`ShmError::Unavailable`] when the host has no usable shm
-    /// filesystem.
-    pub fn pair(
-        max_frame_len: usize,
-        stats: WireStats,
-    ) -> Result<(ShmTransport, ShmTransport), ShmError> {
-        // Each ring must fit at least one maximal frame plus its length
-        // prefix, with slack so small frames pipeline.
-        let cap = (max_frame_len + 16).next_power_of_two().max(1 << 16);
-        let total = 2 * (RING_HDR + cap);
-        let path = segment_path(&segment_name("ring"));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .map_err(|e| ShmError::Unavailable(format!("create {}: {e}", path.display())))?;
-        file.set_len(total as u64)
-            .map_err(|e| ShmError::Unavailable(format!("size {}: {e}", path.display())))?;
-        let map = Mapping::map(&file, total, true);
-        // The mapping outlives the name: unlink regardless of outcome.
-        let _ = std::fs::remove_file(&path);
-        let ring = Arc::new(RingMap { map: map?, cap });
-        Ok((
-            ShmTransport { ring: ring.clone(), dir_tx: 0, stats: stats.clone(), max_frame: max_frame_len },
-            ShmTransport { ring, dir_tx: 1, stats, max_frame: max_frame_len },
-        ))
-    }
-
-    fn dir_rx(&self) -> usize {
-        1 - self.dir_tx
-    }
-
-    /// One poll of the receive ring: `Some(frame)` when a complete
-    /// frame is available, `None` when the ring is empty.
-    fn try_pop(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        let dir = self.dir_rx();
-        let tail = self.ring.tail(dir).load(Ordering::Relaxed);
-        let head = self.ring.head(dir).load(Ordering::Acquire);
-        if head == tail {
-            if self.ring.tx_closed(dir).load(Ordering::Acquire) == 1 {
-                return Err(NetError::Closed);
-            }
-            return Ok(None);
-        }
-        let mut len_bytes = [0u8; 4];
-        self.ring.read_at(dir, tail, &mut len_bytes);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        debug_assert!(head - tail >= 4 + len as u64, "head published a partial frame");
-        let mut frame = vec![0u8; len];
-        self.ring.read_at(dir, tail + 4, &mut frame);
-        self.ring.tail(dir).store(tail + 4 + len as u64, Ordering::Release);
-        Ok(Some(frame))
-    }
-}
-
-impl Transport for ShmTransport {
-    fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        let body = frame.len().saturating_sub(4);
-        if body > self.max_frame {
-            return Err(NetError::FrameTooLarge { len: body, max: self.max_frame });
-        }
-        let dir = self.dir_tx;
-        let needed = 4 + frame.len() as u64;
-        for _ in 0..FULL_RING_ATTEMPTS {
-            if self.ring.rx_closed(dir).load(Ordering::Acquire) == 1 {
-                return Err(NetError::Closed);
-            }
-            let head = self.ring.head(dir).load(Ordering::Relaxed);
-            let tail = self.ring.tail(dir).load(Ordering::Acquire);
-            if self.ring.cap as u64 - (head - tail) >= needed {
-                let len = u32::try_from(frame.len()).map_err(|_| NetError::FrameTooLarge {
-                    len: frame.len(),
-                    max: self.max_frame,
-                })?;
-                self.ring.write_at(dir, head, &len.to_le_bytes());
-                self.ring.write_at(dir, head + 4, &frame);
-                self.ring.head(dir).store(head + needed, Ordering::Release);
-                self.stats.record_send(frame.len() as u64);
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(POLL_MS));
-        }
-        Err(NetError::Io(format!(
-            "shm ring full for {FULL_RING_ATTEMPTS} polls: receiver wedged"
-        )))
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        loop {
-            if let Some(frame) = self.try_pop()? {
-                return Ok(frame);
-            }
-            std::thread::sleep(Duration::from_millis(POLL_MS));
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        let attempts = (timeout.as_millis() as u64 / POLL_MS).max(1);
-        for attempt in 0..attempts {
-            if let Some(frame) = self.try_pop()? {
-                return Ok(Some(frame));
-            }
-            if attempt + 1 < attempts {
-                std::thread::sleep(Duration::from_millis(POLL_MS));
-            }
-        }
-        Ok(None)
-    }
-}
-
-impl Drop for ShmTransport {
-    fn drop(&mut self) {
-        // Close both of this endpoint's cursors: its producer side (so
-        // the peer's recv drains then reports Closed) and its consumer
-        // side (so the peer's send fails fast instead of filling the
-        // ring).
-        self.ring.tx_closed(self.dir_tx).store(1, Ordering::Release);
-        self.ring.rx_closed(self.dir_rx()).store(1, Ordering::Release);
     }
 }
 
@@ -946,39 +679,5 @@ mod tests {
             assert!(segment_path(&name).exists());
         }
         assert!(!segment_path(&name).exists(), "owner drop must unlink");
-    }
-
-    #[test]
-    fn ring_transport_round_trips_both_directions() {
-        if skip() {
-            return;
-        }
-        let stats = WireStats::new();
-        let (mut a, mut b) = ShmTransport::pair(4096, stats.clone()).expect("pair");
-        for i in 0..32u8 {
-            a.send(vec![i; usize::from(i) + 1]).expect("send");
-        }
-        for i in 0..32u8 {
-            assert_eq!(b.recv().expect("recv"), vec![i; usize::from(i) + 1]);
-        }
-        b.send(vec![9, 9]).expect("reverse send");
-        assert_eq!(a.recv().expect("reverse recv"), vec![9, 9]);
-        assert_eq!(stats.snapshot().messages, 33);
-    }
-
-    #[test]
-    fn ring_wraps_around_capacity() {
-        if skip() {
-            return;
-        }
-        let stats = WireStats::new();
-        let (mut a, mut b) = ShmTransport::pair(1 << 20, stats).expect("pair");
-        // Frames sized to stride unevenly over the ring so the split
-        // copy paths run many times.
-        let frame: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
-        for _ in 0..200 {
-            a.send(frame.clone()).expect("send");
-            assert_eq!(b.recv().expect("recv"), frame);
-        }
     }
 }

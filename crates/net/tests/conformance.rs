@@ -1,11 +1,12 @@
 //! The transport-conformance battery run against every transport in the
-//! crate from one shared body — the documented bar for adding a fourth:
-//! build a fresh-pair fixture and call `run_conformance`.
+//! crate (channel, TCP, and the fault decorator over each) from one
+//! shared body — the documented bar for adding another: build a
+//! fresh-pair fixture and call `run_conformance`.
 
 use splpg_net::conformance::{run_conformance, run_conformance_with, ConformancePair};
 use splpg_net::{
-    ChannelTransport, CodecConfig, FaultPlan, FaultyTransport, FeatCodec, ShmTransport,
-    StructCodec, TcpConfig, TcpTransport, WireStats,
+    ChannelTransport, CodecConfig, FaultPlan, FaultyTransport, FeatCodec, StructCodec, TcpConfig,
+    TcpTransport, WireStats,
 };
 
 /// Small enough that the battery can build an oversized frame cheaply,
@@ -54,61 +55,6 @@ fn faulty_transport_with_inactive_plan_conforms() {
 #[test]
 fn tcp_transport_conforms() {
     run_conformance(&mut tcp_pair);
-}
-
-fn shm_pair() -> ConformancePair {
-    let stats = WireStats::new();
-    let (a, b) = ShmTransport::pair(CAP, stats.clone()).expect("shm segment");
-    ConformancePair { a: Box::new(a), b: Box::new(b), stats, max_frame_len: CAP }
-}
-
-/// Hosts without a usable `/dev/shm` (minimal sandboxes) skip the
-/// shm-lane passes instead of failing them — the same courtesy the
-/// process tests extend to hosts without loopback sockets.
-fn shm_skip() -> bool {
-    if splpg_net::shm::shm_available() {
-        false
-    } else {
-        eprintln!("skipping: no usable /dev/shm on this host");
-        true
-    }
-}
-
-#[test]
-fn shm_transport_conforms() {
-    if shm_skip() {
-        return;
-    }
-    run_conformance(&mut shm_pair);
-}
-
-#[test]
-fn shm_transport_conforms_with_compression() {
-    if shm_skip() {
-        return;
-    }
-    for cfg in compressed_configs() {
-        run_conformance_with(&mut shm_pair, cfg);
-    }
-}
-
-#[test]
-fn faulty_transport_over_shm_conforms() {
-    // The chaos decorator composed over shared-memory rings, plan
-    // inactive — the stack a fault-injected co-located run would use.
-    if shm_skip() {
-        return;
-    }
-    run_conformance(&mut || {
-        let inner = shm_pair();
-        let plan = FaultPlan::default();
-        ConformancePair {
-            a: Box::new(FaultyTransport::new(inner.a, plan.clone(), 0, inner.stats.clone())),
-            b: Box::new(FaultyTransport::new(inner.b, plan, 1, inner.stats.clone())),
-            stats: inner.stats,
-            max_frame_len: inner.max_frame_len,
-        }
-    });
 }
 
 /// The codec pairs the compression-enabled passes run under: the two

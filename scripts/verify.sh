@@ -58,24 +58,10 @@ echo "== sparsify bench smoke (solver engine gate) =="
 # drift > 1e-6 from the per-edge reference.
 SPLPG_BENCH_MS=5 cargo run -q -p splpg-bench --release --bin sparsify_bench
 
-echo "== wire compression ablation (codec gate) =="
-# Exits nonzero unless on-wire bytes <= raw bytes in every codec mode,
-# the uncompressed mode prices wire bytes identically to the raw ledger
-# model (bit-compatible with pre-compression numbers), varint structure
-# packing reaches >= 2x, int8 feature quantization reaches >= 3.5x, and
-# every cluster run's communication report matches its sequential
-# reference. SPLPG_BENCH_MS=5 keeps it to the in-process rows.
-SPLPG_BENCH_MS=5 cargo run -q -p splpg-bench --release --bin wire_compress
-
-echo "== shared-memory feature bus (local-vs-wire gate) =="
-# Exits nonzero unless the bus run moves the baseline's entire feature
-# volume off the wire (>=10x fewer feature wire bytes) bit-identically,
-# a deliberately torn segment degrades to the wire path with a typed
-# fault, and the ledger-carried bus bytes reconcile exactly with the
-# CommTracker meters. Skips itself (exit 0, prints SKIP) on hosts
-# without usable POSIX shared memory. SPLPG_BENCH_MS=5 keeps it to the
-# in-process rows.
-SPLPG_BENCH_MS=5 cargo run -q -p splpg-bench --release --bin shm_bus
+echo "== experiment suite smoke (repro --quick) =="
+# Runs every figure/table experiment in-process on the smoke profile.
+# Exits nonzero if any experiment fails; the rest still run first.
+cargo run -q -p splpg-bench --release --bin repro -- --quick >/dev/null
 
 if [ "${SPLPG_BENCH_ASSERT:-0}" = "1" ]; then
     echo "== kernel bench speedup assertion =="

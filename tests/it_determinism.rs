@@ -234,10 +234,20 @@ fn fingerprint_is_stable_across_fresh_processes() {
 }
 
 fn mp_trainer(workers: usize) -> DistTrainer {
+    mp_trainer_with(workers, CodecConfig::default(), ShmBusMode::Off)
+}
+
+fn mp_trainer_with(
+    workers: usize,
+    wire_codec: CodecConfig,
+    feature_bus: ShmBusMode,
+) -> DistTrainer {
     let dist = DistConfig {
         num_workers: workers,
         strategy: Strategy::SpLpg,
         sync: SyncMethod::ModelAveraging,
+        wire_codec,
+        feature_bus,
         ..Default::default()
     };
     let train = TrainConfig {
@@ -307,6 +317,79 @@ fn multiprocess_tcp_matches_sequential_reference() {
             "p={p}: socket-carried fetch ledgers disagree with the comm meters"
         );
         assert!(out.net.dead_workers.is_empty(), "p={p}: fault-free run declared deaths");
+    }
+}
+
+/// The compressed-frames configuration of
+/// [`multiprocess_codec_and_bus_runs_match_in_process_runs`].
+const MP_INT8: CodecConfig =
+    CodecConfig { structure: StructCodec::Varint, features: FeatCodec::Int8 };
+
+#[test]
+fn multiprocess_codec_and_bus_runs_match_in_process_runs() {
+    // Two configurations whose byte accounting crosses the process
+    // boundary: varint/int8 frames (lossy, so compared against the
+    // in-process cluster run rather than the wire-free reference) and the
+    // shared-memory feature bus (segment name handed to the children via
+    // the SPLPG_PROC_SHM env). Over real worker processes each must
+    // reproduce the in-process run's bits and every raw/wire/bus byte. A
+    // spawned child re-enters this test and tells the two apart by
+    // whether the master advertised a segment.
+    let served = tcp_worker_entry(|workers| {
+        let t = if std::env::var_os(splpg_net::process::ENV_SHM).is_some() {
+            mp_trainer_with(workers, CodecConfig::default(), ShmBusMode::On)
+        } else {
+            mp_trainer_with(workers, MP_INT8, ShmBusMode::Off)
+        };
+        Ok((t, ModelKind::GraphSage, mp_dataset()))
+    })
+    .expect("worker child failed");
+    if served {
+        return;
+    }
+    if std::net::TcpListener::bind(("127.0.0.1", 0)).is_err() {
+        eprintln!("SKIP: loopback sockets unavailable in this environment");
+        return;
+    }
+    let child_args: Vec<String> = [
+        "multiprocess_codec_and_bus_runs_match_in_process_runs",
+        "--exact",
+        "--nocapture",
+        "--test-threads=1",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let data = mp_dataset();
+    let mut configs = vec![("varint/int8", mp_trainer_with(2, MP_INT8, ShmBusMode::Off))];
+    if splpg_net::shm::shm_available() {
+        configs.push(("bus", mp_trainer_with(2, CodecConfig::default(), ShmBusMode::On)));
+    } else {
+        eprintln!("SKIP bus half: no usable /dev/shm on this host");
+    }
+    for (label, t) in configs {
+        let local = t.run(ModelKind::GraphSage, &data).expect("in-process cluster");
+        let out = t.run_multiprocess(ModelKind::GraphSage, &data, &child_args).expect("cluster");
+        assert_eq!(out.epochs, local.epochs, "{label}: loss curve over sockets diverged");
+        assert_eq!(
+            out.test_hits.to_bits(),
+            local.test_hits.to_bits(),
+            "{label}: accuracy diverged"
+        );
+        // CommReport equality covers the raw, wire and bus planes of both
+        // payload kinds, per epoch and in total.
+        assert_eq!(out.comm, local.comm, "{label}: communication meters diverged");
+        assert_eq!(out.net.data_bytes, out.comm.total_bytes(), "{label}: raw ledgers");
+        assert_eq!(out.net.data_wire_bytes, out.comm.total_wire_bytes(), "{label}: wire ledgers");
+        assert_eq!(out.net.data_bus_bytes, out.comm.total_feature_bus_bytes, "{label}: bus");
+        // Each configuration really moves feature bytes off the raw wire.
+        assert!(
+            out.comm.total_feature_bus_bytes > 0
+                || out.comm.total_feature_wire_bytes < out.comm.total_feature_bytes,
+            "{label}: feature traffic stayed raw"
+        );
+        assert!(out.net.shm_fault.is_none(), "{label}: {:?}", out.net.shm_fault);
+        assert!(out.net.dead_workers.is_empty(), "{label}: fault-free run declared deaths");
     }
 }
 
