@@ -35,8 +35,21 @@
 //! for any same-component pair, which is exactly what the distributed
 //! setup path needs — partition-local subgraphs keep all `n` global
 //! node ids and are never connected.
+//!
+//! Every solve runs on the **support** only: the nodes with at least one
+//! edge, relabelled in increasing order. A partition-local graph leaves
+//! most global ids isolated, and an isolated node's entry of every PCG
+//! vector is exactly `+0.0` after the first projection, so carrying it
+//! only costs time. The relabelling is monotone, so per-component sums
+//! and CSR neighbour order are unchanged, and a running sum that starts
+//! at `+0.0` never turns into `-0.0` under round-to-nearest, which makes
+//! adding the skipped zero terms the identity: support solves are
+//! bit-identical to full-width ones. Isolated nodes read back as `0.0`
+//! at the API boundary.
 
-use splpg_graph::{connected_components, Graph, NodeId};
+use std::borrow::Cow;
+
+use splpg_graph::{connected_components, Graph, GraphBuilder, NodeId};
 use splpg_par::Pool;
 
 use crate::laplacian::LaplacianOperator;
@@ -74,8 +87,9 @@ pub struct SolveStats {
     pub solves: u64,
     /// Per-column CG iterations, summed.
     pub iterations: u64,
-    /// Matvec work: active columns times operator dimension, summed over
-    /// every sweep (the `iterations x n` quantity the bench gates on).
+    /// Matvec work: active columns times support rows (nodes with an
+    /// edge), summed over every sweep (the `iterations x n` quantity the
+    /// bench gates on).
     pub matvec_rows: u64,
     /// Solves seeded from a previous solution (shared-endpoint groups).
     pub warm_start_hits: u64,
@@ -119,6 +133,7 @@ pub struct CgWorkspace {
     rz_next: Vec<f64>,
     pap: Vec<f64>,
     alpha: Vec<f64>,
+    beta: Vec<f64>,
     rr: Vec<f64>,
     active: Vec<bool>,
     col_iters: Vec<usize>,
@@ -180,56 +195,111 @@ impl CgWorkspace {
         grow_f64(&mut self.rz_next, k, ev);
         grow_f64(&mut self.pap, k, ev);
         grow_f64(&mut self.alpha, k, ev);
+        grow_f64(&mut self.beta, k, ev);
         grow_f64(&mut self.rr, k, ev);
         grow_with(&mut self.active, k, true, ev);
         grow_with(&mut self.col_iters, k, 0usize, ev);
     }
 }
 
+/// Support index of a node without edges.
+pub(crate) const ISOLATED: u32 = u32::MAX;
+
 /// Immutable solve context: operator, preconditioner, and component
-/// structure, shared by every solve against one graph (and across
-/// threads by the grouped batch path).
+/// structure on the graph's support, shared by every solve against one
+/// graph (and across threads by the grouped batch path).
 pub(crate) struct SolverContext<'g> {
-    graph: &'g Graph,
+    /// The Laplacian of the support graph: `graph` itself when no node is
+    /// isolated, else its nodes with an edge, relabelled in increasing
+    /// order.
     op: LaplacianOperator<'g>,
-    /// Jacobi preconditioner `D^{-1}` (zero on isolated nodes, which
-    /// never carry residual mass).
+    /// Support index of every node of the input graph ([`ISOLATED`] for
+    /// nodes without edges).
+    local_of: Vec<u32>,
+    /// Jacobi preconditioner `D^{-1}` on the support.
     inv_diag: Vec<f64>,
-    /// Connected-component label per node.
+    /// Connected-component label per support node.
     comp_of: Vec<usize>,
-    /// Nodes per component, as `f64` divisors for the projection.
+    /// Support nodes per component, as `f64` divisors for the projection.
     comp_sizes: Vec<f64>,
     options: EngineOptions,
 }
 
 impl<'g> SolverContext<'g> {
     pub(crate) fn new(graph: &'g Graph, options: EngineOptions) -> Self {
-        let op = LaplacianOperator::new(graph);
+        let n = graph.num_nodes();
+        let mut local_of = vec![ISOLATED; n];
+        let mut support = 0u32;
+        for v in graph.node_ids() {
+            if graph.degree(v) > 0 {
+                local_of[v as usize] = support;
+                support += 1;
+            }
+        }
+        let support_graph = if support as usize == n {
+            Cow::Borrowed(graph)
+        } else {
+            let mut b = GraphBuilder::new(support as usize);
+            for v in graph.node_ids() {
+                let lv = local_of[v as usize];
+                let weights = graph.neighbor_weights(v);
+                for (i, &u) in graph.neighbors(v).iter().enumerate() {
+                    if u > v {
+                        let lu = local_of[u as usize];
+                        match weights {
+                            Some(ws) => b.add_weighted_edge(lv, lu, ws[i]),
+                            None => b.add_edge(lv, lu),
+                        }
+                        .expect("invariant: support ids of a valid graph's edge");
+                    }
+                }
+            }
+            Cow::Owned(b.build())
+        };
+        let op = LaplacianOperator::from_cow(support_graph);
         let inv_diag =
             op.degrees().iter().map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 }).collect();
-        let (comp_of, num_comps) = connected_components(graph);
+        let (comp_of, num_comps) = connected_components(op.graph());
         let mut comp_sizes = vec![0.0f64; num_comps];
         for &c in &comp_of {
             comp_sizes[c] += 1.0;
         }
-        SolverContext { graph, op, inv_diag, comp_of, comp_sizes, options }
+        SolverContext { op, local_of, inv_diag, comp_of, comp_sizes, options }
     }
 
+    /// Solve dimension: the number of support nodes.
     fn dim(&self) -> usize {
         self.op.dim()
     }
 
+    /// Connected components of the input graph: the support's plus one
+    /// per isolated node.
+    fn num_components(&self) -> usize {
+        self.comp_sizes.len() + self.local_of.len() - self.dim()
+    }
+
+    /// Support index of a node that has an edge.
+    fn local(&self, v: NodeId) -> usize {
+        self.local_of[v as usize] as usize
+    }
+
     /// Same-component check for a resistance query; `u == v` pairs are
-    /// exempt (resistance zero without a solve).
+    /// exempt (resistance zero without a solve). An isolated node is its
+    /// own component.
     pub(crate) fn check_pair(&self, u: NodeId, v: NodeId) -> Result<(), LinalgError> {
-        let n = self.dim();
+        let n = self.local_of.len();
         if (u as usize) >= n || (v as usize) >= n {
             return Err(LinalgError::DimensionMismatch {
                 expected: n,
                 actual: u.max(v) as usize + 1,
             });
         }
-        if u != v && self.comp_of[u as usize] != self.comp_of[v as usize] {
+        if u == v {
+            return Ok(());
+        }
+        let (lu, lv) = (self.local_of[u as usize], self.local_of[v as usize]);
+        let same_component = || self.comp_of[lu as usize] == self.comp_of[lv as usize];
+        if lu == ISOLATED || lv == ISOLATED || !same_component() {
             return Err(LinalgError::Disconnected);
         }
         Ok(())
@@ -272,7 +342,7 @@ impl<'g> SolverContext<'g> {
     /// concurrently, else an inline single-thread pool. The kernel is
     /// bit-identical either way, so this gate affects time only.
     fn matvec_pool(&self, k_active: usize) -> Pool {
-        let sweep_flops = k_active * (4 * self.graph.num_edges() + 2 * self.dim());
+        let sweep_flops = k_active * (4 * self.op.graph().num_edges() + 2 * self.dim());
         if sweep_flops >= self.options.par_flop_threshold && splpg_par::effective_threads() > 1 {
             splpg_par::global()
         } else {
@@ -313,6 +383,7 @@ impl<'g> SolverContext<'g> {
             rz_next,
             pap,
             alpha,
+            beta,
             rr,
             active,
             col_iters,
@@ -421,11 +492,15 @@ impl<'g> SolverContext<'g> {
                     active[j] = false;
                     continue;
                 }
-                let beta = rz_next[j] / rz[j];
-                for v in 0..n {
-                    p[v * k + j] = z[v * k + j] + beta * p[v * k + j];
-                }
+                beta[j] = rz_next[j] / rz[j];
                 rz[j] = rz_next[j];
+            }
+            for v in 0..n {
+                for j in 0..k {
+                    if active[j] {
+                        p[v * k + j] = z[v * k + j] + beta[j] * p[v * k + j];
+                    }
+                }
             }
         }
         col_dots(r, r, n, k, active, rr);
@@ -443,7 +518,7 @@ impl<'g> SolverContext<'g> {
     /// seeds CG (valid when the previous solve shared the endpoint `u`:
     /// the potentials differ only by the sink term, so the old solution
     /// is an excellent initial guess). The pair must already be
-    /// validated via [`SolverContext::check_pair`].
+    /// validated via [`SolverContext::check_pair`], with `u != v`.
     pub(crate) fn solve_pair(
         &self,
         ws: &mut CgWorkspace,
@@ -452,13 +527,13 @@ impl<'g> SolverContext<'g> {
         warm: bool,
         stats: &mut SolveStats,
     ) -> Result<(f64, usize), LinalgError> {
-        let n = self.dim();
-        ws.prepare(n, 1, self.comp_sizes.len(), warm);
-        ws.b[u as usize] = 1.0;
-        ws.b[v as usize] = -1.0;
+        let (lu, lv) = (self.local(u), self.local(v));
+        ws.prepare(self.dim(), 1, self.comp_sizes.len(), warm);
+        ws.b[lu] = 1.0;
+        ws.b[lv] = -1.0;
         self.pcg_block(ws, 1, warm, stats)?;
         stats.solves += 1;
-        Ok((ws.x[u as usize] - ws.x[v as usize], ws.col_iters[0]))
+        Ok((ws.x[lu] - ws.x[lv], ws.col_iters[0]))
     }
 }
 
@@ -481,7 +556,8 @@ fn col_dots(a: &[f64], b: &[f64], n: usize, k: usize, active: &[bool], out: &mut
 /// reuse for edge batches and warm-started solves for shared-endpoint
 /// pair batches.
 ///
-/// Construction is `O(n + m)` (degrees + connected components); every
+/// Construction is `O(n + m)` (degrees + connected components), plus an
+/// `O(m log m)` support-graph build when some node is isolated; every
 /// subsequent solve recycles the workspace, so steady-state solves
 /// allocate nothing.
 ///
@@ -517,9 +593,10 @@ impl<'g> SolverEngine<'g> {
         SolverEngine { ctx: SolverContext::new(graph, options), ws: CgWorkspace::new(), stats: SolveStats::default() }
     }
 
-    /// Number of connected components of the underlying graph.
+    /// Number of connected components of the underlying graph (each
+    /// isolated node counts as one).
     pub fn num_components(&self) -> usize {
-        self.ctx.comp_sizes.len()
+        self.ctx.num_components()
     }
 
     /// Cumulative counters (solves, iterations, matvec work, warm-start
@@ -551,6 +628,8 @@ impl<'g> SolverEngine<'g> {
 
     /// Solves `L X = B` for `k` node-major columns through the blocked
     /// multi-RHS path, writing the solution block into `solutions`.
+    /// Rows of isolated nodes come back `0.0` (their right-hand-side
+    /// entries are projected away).
     ///
     /// # Errors
     ///
@@ -563,19 +642,64 @@ impl<'g> SolverEngine<'g> {
         k: usize,
         solutions: &mut [f64],
     ) -> Result<(), LinalgError> {
-        let n = self.ctx.dim();
+        let n = self.ctx.local_of.len();
         if rhs.len() != n * k || solutions.len() != n * k {
             return Err(LinalgError::DimensionMismatch {
                 expected: n * k,
                 actual: if rhs.len() != n * k { rhs.len() } else { solutions.len() },
             });
         }
-        self.ws.prepare(n, k, self.ctx.comp_sizes.len(), false);
-        self.ws.b.copy_from_slice(rhs);
+        self.solve_support_block(k, |local_of, b| {
+            for (v, &s) in local_of.iter().enumerate() {
+                if s != ISOLATED {
+                    let s = s as usize;
+                    b[s * k..(s + 1) * k].copy_from_slice(&rhs[v * k..(v + 1) * k]);
+                }
+            }
+        })?;
+        let x = &self.ws.x;
+        for (v, &s) in self.ctx.local_of.iter().enumerate() {
+            let row = &mut solutions[v * k..(v + 1) * k];
+            if s == ISOLATED {
+                row.fill(0.0);
+            } else {
+                let s = s as usize;
+                row.copy_from_slice(&x[s * k..(s + 1) * k]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of support nodes: the row count of
+    /// [`SolverEngine::solve_support_block`]'s blocks.
+    pub(crate) fn support_len(&self) -> usize {
+        self.ctx.dim()
+    }
+
+    /// Support index of every node of the graph ([`ISOLATED`] for nodes
+    /// without edges).
+    pub(crate) fn support_index(&self) -> &[u32] {
+        &self.ctx.local_of
+    }
+
+    /// Solves a `k`-column block given directly on the support: `fill`
+    /// receives [`SolverEngine::support_index`] and writes the node-major
+    /// right-hand sides into the zeroed `support_len() * k` block. Returns
+    /// the solution block in the same layout.
+    ///
+    /// # Errors
+    ///
+    /// As [`SolverContext::pcg_block`].
+    pub(crate) fn solve_support_block(
+        &mut self,
+        k: usize,
+        fill: impl FnOnce(&[u32], &mut [f64]),
+    ) -> Result<&[f64], LinalgError> {
+        self.ws.prepare(self.ctx.dim(), k, self.ctx.comp_sizes.len(), false);
+        fill(&self.ctx.local_of, &mut self.ws.b);
         self.ctx.pcg_block(&mut self.ws, k, false, &mut self.stats)?;
         self.stats.solves += k as u64;
-        solutions.copy_from_slice(&self.ws.x);
-        Ok(())
+        Ok(&self.ws.x)
     }
 
     /// Effective resistances for a batch of (typically edge) pairs via
@@ -614,9 +738,14 @@ impl<'g> SolverEngine<'g> {
         for &(u, v) in pairs {
             self.ctx.check_pair(u, v)?;
         }
-        let n = self.ctx.dim();
-        let nc = self.ctx.comp_sizes.len();
+        let ctx = &self.ctx;
+        let n = ctx.dim();
+        let nc = ctx.comp_sizes.len();
         let ev = &mut self.ws.grow_events;
+        // Every endpoint of a pair with `u != v` is on the support; the
+        // index below is built in support ids (the relabelling is
+        // monotone, so every sort order is unchanged).
+        let local = |u: NodeId| ctx.local(u) as NodeId;
 
         // Distinct endpoints, sorted (solve order and lookup index).
         // Growth is detected by comparing capacity around the pushes, so
@@ -626,8 +755,8 @@ impl<'g> SolverEngine<'g> {
         distinct.clear();
         for &(u, v) in pairs {
             if u != v {
-                distinct.push(u);
-                distinct.push(v);
+                distinct.push(local(u));
+                distinct.push(local(v));
             }
         }
         if distinct.capacity() > cap_before {
@@ -647,8 +776,8 @@ impl<'g> SolverEngine<'g> {
         }
         for &(u, v) in pairs {
             if u != v {
-                incidence.push((u, v));
-                incidence.push((v, u));
+                incidence.push((local(u), local(v)));
+                incidence.push((local(v), local(u)));
             }
         }
         if incidence.capacity() > cap_before {
@@ -707,6 +836,7 @@ impl<'g> SolverEngine<'g> {
                 out.push(0.0);
                 continue;
             }
+            let (u, v) = (self.ctx.local(u) as NodeId, self.ctx.local(v) as NodeId);
             let xu_u = self.lookup_entry(u, u);
             let xu_v = self.lookup_entry(u, v);
             let xv_u = self.lookup_entry(v, u);
@@ -772,8 +902,9 @@ impl<'g> SolverEngine<'g> {
         Ok(())
     }
 
-    /// Stored potential entry `x_node[at]`, via binary search over the
-    /// sorted distinct/partner index built by the last edge batch.
+    /// Stored potential entry `x_node[at]` (support ids), via binary
+    /// search over the sorted distinct/partner index built by the last
+    /// edge batch.
     fn lookup_entry(&self, node: NodeId, at: NodeId) -> f64 {
         let di = self
             .ws
@@ -792,6 +923,7 @@ impl<'g> SolverEngine<'g> {
 mod tests {
     use super::*;
     use crate::{effective_resistance, solve_laplacian};
+    use splpg_graph::GraphBuilder;
 
     fn dense_ring(n: usize) -> Graph {
         let edges: Vec<(NodeId, NodeId)> = (0..n)
@@ -949,6 +1081,91 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert_eq!(one, four, "engine output must be bit-identical across thread counts");
+    }
+
+    /// A weighted circulant: ring plus offset-3 chords.
+    fn weighted_ring(n: usize) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        for i in 0..n {
+            let w = 0.37 * (i % 5 + 1) as f32;
+            b.add_weighted_edge(i as NodeId, ((i + 1) % n) as NodeId, w).unwrap();
+            b.add_weighted_edge(i as NodeId, ((i + 3) % n) as NodeId, 1.5 * w).unwrap();
+        }
+        b.build()
+    }
+
+    /// `g` with isolated nodes interleaved: node `i` becomes `3i + 1` of a
+    /// `3n + 2`-node graph, so the support relabelling is not the identity.
+    fn padded(g: &Graph) -> Graph {
+        let mut b = GraphBuilder::new(3 * g.num_nodes() + 2);
+        for e in g.edges() {
+            let w = g.edge_weight(e.src, e.dst).unwrap();
+            b.add_weighted_edge(3 * e.src + 1, 3 * e.dst + 1, w).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn isolated_padding_changes_no_bit_and_no_counter() {
+        let g = weighted_ring(30);
+        let big = padded(&g);
+        let (n, big_n, k) = (g.num_nodes(), big.num_nodes(), 5usize);
+        let rhs: Vec<f64> = (0..n * k).map(|i| (i * 37 % 11) as f64 - 5.0).collect();
+        let mut big_rhs = vec![0.0; big_n * k];
+        for v in 0..n {
+            big_rhs[(3 * v + 1) * k..(3 * v + 2) * k].copy_from_slice(&rhs[v * k..(v + 1) * k]);
+        }
+        big_rhs[0] = 7.0; // an isolated row's right-hand side is projected away
+        let pairs: Vec<(NodeId, NodeId)> = g.edges().iter().map(|e| (e.src, e.dst)).collect();
+        let big_pairs: Vec<(NodeId, NodeId)> =
+            pairs.iter().map(|&(u, v)| (3 * u + 1, 3 * v + 1)).collect();
+        let opts = EngineOptions { par_flop_threshold: 0, ..EngineOptions::default() };
+        for threads in [1usize, 4] {
+            splpg_par::set_num_threads(threads);
+            let mut small = SolverEngine::new(&g, opts);
+            let mut x = vec![0.0; n * k];
+            small.solve_block_into(&rhs, k, &mut x).unwrap();
+            let rs = small.edge_resistances(&pairs).unwrap();
+            let mut large = SolverEngine::new(&big, opts);
+            let mut big_x = vec![f64::NAN; big_n * k];
+            large.solve_block_into(&big_rhs, k, &mut big_x).unwrap();
+            let big_rs = large.edge_resistances(&big_pairs).unwrap();
+            splpg_par::set_num_threads(0);
+
+            for v in 0..big_n {
+                let got: Vec<u64> = big_x[v * k..(v + 1) * k].iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u64> = if v % 3 == 1 && v / 3 < n {
+                    x[v / 3 * k..(v / 3 + 1) * k].iter().map(|x| x.to_bits()).collect()
+                } else {
+                    vec![0.0f64.to_bits(); k]
+                };
+                assert_eq!(got, want, "node {v} at {threads} threads");
+            }
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&big_rs), bits(&rs), "resistances at {threads} threads");
+            let (a, b) = (small.stats(), large.stats());
+            assert_eq!((b.iterations, b.matvec_rows), (a.iterations, a.matvec_rows));
+            assert_eq!(large.num_components(), small.num_components() + big_n - n);
+        }
+    }
+
+    #[test]
+    fn isolated_nodes_keep_their_pair_semantics() {
+        let g = padded(&dense_ring(6));
+        let mut engine = SolverEngine::new(&g, EngineOptions::default());
+        assert_eq!(engine.num_components(), 1 + 14);
+        assert_eq!(engine.edge_resistances(&[(0, 0)]).unwrap(), vec![0.0]);
+        assert_eq!(engine.edge_resistances(&[(0, 1)]).unwrap_err(), LinalgError::Disconnected);
+        assert_eq!(engine.edge_resistances(&[(0, 2)]).unwrap_err(), LinalgError::Disconnected);
+        assert_eq!(
+            engine.edge_resistances(&[(1, 20)]).unwrap_err(),
+            LinalgError::DimensionMismatch { expected: 20, actual: 21 }
+        );
+        let mut out = vec![0.0; 20];
+        assert_eq!(
+            engine.solve_block_into(&[0.0; 19], 1, &mut out).unwrap_err(),
+            LinalgError::DimensionMismatch { expected: 20, actual: 19 }
+        );
     }
 
     #[test]

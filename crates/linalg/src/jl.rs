@@ -15,7 +15,7 @@
 use splpg_rng::Rng;
 use splpg_graph::{Graph, NodeId};
 
-use crate::engine::{EngineOptions, SolverEngine};
+use crate::engine::{EngineOptions, SolverEngine, ISOLATED};
 use crate::solver::CgOptions;
 use crate::LinalgError;
 
@@ -39,17 +39,23 @@ use crate::LinalgError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ResistanceEstimator {
-    /// `k` solution vectors, each of length `n`.
-    sketch: Vec<Vec<f64>>,
+    /// Projections per node.
+    k: usize,
+    /// Node-major sketch on the graph's support: row `s` holds support
+    /// node `s`'s `k` solution entries; one trailing zero row stands for
+    /// every isolated node.
+    sketch: Vec<f64>,
+    /// Sketch row of every node of the graph.
+    row_of: Vec<u32>,
 }
 
 impl ResistanceEstimator {
     /// Builds a sketch with `k` random projections. The `k` Laplacian
-    /// solves advance through the engine's blocked multi-RHS CG
-    /// ([`SolverEngine::solve_block_into`]): each shared matvec sweep
-    /// updates a whole block of projections in one pass over the CSR
-    /// adjacency. Larger `k` tightens the estimate; `k ~ 24 ln n / eps^2`
-    /// gives the `1 ± eps` guarantee.
+    /// solves advance through the engine's blocked multi-RHS CG on the
+    /// graph's support: each shared matvec sweep updates a whole block of
+    /// projections in one pass over the CSR adjacency. Larger `k`
+    /// tightens the estimate; `k ~ 24 ln n / eps^2` gives the `1 ± eps`
+    /// guarantee.
     ///
     /// Disconnected graphs are supported (each projection vector is
     /// mean-free per component, so the per-component solves are
@@ -66,51 +72,50 @@ impl ResistanceEstimator {
         options: CgOptions,
         rng: &mut R,
     ) -> Result<Self, LinalgError> {
-        let n = graph.num_nodes();
         let scale = 1.0 / (k as f64).sqrt();
-        // Draw every projection first, in projection-major order over
-        // edges — the exact draw sequence of the historical one-solve-
-        // per-projection implementation, so sketches are reproducible
-        // across this refactor for a fixed seed.
-        let mut columns: Vec<Vec<f64>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            // y = B^T W^{1/2} q for a random q in {±1/sqrt(k)}^m.
-            let mut y = vec![0.0f64; n];
-            for e in graph.edges() {
-                let w = graph.edge_weight(e.src, e.dst).unwrap_or(1.0) as f64;
-                let q = if rng.gen::<bool>() { scale } else { -scale };
-                let contribution = w.sqrt() * q;
-                y[e.src as usize] += contribution;
-                y[e.dst as usize] -= contribution;
-            }
-            columns.push(y);
-        }
+        let edges = graph.edges();
+        let sqrt_w: Vec<f64> = edges
+            .iter()
+            .map(|e| (graph.edge_weight(e.src, e.dst).unwrap_or(1.0) as f64).sqrt())
+            .collect();
         let engine_options = EngineOptions::with_cg(options);
         let block = engine_options.block_width.max(1);
         let mut engine = SolverEngine::new(graph, engine_options);
-        let mut sketch: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut rhs = vec![0.0f64; n * block];
-        let mut sol = vec![0.0f64; n * block];
+        let ns = engine.support_len();
+        let mut sketch = vec![0.0f64; (ns + 1) * k];
         let mut start = 0usize;
         while start < k {
             let kb = block.min(k - start);
-            for (j, col) in columns[start..start + kb].iter().enumerate() {
-                for v in 0..n {
-                    rhs[v * kb + j] = col[v];
+            // y = B^T W^{1/2} q for a random q in {±1/sqrt(k)}^m, drawn
+            // projection-major over edges straight into the block: blocks
+            // run in projection order, so the draw sequence is that of
+            // drawing all `k` projections up front.
+            let x = engine.solve_support_block(kb, |local_of, rhs| {
+                for j in 0..kb {
+                    for (e, &sw) in edges.iter().zip(&sqrt_w) {
+                        let q = if rng.gen::<bool>() { scale } else { -scale };
+                        let contribution = sw * q;
+                        rhs[local_of[e.src as usize] as usize * kb + j] += contribution;
+                        rhs[local_of[e.dst as usize] as usize * kb + j] -= contribution;
+                    }
                 }
-            }
-            engine.solve_block_into(&rhs[..n * kb], kb, &mut sol[..n * kb])?;
-            for j in 0..kb {
-                sketch.push((0..n).map(|v| sol[v * kb + j]).collect());
+            })?;
+            for (s, row) in x.chunks_exact(kb).enumerate() {
+                sketch[s * k + start..s * k + start + kb].copy_from_slice(row);
             }
             start += kb;
         }
-        Ok(ResistanceEstimator { sketch })
+        let row_of = engine
+            .support_index()
+            .iter()
+            .map(|&s| if s == ISOLATED { ns as u32 } else { s })
+            .collect();
+        Ok(ResistanceEstimator { k, sketch, row_of })
     }
 
     /// Number of projections in the sketch.
     pub fn dimensions(&self) -> usize {
-        self.sketch.len()
+        self.k
     }
 
     /// Estimated effective resistance between `u` and `v`.
@@ -119,10 +124,15 @@ impl ResistanceEstimator {
     ///
     /// Panics if an endpoint is out of range.
     pub fn estimate(&self, u: NodeId, v: NodeId) -> f64 {
-        self.sketch
+        let row = |w: NodeId| {
+            let start = self.row_of[w as usize] as usize * self.k;
+            &self.sketch[start..start + self.k]
+        };
+        row(u)
             .iter()
-            .map(|z| {
-                let d = z[u as usize] - z[v as usize];
+            .zip(row(v))
+            .map(|(zu, zv)| {
+                let d = zu - zv;
                 d * d
             })
             .sum()

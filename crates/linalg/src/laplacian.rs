@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use splpg_graph::{Graph, NodeId};
 use splpg_par::Pool;
 
@@ -24,7 +26,7 @@ use crate::LinalgError;
 /// ```
 #[derive(Debug)]
 pub struct LaplacianOperator<'g> {
-    graph: &'g Graph,
+    graph: Cow<'g, Graph>,
     /// Weighted degree of each node.
     degrees: Vec<f64>,
 }
@@ -37,6 +39,12 @@ const MIN_CHUNK_FLOPS: usize = 500_000;
 impl<'g> LaplacianOperator<'g> {
     /// Wraps `graph` as a Laplacian operator.
     pub fn new(graph: &'g Graph) -> Self {
+        Self::from_cow(Cow::Borrowed(graph))
+    }
+
+    /// An operator over a borrowed or an owned graph (the solver engine
+    /// owns the compacted support graph it builds).
+    pub(crate) fn from_cow(graph: Cow<'g, Graph>) -> Self {
         let degrees = (0..graph.num_nodes() as NodeId)
             .map(|v| match graph.neighbor_weights(v) {
                 Some(ws) => ws.iter().map(|&w| w as f64).sum(),
@@ -44,6 +52,11 @@ impl<'g> LaplacianOperator<'g> {
             })
             .collect();
         LaplacianOperator { graph, degrees }
+    }
+
+    /// The graph the operator applies.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     /// Operator dimension (number of nodes).
@@ -147,7 +160,7 @@ impl<'g> LaplacianOperator<'g> {
         // when a chunk carries enough of them to amortize.
         let per_row = 2 * k * (1 + 2 * self.graph.num_edges() / n.max(1));
         let min_rows = (MIN_CHUNK_FLOPS / per_row.max(1)).max(1);
-        let graph = self.graph;
+        let graph = &*self.graph;
         let degrees = &self.degrees;
         pool.parallel_for_mut(y, k, min_rows, |row0, chunk| {
             for (r, y_row) in chunk.chunks_mut(k).enumerate() {

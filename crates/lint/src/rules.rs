@@ -71,11 +71,15 @@ pub const RULE_STALE_PRAGMA: &str = "stale-pragma";
 /// Files whose loop bodies are sampling/kernel hot paths: fresh `Vec`s
 /// per iteration there defeat the reusable-scratch design. The tape is
 /// in: what it records and differentiates per node comes from its arena.
+/// So are the two setup hot paths: FM refinement reuses its per-pass
+/// buffers, and PCG its workspace.
 pub const HOT_LOOP_FILES: &[&str] = &[
     "crates/gnn/src/sampler.rs",
     "crates/tensor/src/kernels.rs",
     "crates/tensor/src/segment.rs",
     "crates/tensor/src/tape.rs",
+    "crates/partition/src/metis_like.rs",
+    "crates/linalg/src/engine.rs",
 ];
 
 /// The sanctioned deterministic-reduction helpers: these files implement

@@ -244,6 +244,20 @@ fn alloc_in_hot_loop_passes_good_fixture_and_other_files() {
 }
 
 #[test]
+fn the_setup_hot_paths_reuse_their_pass_buffers() {
+    // FM refinement and the PCG engine joined the hot-loop set: a buffer
+    // allocated per pass fires in either file…
+    for path in ["crates/partition/src/metis_like.rs", "crates/linalg/src/engine.rs"] {
+        let d = check_source(path, include_str!("fixtures/fm_pass_bad.rs"));
+        let hits: Vec<_> = d.iter().filter(|d| d.rule == "alloc-in-hot-loop").collect();
+        assert_eq!(hits.len(), 2, "{path}: vec![…] and Vec::new sites: {hits:?}");
+        // …and the hoisted, reset-per-pass form is clean.
+        let good = fired_content(path, include_str!("fixtures/fm_pass_good.rs"));
+        assert!(good.is_empty(), "{path}: {good:?}");
+    }
+}
+
+#[test]
 fn the_tape_is_hot_for_allocs_and_casts() {
     // The file that records and differentiates the fused `aggregate` op
     // joined both hot sets: a heap buffer or a narrowing cast per node

@@ -13,7 +13,7 @@
 //!    by level, running boundary Fiduccia–Mattheyses passes (gain-ordered
 //!    single-node moves with hill-climbing and a balance constraint).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use splpg_rng::seq::SliceRandom;
 use splpg_rng::Rng;
@@ -142,16 +142,17 @@ impl WorkGraph {
 
     /// Induced subgraph on `nodes` (global ids), relabelled 0..len.
     fn induced(&self, nodes: &[u32]) -> WorkGraph {
-        let mut local_of: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut local_of = vec![u32::MAX; self.len()];
         for (i, &g) in nodes.iter().enumerate() {
-            local_of.insert(g, i as u32);
+            local_of[g as usize] = i as u32;
         }
         let mut adj = Vec::with_capacity(nodes.len());
         let mut node_weight = Vec::with_capacity(nodes.len());
         for &g in nodes {
             let row = self.adj[g as usize]
                 .iter()
-                .filter_map(|&(u, w)| local_of.get(&u).map(|&lu| (lu, w)))
+                .filter(|&&(u, _)| local_of[u as usize] != u32::MAX)
+                .map(|&(u, w)| (local_of[u as usize], w))
                 .collect();
             adj.push(row);
             node_weight.push(self.node_weight[g as usize]);
@@ -167,7 +168,8 @@ impl WorkGraph {
         order.shuffle(rng);
         let mut matched = vec![u32::MAX; n];
         let mut coarse_id = vec![u32::MAX; n];
-        let mut next = 0u32;
+        // Fine members of each coarse node, ascending (equal for singletons).
+        let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
         for &v in &order {
             if matched[v as usize] != u32::MAX {
                 continue;
@@ -180,41 +182,60 @@ impl WorkGraph {
                         best = Some((u, w));
                     }
             }
+            let next = members.len() as u32;
             match best {
                 Some((u, _)) => {
                     matched[v as usize] = u;
                     matched[u as usize] = v;
                     coarse_id[v as usize] = next;
                     coarse_id[u as usize] = next;
+                    members.push((v.min(u), v.max(u)));
                 }
                 None => {
                     matched[v as usize] = v;
                     coarse_id[v as usize] = next;
+                    members.push((v, v));
                 }
             }
-            next += 1;
         }
-        let cn = next as usize;
+        let cn = members.len();
         let mut node_weight = vec![0.0; cn];
         for v in 0..n {
             node_weight[coarse_id[v] as usize] += self.node_weight[v];
         }
-        // Accumulate coarse adjacency: bucket fine edges by coarse source.
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); cn];
-        let mut buckets: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); cn];
-        for v in 0..n {
-            let cv = coarse_id[v];
-            for &(u, w) in &self.adj[v] {
-                let cu = coarse_id[u as usize];
-                if cu != cv {
-                    *buckets[cv as usize].entry(cu).or_insert(0.0) += w;
+        // Coarse rows through a dense accumulator: each coarse node's fine
+        // members are visited in ascending order, so every `+=` sequence
+        // runs in (fine node, adjacency) order, and the touched list is
+        // sorted so rows come out in coarse-id order.
+        let mut adj: Vec<Vec<(u32, f64)>> = Vec::with_capacity(cn);
+        let mut acc = vec![0.0f64; cn];
+        let mut in_row = vec![false; cn];
+        let mut touched: Vec<u32> = Vec::new();
+        for (cv, &(a, b)) in members.iter().enumerate() {
+            let fine: &[u32] = if a == b { &[a] } else { &[a, b] };
+            for &v in fine {
+                for &(u, w) in &self.adj[v as usize] {
+                    let cu = coarse_id[u as usize];
+                    if cu as usize != cv {
+                        if !in_row[cu as usize] {
+                            in_row[cu as usize] = true;
+                            touched.push(cu);
+                        }
+                        acc[cu as usize] += w;
+                    }
                 }
             }
-        }
-        for (cv, bucket) in buckets.into_iter().enumerate() {
-            // BTreeMap iterates in key order, so coarse rows come out
-            // sorted (and partitions deterministic per seed) by construction.
-            adj[cv] = bucket.into_iter().collect();
+            touched.sort_unstable();
+            let row = touched
+                .iter()
+                .map(|&cu| {
+                    let w = std::mem::replace(&mut acc[cu as usize], 0.0);
+                    in_row[cu as usize] = false;
+                    (cu, w)
+                })
+                .collect();
+            adj.push(row);
+            touched.clear();
         }
         (WorkGraph { adj, node_weight }, coarse_id)
     }
@@ -234,23 +255,20 @@ fn bisect<R: Rng + ?Sized>(
     while current.len() > options.coarsen_threshold {
         let (coarse, mapping) = current.coarsen(rng);
         // Matching can stall on star-like graphs; stop if little progress.
-        if coarse.len() as f64 > current.len() as f64 * 0.95 {
-            levels.push((current.clone(), mapping));
-            current = coarse;
+        let stalled = coarse.len() as f64 > current.len() as f64 * 0.95;
+        levels.push((std::mem::replace(&mut current, coarse), mapping));
+        if stalled {
             break;
         }
-        levels.push((current.clone(), mapping));
-        current = coarse;
     }
     let mut side = initial_bisection(&current, frac, rng);
     refine(&current, &mut side, frac, options);
     // Uncoarsen.
+    let mut fine_side = Vec::with_capacity(graph.len());
     while let Some((fine, mapping)) = levels.pop() {
-        let mut fine_side = vec![0u8; fine.len()];
-        for v in 0..fine.len() {
-            fine_side[v] = side[mapping[v] as usize];
-        }
-        side = fine_side;
+        fine_side.clear();
+        fine_side.extend(mapping.iter().map(|&c| side[c as usize]));
+        std::mem::swap(&mut side, &mut fine_side);
         refine(&fine, &mut side, frac, options);
     }
     side
@@ -332,9 +350,56 @@ fn bfs_farthest(graph: &WorkGraph, start: u32) -> u32 {
     last
 }
 
+/// What one FM pass cost, counted rather than timed: the guard that a
+/// move re-scores only the moved node's neighbours.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PassWork {
+    /// Tentative moves made, before the best-prefix rollback.
+    moves: usize,
+    /// Boundary nodes when the pass started.
+    initial_boundary: usize,
+    /// Calls to the gain function.
+    gain_evals: usize,
+}
+
+/// A movable node inside its side's candidate set: node-weight bits first
+/// (whether a move keeps the balance depends only on the weight), then
+/// [`gain_key`], then the node index.
+type Candidate = (u64, u64, u32);
+
+/// Orders gains descending as `u64` keys. `-0.0` and `+0.0` share a key:
+/// the selection rule compares gains with `>`, which holds them equal.
+fn gain_key(g: f64) -> u64 {
+    let g = if g == 0.0 { 0.0 } else { g };
+    let bits = g.to_bits();
+    let ascending = if bits >> 63 == 1 { !bits } else { bits | (1 << 63) };
+    !ascending
+}
+
+/// The best balance-feasible candidate of one side as `(gain key, node)`:
+/// the head of every node-weight class the move check admits, smallest
+/// `(gain key, node)` winning.
+fn best_feasible(set: &BTreeSet<Candidate>, feasible: impl Fn(f64) -> bool) -> Option<(u64, u32)> {
+    let mut best: Option<(u64, u32)> = None;
+    let mut from = 0u64;
+    while let Some(&(weight_bits, key, v)) = set.range((from, 0, 0)..).next() {
+        if feasible(f64::from_bits(weight_bits)) && best.is_none_or(|b| (key, v) < b) {
+            best = Some((key, v));
+        }
+        from = weight_bits + 1;
+    }
+    best
+}
+
 /// Boundary FM refinement: repeated passes of gain-ordered single-node moves
 /// with hill climbing (keep the best prefix of each pass).
-fn refine(graph: &WorkGraph, side: &mut [u8], frac: f64, options: &MetisOptions) {
+///
+/// Each move takes the unlocked boundary node of maximum gain whose move
+/// keeps both sides within the imbalance bound, ties going to the lowest
+/// index. Candidates live in one ordered set per side; a move re-scores
+/// only the moved node's unlocked neighbours, so a pass costs
+/// `O((boundary + moves * degree) log n)` instead of `O(moves * m)`.
+fn refine(graph: &WorkGraph, side: &mut [u8], frac: f64, options: &MetisOptions) -> Vec<PassWork> {
     let n = graph.len();
     let total = graph.total_weight();
     let target0 = frac * total;
@@ -346,51 +411,64 @@ fn refine(graph: &WorkGraph, side: &mut [u8], frac: f64, options: &MetisOptions)
         .map(|v| graph.node_weight[v])
         .sum();
 
-    for _pass in 0..options.refinement_passes {
-        // gain(v) = external weight - internal weight.
-        let gain = |v: usize, side: &[u8]| -> f64 {
-            let mut g = 0.0;
-            for &(u, w) in &graph.adj[v] {
-                if side[u as usize] != side[v] {
-                    g += w;
-                } else {
-                    g -= w;
-                }
+    // gain(v) = external weight - internal weight.
+    let gain = |v: usize, side: &[u8]| -> f64 {
+        let mut g = 0.0;
+        for &(u, w) in &graph.adj[v] {
+            if side[u as usize] != side[v] {
+                g += w;
+            } else {
+                g -= w;
             }
-            g
-        };
-        let mut locked = vec![false; n];
-        let mut moves: Vec<u32> = Vec::new();
+        }
+        g
+    };
+    let on_boundary =
+        |v: usize, side: &[u8]| graph.adj[v].iter().any(|&(u, _)| side[u as usize] != side[v]);
+    let keeps_balance = |from: u8, nw: f64, w0: f64| {
+        let new_w0 = if from == 0 { w0 - nw } else { w0 + nw };
+        !(new_w0 > max0 || new_w0 < min0)
+    };
+    let candidate = |v: usize, g: f64| (graph.node_weight[v].to_bits(), gain_key(g), v as u32);
+
+    let mut locked = vec![false; n];
+    let mut gains = vec![0.0f64; n];
+    let mut queued = vec![false; n];
+    let mut moves: Vec<u32> = Vec::new();
+    let mut sets: [BTreeSet<Candidate>; 2] = [BTreeSet::new(), BTreeSet::new()];
+    let mut work = Vec::new();
+    for _pass in 0..options.refinement_passes {
+        locked.fill(false);
+        queued.fill(false);
+        moves.clear();
+        sets.iter_mut().for_each(BTreeSet::clear);
+        let mut pass = PassWork::default();
+        for v in 0..n {
+            if on_boundary(v, side) {
+                pass.initial_boundary += 1;
+                gains[v] = gain(v, side);
+                pass.gain_evals += 1;
+                sets[side[v] as usize].insert(candidate(v, gains[v]));
+                queued[v] = true;
+            }
+        }
         let mut cumulative = 0.0;
         let mut best_prefix = 0usize;
         let mut best_gain = 0.0;
         let mut w0 = weight0;
         // Bounded number of moves per pass to keep refinement O(n log n)-ish.
-        let max_moves = n.min(2 * boundary_size(graph, side) + 16);
+        let max_moves = n.min(2 * pass.initial_boundary + 16);
         for _ in 0..max_moves {
-            // Pick the best movable boundary node.
-            let mut best: Option<(usize, f64)> = None;
-            for v in 0..n {
-                if locked[v] {
-                    continue;
-                }
-                let on_boundary =
-                    graph.adj[v].iter().any(|&(u, _)| side[u as usize] != side[v]);
-                if !on_boundary {
-                    continue;
-                }
-                // Balance feasibility.
-                let nw = graph.node_weight[v];
-                let new_w0 = if side[v] == 0 { w0 - nw } else { w0 + nw };
-                if new_w0 > max0 || new_w0 < min0 {
-                    continue;
-                }
-                let g = gain(v, side);
-                if best.is_none_or(|(_, bg)| g > bg) {
-                    best = Some((v, g));
-                }
-            }
-            let Some((v, g)) = best else { break };
+            // Pick the best movable boundary node across both sides.
+            let best = [0u8, 1]
+                .into_iter()
+                .filter_map(|s| best_feasible(&sets[s as usize], |nw| keeps_balance(s, nw, w0)))
+                .min();
+            let Some((_, v)) = best else { break };
+            let v = v as usize;
+            let g = gains[v];
+            sets[side[v] as usize].remove(&candidate(v, g));
+            queued[v] = false;
             // Apply the move tentatively.
             let nw = graph.node_weight[v];
             w0 = if side[v] == 0 { w0 - nw } else { w0 + nw };
@@ -402,7 +480,26 @@ fn refine(graph: &WorkGraph, side: &mut [u8], frac: f64, options: &MetisOptions)
                 best_gain = cumulative;
                 best_prefix = moves.len();
             }
+            // Only the neighbours' boundary status and gain can change.
+            for &(u, _) in &graph.adj[v] {
+                let u = u as usize;
+                if locked[u] {
+                    continue;
+                }
+                if queued[u] {
+                    sets[side[u] as usize].remove(&candidate(u, gains[u]));
+                    queued[u] = false;
+                }
+                if on_boundary(u, side) {
+                    gains[u] = gain(u, side);
+                    pass.gain_evals += 1;
+                    sets[side[u] as usize].insert(candidate(u, gains[u]));
+                    queued[u] = true;
+                }
+            }
         }
+        pass.moves = moves.len();
+        work.push(pass);
         // Roll back moves beyond the best prefix.
         for &v in &moves[best_prefix..] {
             let v = v as usize;
@@ -415,12 +512,7 @@ fn refine(graph: &WorkGraph, side: &mut [u8], frac: f64, options: &MetisOptions)
             break; // no improving prefix: converged
         }
     }
-}
-
-fn boundary_size(graph: &WorkGraph, side: &[u8]) -> usize {
-    (0..graph.len())
-        .filter(|&v| graph.adj[v].iter().any(|&(u, _)| side[u as usize] != side[v]))
-        .count()
+    work
 }
 
 #[cfg(test)]
@@ -505,6 +597,30 @@ mod tests {
         let p1 = MetisLike::default().partition(&g, 4, &mut rng()).unwrap();
         let p2 = MetisLike::default().partition(&g, 4, &mut rng()).unwrap();
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn fm_pass_work_is_bounded_by_moves_times_degree_not_moves_times_n() {
+        // A sparse ring with chords under a striped bisection: FM makes
+        // many moves per pass, and each may re-score only the moved
+        // node's neighbours — where a rescan would score O(n) per move.
+        let n = 2000usize;
+        let mut edges: Vec<(NodeId, NodeId)> =
+            (0..n).map(|i| (i as NodeId, ((i + 1) % n) as NodeId)).collect();
+        edges.extend((0..n).step_by(3).map(|i| (i as NodeId, ((i * 7 + 11) % n) as NodeId)));
+        edges.retain(|&(u, v)| u != v);
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let work = WorkGraph::from_graph(&g);
+        let max_degree = work.adj.iter().map(Vec::len).max().unwrap();
+        let mut side: Vec<u8> = (0..n).map(|v| (v / 7 % 2) as u8).collect();
+        let passes = refine(&work, &mut side, 0.5, &MetisOptions::default());
+        assert!(passes.iter().any(|p| p.moves > 100), "fixture must make FM work: {passes:?}");
+        for p in &passes {
+            assert!(
+                p.gain_evals <= p.moves * max_degree + p.initial_boundary,
+                "pass {p:?} exceeds moves x max degree {max_degree} + initial boundary"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,152 @@
+//! Pinned outputs of the two setup phases SpLPG pays before training —
+//! the `MetisLike` partition and the JL-sketch sparsification of a
+//! partition-local graph (Algorithm 1, lines 1-2). The fingerprints were
+//! recorded before `MetisLike::refine` switched to incremental gain sets
+//! and before the Laplacian engine started solving on the support only;
+//! both changes are required to leave every output bit where it was.
+
+use splpg::prelude::*;
+use splpg::linalg::{effective_resistances_with_stats, CgOptions, SolverEngine};
+use splpg::sparsify::{ExactSparsifier, JlSparsifier};
+use splpg_rng::rngs::StdRng;
+use splpg_rng::{Rng, SeedableRng};
+
+/// FNV-1a over a stream of u64 words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+
+    fn write(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// The benchmark's dataset instance and setup seed.
+const DATASET_SEED: u64 = 5;
+const SETUP_SEED: u64 = 17;
+
+fn cora_full() -> Graph {
+    DatasetSpec::cora().generate(Scale::new(1.0, 32), DATASET_SEED).expect("generate").train_graph()
+}
+
+fn partition_fingerprint(graph: &Graph, parts: usize, rng: &mut StdRng) -> (Partition, u64) {
+    let partition = MetisLike::default().partition(graph, parts, rng).expect("partition");
+    let mut fp = Fnv::new();
+    for &p in partition.assignments() {
+        fp.write(p as u64);
+    }
+    (partition, fp.0)
+}
+
+/// Partition `w`'s halo graph in the global id space, as the cluster
+/// setup builds it for SpLPG: every edge with an endpoint in `w`.
+fn partition_local(graph: &Graph, partition: &Partition, w: u32) -> Graph {
+    let edges: Vec<(NodeId, NodeId)> = graph
+        .edges()
+        .iter()
+        .filter(|e| partition.part_of(e.src) == w || partition.part_of(e.dst) == w)
+        .map(|e| (e.src, e.dst))
+        .collect();
+    Graph::from_edges(graph.num_nodes(), &edges).expect("local graph")
+}
+
+fn isolated_fraction(graph: &Graph) -> f64 {
+    let isolated = graph.node_ids().filter(|&v| graph.degree(v) == 0).count();
+    isolated as f64 / graph.num_nodes() as f64
+}
+
+#[test]
+fn metis_assignments_on_cora_are_pinned() {
+    let g = cora_full();
+    let mut got = Vec::new();
+    for parts in [2usize, 4, 8] {
+        let (_, fp) = partition_fingerprint(&g, parts, &mut StdRng::seed_from_u64(SETUP_SEED));
+        got.push(fp);
+    }
+    assert_eq!(
+        got,
+        [18026233771837493540, 14328930409043872967, 4910735621254044033],
+        "Cora x1.0 MetisLike fingerprints at p = 2, 4, 8"
+    );
+}
+
+#[test]
+fn metis_assignments_on_the_benchmark_pubmed_instance_are_pinned() {
+    let g = DatasetSpec::pubmed()
+        .generate(Scale::new(0.5, 128), DATASET_SEED)
+        .expect("generate")
+        .train_graph();
+    let (_, fp) = partition_fingerprint(&g, 4, &mut StdRng::seed_from_u64(SETUP_SEED));
+    assert_eq!(fp, 8157615279940531559, "Pubmed x0.5 MetisLike fingerprint at p = 4");
+}
+
+#[test]
+fn metis_assignments_on_a_mostly_isolated_graph_are_pinned() {
+    // A partition-local graph keeps every global id, so most of its nodes
+    // have no edge: the shape the partitioner's and the solver's
+    // isolated-node handling must both get right.
+    let g = cora_full();
+    let (partition, _) = partition_fingerprint(&g, 4, &mut StdRng::seed_from_u64(SETUP_SEED));
+    let local = partition_local(&g, &partition, 0);
+    assert!(isolated_fraction(&local) >= 0.4, "fixture must be >= 40 % isolated");
+    let (_, fp) = partition_fingerprint(&local, 4, &mut StdRng::seed_from_u64(SETUP_SEED));
+    assert_eq!(fp, 11585153798055829348, "MetisLike fingerprint of a partition-local graph");
+}
+
+#[test]
+fn jl_sparsified_partition_local_graph_is_pinned() {
+    // The setup path of a JL run at p = 4: partition, take one partition's
+    // halo graph, sparsify it on its own stream of the setup RNG.
+    let g = cora_full();
+    let mut rng = StdRng::seed_from_u64(SETUP_SEED);
+    let (partition, _) = partition_fingerprint(&g, 4, &mut rng);
+    let local = partition_local(&g, &partition, 0);
+    let sparsify_seed: u64 = rng.gen();
+    let mut part_rng = splpg_rng::derive_stream(sparsify_seed, 0);
+    let sparse = JlSparsifier::new(SparsifyConfig::with_alpha(0.15), 64)
+        .sparsify(&local, &mut part_rng)
+        .expect("sparsify");
+    let mut fp = Fnv::new();
+    for e in sparse.edges() {
+        fp.write(e.src as u64);
+        fp.write(e.dst as u64);
+        fp.write(sparse.edge_weight(e.src, e.dst).expect("edge").to_bits() as u64);
+    }
+    assert_eq!(
+        (sparse.num_edges(), fp.0),
+        (592, 9570196650251016894),
+        "JL-sparsified edge list and weight bits of a p = 4 partition-local graph"
+    );
+}
+
+#[test]
+fn engine_resistances_on_a_partition_local_graph_are_pinned() {
+    // Per-node-reuse resistances of every edge plus the warm-start pair
+    // path on another mostly-isolated partition-local graph, and their
+    // CG iteration counts.
+    let g = cora_full();
+    let (partition, _) = partition_fingerprint(&g, 4, &mut StdRng::seed_from_u64(SETUP_SEED));
+    let local = partition_local(&g, &partition, 1);
+    let pairs: Vec<(NodeId, NodeId)> = local.edges().iter().map(|e| (e.src, e.dst)).collect();
+    let mut engine = SolverEngine::new(&local, ExactSparsifier::engine_options());
+    let edge_rs = engine.edge_resistances(&pairs).expect("edge resistances");
+    let edge_iters = engine.stats().iterations;
+    let (pair_rs, pair_stats) =
+        effective_resistances_with_stats(&local, &pairs[..200], CgOptions::default())
+            .expect("pair resistances");
+    let mut fp = Fnv::new();
+    for r in edge_rs.iter().chain(&pair_rs) {
+        fp.write(r.to_bits());
+    }
+    assert_eq!(
+        (engine.num_components(), edge_iters, pair_stats.iterations, fp.0),
+        (1089, 96687, 10743, 10127142376857018611),
+        "engine resistances on a partition-local graph"
+    );
+}
