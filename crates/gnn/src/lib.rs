@@ -18,7 +18,7 @@
 //! * Models — [`Gcn`], [`GraphSage`], [`Gat`], [`GatV2`] implementing
 //!   [`GnnModel`]; [`EdgePredictor`] (dot product or MLP) computes edge
 //!   scores from pairwise embeddings (Eq. (2)).
-//! * [`metrics`] — Hits@K (the paper's accuracy metric) and AUC.
+//! * [`metrics`] — Hits@K (the paper's accuracy metric), AUC and MRR.
 //! * [`LinkPredictor`] + [`trainer`] — end-to-end scoring and a
 //!   single-process training loop (the "centralized" baseline).
 
@@ -28,7 +28,6 @@
 mod access;
 mod block;
 pub mod heuristics;
-pub mod inference;
 pub mod metrics;
 mod models;
 mod negative;
@@ -60,6 +59,8 @@ pub enum GnnError {
     },
     /// Metric computation received empty inputs.
     EmptyInput(String),
+    /// Metric computation received a NaN score, which has no rank.
+    NanScore(String),
 }
 
 impl std::fmt::Display for GnnError {
@@ -70,6 +71,7 @@ impl std::fmt::Display for GnnError {
                 write!(f, "node {node} out of range for graph with {num_nodes} nodes")
             }
             GnnError::EmptyInput(msg) => write!(f, "empty input: {msg}"),
+            GnnError::NanScore(msg) => write!(f, "NaN score: {msg}"),
         }
     }
 }

@@ -6,13 +6,27 @@
 
 use crate::GnnError;
 
+/// Rejects empty score lists and NaN scores (a NaN has no rank).
+fn check_scores(metric: &str, pos_scores: &[f32], neg_scores: &[f32]) -> Result<(), GnnError> {
+    if pos_scores.is_empty() || neg_scores.is_empty() {
+        return Err(GnnError::EmptyInput(format!("{metric} needs positive and negative scores")));
+    }
+    for (side, scores) in [("positive", pos_scores), ("negative", neg_scores)] {
+        if let Some(at) = scores.iter().position(|s| s.is_nan()) {
+            return Err(GnnError::NanScore(format!("{metric}: {side} score {at} is NaN")));
+        }
+    }
+    Ok(())
+}
+
 /// Hits@K: fraction of positive scores strictly greater than the K-th
 /// largest negative score. With fewer than `k` negatives, every positive
 /// above the minimum negative counts (degenerate but well-defined).
 ///
 /// # Errors
 ///
-/// [`GnnError::EmptyInput`] if either list is empty or `k == 0`.
+/// [`GnnError::EmptyInput`] if either list is empty or `k == 0`;
+/// [`GnnError::NanScore`] if any score is NaN.
 ///
 /// # Examples
 ///
@@ -25,15 +39,13 @@ use crate::GnnError;
 /// assert!((h - 2.0 / 3.0).abs() < 1e-12);
 /// ```
 pub fn hits_at_k(pos_scores: &[f32], neg_scores: &[f32], k: usize) -> Result<f64, GnnError> {
-    if pos_scores.is_empty() || neg_scores.is_empty() {
-        return Err(GnnError::EmptyInput("hits@k needs positive and negative scores".into()));
-    }
+    check_scores("hits@k", pos_scores, neg_scores)?;
     if k == 0 {
         return Err(GnnError::EmptyInput("k must be positive".into()));
     }
     let mut neg = neg_scores.to_vec();
-    neg.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let threshold = neg[k.min(neg.len()) - 1];
+    let at = k.min(neg.len()) - 1;
+    let (_, &mut threshold, _) = neg.select_nth_unstable_by(at, |a, b| b.total_cmp(a));
     let hits = pos_scores.iter().filter(|&&s| s > threshold).count();
     Ok(hits as f64 / pos_scores.len() as f64)
 }
@@ -43,17 +55,16 @@ pub fn hits_at_k(pos_scores: &[f32], neg_scores: &[f32], k: usize) -> Result<f64
 ///
 /// # Errors
 ///
-/// [`GnnError::EmptyInput`] if either list is empty.
+/// [`GnnError::EmptyInput`] if either list is empty; [`GnnError::NanScore`]
+/// if any score is NaN.
 pub fn auc(pos_scores: &[f32], neg_scores: &[f32]) -> Result<f64, GnnError> {
-    if pos_scores.is_empty() || neg_scores.is_empty() {
-        return Err(GnnError::EmptyInput("auc needs positive and negative scores".into()));
-    }
+    check_scores("auc", pos_scores, neg_scores)?;
     let mut all: Vec<(f32, bool)> = pos_scores
         .iter()
         .map(|&s| (s, true))
         .chain(neg_scores.iter().map(|&s| (s, false)))
         .collect();
-    all.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     // Average ranks over tie groups.
     let n = all.len();
     let mut rank_sum_pos = 0.0f64;
@@ -83,13 +94,12 @@ pub fn auc(pos_scores: &[f32], neg_scores: &[f32]) -> Result<f64, GnnError> {
 ///
 /// # Errors
 ///
-/// [`GnnError::EmptyInput`] if either list is empty.
+/// [`GnnError::EmptyInput`] if either list is empty; [`GnnError::NanScore`]
+/// if any score is NaN.
 pub fn mrr(pos_scores: &[f32], neg_scores: &[f32]) -> Result<f64, GnnError> {
-    if pos_scores.is_empty() || neg_scores.is_empty() {
-        return Err(GnnError::EmptyInput("mrr needs positive and negative scores".into()));
-    }
+    check_scores("mrr", pos_scores, neg_scores)?;
     let mut neg = neg_scores.to_vec();
-    neg.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    neg.sort_unstable_by(|a, b| b.total_cmp(a));
     let total: f64 = pos_scores
         .iter()
         .map(|&p| {
@@ -167,6 +177,34 @@ mod tests {
         assert!(hits_at_k(&[0.1], &[0.1], 0).is_err());
         assert!(auc(&[], &[0.1]).is_err());
         assert!(mrr(&[], &[0.1]).is_err());
+    }
+
+    #[test]
+    fn nan_scores_are_typed_errors() {
+        let nan = f32::NAN;
+        for (pos, neg) in [([0.5, nan], [0.4, 0.1]), ([0.5, 0.2], [nan, 0.1])] {
+            assert!(matches!(hits_at_k(&pos, &neg, 1), Err(GnnError::NanScore(_))));
+            assert!(matches!(auc(&pos, &neg), Err(GnnError::NanScore(_))));
+            assert!(matches!(mrr(&pos, &neg), Err(GnnError::NanScore(_))));
+        }
+    }
+
+    #[test]
+    fn hits_threshold_matches_a_full_sort() {
+        use splpg_rng::{Rng, SeedableRng};
+        let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(1);
+        // Coarse values force ties around the threshold.
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n).map(|_| (rng.gen_range(0..40) as f32 - 20.0) * 0.25).collect()
+        };
+        let (pos, neg) = (draw(300), draw(500));
+        let mut sorted = neg.clone();
+        sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+        for k in [1, 2, 7, 100, 499, 500, 900] {
+            let threshold = sorted[k.min(sorted.len()) - 1];
+            let expect = pos.iter().filter(|&&s| s > threshold).count() as f64 / pos.len() as f64;
+            assert_eq!(hits_at_k(&pos, &neg, k).unwrap(), expect, "k = {k}");
+        }
     }
 
     #[test]

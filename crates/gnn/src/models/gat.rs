@@ -1,8 +1,8 @@
-use splpg_rng::{Rng, RngCore};
+use splpg_rng::Rng;
 use splpg_nn::{glorot_uniform, Binding, ParamSet};
 use splpg_tensor::{Tape, Var};
 
-use crate::models::{with_self_loops, GnnModel};
+use crate::models::{activate, with_self_loops, GnnModel};
 use crate::Block;
 
 /// One GAT layer's parameters (single attention head).
@@ -145,57 +145,42 @@ impl GnnModel for Gat {
         self.out_dim
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: Var,
-        blocks: &[Block],
-        mut dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input;
-        for (i, (heads, block)) in self.layers.iter().zip(blocks).enumerate() {
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
-            let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
-            with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
-            // Sparsifier edge weights bias the attention mass: e += ln w.
-            let ln_weight_bias = if e_w.iter().any(|&w| w != 1.0) {
-                let lnw: Vec<f32> = e_w.iter().map(|&w| w.max(1e-12).ln()).collect();
-                Some(tape.leaf(
-                    splpg_tensor::Tensor::from_vec(lnw.len(), 1, lnw).expect("column shape"),
-                ))
-            } else {
-                None
-            };
-            let mut head_outputs = heads.iter().map(|layer| {
-                Self::head_forward(
-                    tape,
-                    binding,
-                    layer,
-                    h,
-                    &e_src,
-                    &e_dst,
-                    ln_weight_bias,
-                    block.num_dst,
-                    self.negative_slope,
-                )
-            });
-            let first = head_outputs.next().expect("at least one head");
-            let mut heads_remaining: Vec<Var> = head_outputs.collect();
-            h = first;
-            for head in heads_remaining.drain(..) {
-                h = tape.concat_cols(h, head);
-            }
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
+    fn dropout(&self) -> f32 {
+        self.dropout
+    }
+
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
+        with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
+        // Sparsifier edge weights bias the attention mass: e += ln w.
+        let ln_weight_bias = if e_w.iter().any(|&w| w != 1.0) {
+            let lnw: Vec<f32> = e_w.iter().map(|&w| w.max(1e-12).ln()).collect();
+            Some(tape.leaf(
+                splpg_tensor::Tensor::from_vec(lnw.len(), 1, lnw).expect("column shape"),
+            ))
+        } else {
+            None
+        };
+        let mut head_outputs = self.layers[i].iter().map(|layer| {
+            Self::head_forward(
+                tape,
+                binding,
+                layer,
+                h,
+                &e_src,
+                &e_dst,
+                ln_weight_bias,
+                block.num_dst,
+                self.negative_slope,
+            )
+        });
+        let first = head_outputs.next().expect("at least one head");
+        let mut heads_remaining: Vec<Var> = head_outputs.collect();
+        let mut out = first;
+        for head in heads_remaining.drain(..) {
+            out = tape.concat_cols(out, head);
         }
-        h
+        activate(tape, out, i, self.layers.len())
     }
 }
 
@@ -263,48 +248,33 @@ impl GnnModel for GatV2 {
         self.out_dim
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: Var,
-        blocks: &[Block],
-        mut dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
-            let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
-            with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
-            let zl = tape.matmul(h, binding.var(layer.weight_left));
-            let zr = tape.matmul(h, binding.var(layer.weight_right));
-            let s_dst = tape.gather_rows(zl, &e_dst);
-            let s_src = tape.gather_rows(zr, &e_src);
-            let s = tape.add(s_dst, s_src);
-            let act = tape.leaky_relu(s, self.negative_slope);
-            let mut logits = tape.matmul(act, binding.var(layer.attn));
-            if e_w.iter().any(|&w| w != 1.0) {
-                let lnw: Vec<f32> = e_w.iter().map(|&w| w.max(1e-12).ln()).collect();
-                let bias = tape.leaf(
-                    splpg_tensor::Tensor::from_vec(lnw.len(), 1, lnw).expect("column shape"),
-                );
-                logits = tape.add(logits, bias);
-            }
-            let alpha = tape.segment_softmax(logits, &e_dst, block.num_dst);
-            let msgs = tape.gather_rows(zr, &e_src);
-            let weighted = tape.mul_col_broadcast(msgs, alpha);
-            let agg = tape.segment_sum(weighted, &e_dst, block.num_dst);
-            h = tape.add_bias(agg, binding.var(layer.bias));
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
+    fn dropout(&self) -> f32 {
+        self.dropout
+    }
+
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        let layer = &self.layers[i];
+        let (mut e_src, mut e_dst, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
+        with_self_loops(block, &mut e_src, &mut e_dst, &mut e_w);
+        let zl = tape.matmul(h, binding.var(layer.weight_left));
+        let zr = tape.matmul(h, binding.var(layer.weight_right));
+        let s_dst = tape.gather_rows(zl, &e_dst);
+        let s_src = tape.gather_rows(zr, &e_src);
+        let s = tape.add(s_dst, s_src);
+        let act = tape.leaky_relu(s, self.negative_slope);
+        let mut logits = tape.matmul(act, binding.var(layer.attn));
+        if e_w.iter().any(|&w| w != 1.0) {
+            let lnw: Vec<f32> = e_w.iter().map(|&w| w.max(1e-12).ln()).collect();
+            let bias =
+                tape.leaf(splpg_tensor::Tensor::from_vec(lnw.len(), 1, lnw).expect("column shape"));
+            logits = tape.add(logits, bias);
         }
-        h
+        let alpha = tape.segment_softmax(logits, &e_dst, block.num_dst);
+        let msgs = tape.gather_rows(zr, &e_src);
+        let weighted = tape.mul_col_broadcast(msgs, alpha);
+        let agg = tape.segment_sum(weighted, &e_dst, block.num_dst);
+        let out = tape.add_bias(agg, binding.var(layer.bias));
+        activate(tape, out, i, self.layers.len())
     }
 }
 

@@ -1,8 +1,8 @@
-use splpg_rng::{Rng, RngCore};
+use splpg_rng::Rng;
 use splpg_nn::{Binding, Linear, ParamSet};
 use splpg_tensor::{Tape, Var};
 
-use crate::models::{with_self_loops, GnnModel};
+use crate::models::{activate, with_self_loops, GnnModel};
 use crate::Block;
 
 /// Graph convolutional network (Kipf & Welling) with symmetric
@@ -67,29 +67,14 @@ impl GnnModel for Gcn {
         self.out_dim
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: Var,
-        blocks: &[Block],
-        mut dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
-            let agg = Self::propagate(tape, h, block);
-            h = layer.forward(tape, binding, agg);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
-        }
-        h
+    fn dropout(&self) -> f32 {
+        self.dropout
+    }
+
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        let agg = Self::propagate(tape, h, block);
+        let out = self.layers[i].forward(tape, binding, agg);
+        activate(tape, out, i, self.layers.len())
     }
 }
 
@@ -97,7 +82,7 @@ impl GnnModel for Gcn {
 mod tests {
     use super::*;
     use crate::models::test_support::path_batch;
-    use splpg_rng::SeedableRng;
+    use splpg_rng::{RngCore, SeedableRng};
     use splpg_tensor::Tensor;
 
     fn rng() -> splpg_rng::rngs::StdRng {

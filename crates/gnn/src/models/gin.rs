@@ -1,8 +1,8 @@
-use splpg_rng::{Rng, RngCore};
+use splpg_rng::Rng;
 use splpg_nn::{Binding, Mlp, ParamSet};
 use splpg_tensor::{Tape, Tensor, Var};
 
-use crate::models::GnnModel;
+use crate::models::{activate, GnnModel};
 use crate::Block;
 
 /// One GIN layer: a learnable-epsilon sum aggregator followed by an MLP.
@@ -62,39 +62,25 @@ impl GnnModel for Gin {
         self.out_dim
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: Var,
-        blocks: &[Block],
-        mut dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
-            // Weighted neighbor sum.
-            let (src, dst) = (&block.edge_src, &block.edge_dst);
-            let agg = tape.aggregate(h, src, dst, &block.edge_weight, block.num_dst);
-            // (1 + eps) * h_self: broadcast the 1x1 epsilon to a
-            // [num_dst, 1] factor column on the tape.
-            let h_self = tape.row_prefix(h, block.num_dst);
-            let eps = binding.var(layer.epsilon);
-            let eps_col = tape.gather_rows_with(eps, block.num_dst, |i| i.resize(block.num_dst, 0));
-            let eps_term = tape.mul_col_broadcast(h_self, eps_col);
-            let self_plus = tape.add(h_self, eps_term); // (1 + eps) h_v
-            let combined = tape.add(self_plus, agg);
-            h = layer.mlp.forward(tape, binding, combined);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
-        }
-        h
+    fn dropout(&self) -> f32 {
+        self.dropout
+    }
+
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        let layer = &self.layers[i];
+        // Weighted neighbor sum.
+        let (src, dst) = (&block.edge_src, &block.edge_dst);
+        let agg = tape.aggregate(h, src, dst, &block.edge_weight, block.num_dst);
+        // (1 + eps) * h_self: broadcast the 1x1 epsilon to a
+        // [num_dst, 1] factor column on the tape.
+        let h_self = tape.row_prefix(h, block.num_dst);
+        let eps = binding.var(layer.epsilon);
+        let eps_col = tape.gather_rows_with(eps, block.num_dst, |i| i.resize(block.num_dst, 0));
+        let eps_term = tape.mul_col_broadcast(h_self, eps_col);
+        let self_plus = tape.add(h_self, eps_term); // (1 + eps) h_v
+        let combined = tape.add(self_plus, agg);
+        let out = layer.mlp.forward(tape, binding, combined);
+        activate(tape, out, i, self.layers.len())
     }
 }
 

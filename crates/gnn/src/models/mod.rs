@@ -24,6 +24,11 @@ use crate::Block;
 
 /// A layered GNN encoder producing seed-node embeddings from block input
 /// features.
+///
+/// A model supplies one layer at a time ([`GnnModel::layer`]); the trait
+/// owns the loop that chains them ([`GnnModel::forward`]), so training
+/// (one multi-block forward per mini-batch) and evaluation (each layer
+/// over every node once, in destination chunks) run the same layer body.
 pub trait GnnModel {
     /// Number of message-passing layers (blocks consumed per forward).
     fn num_layers(&self) -> usize;
@@ -31,7 +36,22 @@ pub trait GnnModel {
     /// Embedding dimensionality of the output.
     fn output_dim(&self) -> usize;
 
-    /// Runs the forward pass.
+    /// Dropout probability applied to every layer's input in training
+    /// mode.
+    fn dropout(&self) -> f32;
+
+    /// Runs layer `i` over one block.
+    ///
+    /// `h` must be the `[block.num_src(), in_dim]` rows of
+    /// `block.src_ids`; the result is the `[block.num_dst, out_dim]` rows
+    /// of its destination prefix, passed through the inter-layer ReLU
+    /// unless `i` is the last layer. Each output row depends only on its
+    /// own input row and its in-edges' source rows, so a layer may run
+    /// over any split of its destinations.
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var;
+
+    /// Runs the forward pass: for every block, dropout on the layer input
+    /// (training mode only), then [`GnnModel::layer`].
     ///
     /// `input` must be the `[num_input_nodes, in_dim]` features of
     /// `blocks[0].src_ids`; the result is `[num_seeds, output_dim]` for the
@@ -47,8 +67,31 @@ pub trait GnnModel {
         binding: &Binding,
         input: Var,
         blocks: &[Block],
-        dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var;
+        mut dropout_rng: Option<&mut dyn RngCore>,
+    ) -> Var {
+        assert_eq!(blocks.len(), self.num_layers(), "one block per layer");
+        let p = self.dropout();
+        let mut h = input;
+        for (i, block) in blocks.iter().enumerate() {
+            if let Some(rng) = dropout_rng.as_deref_mut() {
+                if p > 0.0 {
+                    h = tape.dropout(h, p, rng);
+                }
+            }
+            h = self.layer(i, tape, binding, h, block);
+        }
+        h
+    }
+}
+
+/// The inter-layer activation: ReLU after every layer but the last of
+/// `layers`.
+pub(crate) fn activate(tape: &mut Tape, h: Var, i: usize, layers: usize) -> Var {
+    if i + 1 < layers {
+        tape.relu(h)
+    } else {
+        h
+    }
 }
 
 /// Writes the block's edge lists into `src`/`dst`/`w`, followed by a

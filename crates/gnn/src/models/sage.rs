@@ -1,8 +1,8 @@
-use splpg_rng::{Rng, RngCore};
+use splpg_rng::Rng;
 use splpg_nn::{Binding, Linear, ParamSet};
 use splpg_tensor::{Tape, Var};
 
-use crate::models::GnnModel;
+use crate::models::{activate, GnnModel};
 use crate::Block;
 
 /// GraphSAGE (Hamilton et al.) with the mean aggregator.
@@ -69,31 +69,16 @@ impl GnnModel for GraphSage {
         self.out_dim
     }
 
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        binding: &Binding,
-        input: Var,
-        blocks: &[Block],
-        mut dropout_rng: Option<&mut dyn RngCore>,
-    ) -> Var {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut h = input;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            if let Some(rng) = dropout_rng.as_deref_mut() {
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
-            let h_neigh = Self::aggregate(tape, h, block);
-            let h_self = tape.row_prefix(h, block.num_dst);
-            let cat = tape.concat_cols(h_self, h_neigh);
-            h = layer.forward(tape, binding, cat);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
-        }
-        h
+    fn dropout(&self) -> f32 {
+        self.dropout
+    }
+
+    fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        let h_neigh = Self::aggregate(tape, h, block);
+        let h_self = tape.row_prefix(h, block.num_dst);
+        let cat = tape.concat_cols(h_self, h_neigh);
+        let out = self.layers[i].forward(tape, binding, cat);
+        activate(tape, out, i, self.layers.len())
     }
 }
 

@@ -228,21 +228,21 @@ impl NeighborSampler {
     }
 
     /// One `u64` per layer, drawn unconditionally so every build path
-    /// (cooperative or per-seed-block) advances `rng` identically.
-    fn draw_hop_seeds<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
+    /// (cooperative, per-seed-block or layer by layer) advances `rng`
+    /// identically.
+    pub(crate) fn draw_hop_seeds<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
         self.fanouts.iter().map(|_| rng.gen()).collect()
     }
 
     /// The cooperative multi-hop build over pre-drawn per-hop seeds.
-    fn sample_hops<A: GraphAccess>(
+    pub(crate) fn sample_hops<A: GraphAccess>(
         &self,
         access: &A,
         seeds: &[NodeId],
         hop_seeds: &[u64],
         scratch: &mut SamplerScratch,
     ) -> (MiniBatch, SampleStats) {
-        let num_nodes = access.num_nodes();
-        let unique_seeds = dedup_seeds(seeds, scratch, num_nodes);
+        let unique_seeds = dedup_seeds(seeds, scratch, access.num_nodes());
         let mut stats = SampleStats::default();
 
         // Build from the output side (hop 1) towards the input. Each
@@ -254,108 +254,133 @@ impl NeighborSampler {
                 Some(prev) => &prev.src_ids,
                 None => &unique_seeds,
             };
-            let num_dst = frontier.len();
-            stats.expansions += num_dst as u64;
-
-            // Phase 1 — fetch + subsample, range-partitioned across
-            // workers. Chunk boundaries decide only which worker fetches
-            // a node; its sampled list is keyed by `(hop_seed, node)`.
-            let parts = (num_dst / PAR_FRONTIER_THRESHOLD)
-                .clamp(1, splpg_par::effective_threads());
-            let ranges = splpg_par::partition_items(num_dst, parts);
-            if scratch.workers.len() < ranges.len() {
-                scratch.workers.resize_with(ranges.len(), WorkerScratch::default);
-            }
-            let fetch = |w0: usize, workers: &mut [WorkerScratch]| {
-                for (i, ws) in workers.iter_mut().enumerate() {
-                    ws.nbrs.clear();
-                    ws.segs.clear();
-                    for &v in &frontier[ranges[w0 + i].clone()] {
-                        let start = ws.nbrs.len();
-                        access.neighbors_into(v, &mut ws.nbrs);
-                        let len = ws.nbrs.len() - start;
-                        let mut kept = len;
-                        if let Some(k) = fanout {
-                            if len > k {
-                                let mut r = splpg_rng::derive_stream(hop_seed, u64::from(v));
-                                partial_shuffle(&mut ws.nbrs[start..start + len], k, &mut r);
-                                ws.nbrs.truncate(start + k);
-                                kept = k;
-                            }
-                        }
-                        ws.segs.push((start, kept));
-                    }
-                }
-            };
-            {
-                let live = &mut scratch.workers[..ranges.len()];
-                if ranges.len() > 1 {
-                    splpg_par::Pool::new(ranges.len()).parallel_for_mut(live, 1, 1, fetch);
-                } else {
-                    fetch(0, live);
-                }
-            }
-
-            // Phase 2 — ordered reduction: scan workers (= frontier
-            // ranges) in partition order, indexing discoveries
-            // first-touch into the block. The scan order equals a
-            // sequential pass over the whole frontier, so the result is
-            // independent of `parts`.
-            let total: usize = scratch.workers[..ranges.len()]
-                .iter()
-                .map(|ws| ws.segs.iter().map(|&(_, kept)| kept).sum::<usize>())
-                .sum();
-            stats.sampled_edges += total as u64;
-            let mut src_ids = Vec::with_capacity(num_dst + total);
-            src_ids.extend_from_slice(frontier);
-            let mut edge_src = Vec::with_capacity(total);
-            let mut edge_dst = Vec::with_capacity(total);
-            let mut edge_weight = Vec::with_capacity(total);
-            let epoch = scratch.begin_epoch(num_nodes);
-            // Split-borrow the scratch fields: the dense map is written
-            // while the worker buffers are only read.
-            let SamplerScratch { workers, node_pos, node_stamp, .. } = &mut *scratch;
-            for (i, &v) in frontier.iter().enumerate() {
-                node_stamp[v as usize] = epoch;
-                node_pos[v as usize] =
-                    u32::try_from(i).expect("invariant: frontier size fits u32 (node ids are u32)");
-            }
-            let mut dst_idx = 0u32;
-            for ws in &workers[..ranges.len()] {
-                for &(start, kept) in &ws.segs {
-                    for &(nbr, weight) in &ws.nbrs[start..start + kept] {
-                        let at = nbr as usize;
-                        let src_idx = if node_stamp[at] == epoch {
-                            node_pos[at]
-                        } else {
-                            let idx = u32::try_from(src_ids.len())
-                                .expect("invariant: batch node count fits u32 (node ids are u32)");
-                            node_stamp[at] = epoch;
-                            node_pos[at] = idx;
-                            src_ids.push(nbr);
-                            idx
-                        };
-                        edge_src.push(src_idx);
-                        edge_dst.push(dst_idx);
-                        edge_weight.push(weight);
-                    }
-                    dst_idx += 1;
-                }
-            }
-            debug_assert_eq!(dst_idx as usize, num_dst);
-            let src_degree = src_ids.iter().map(|&v| access.degree(v) as f32).collect();
-            blocks_rev.push(Block {
-                src_ids,
-                num_dst,
-                edge_src,
-                edge_dst,
-                edge_weight,
-                src_degree,
-            });
+            let block = expand(access, frontier, fanout, hop_seed, scratch, &mut stats);
+            blocks_rev.push(block);
         }
         blocks_rev.reverse();
         (MiniBatch { blocks: blocks_rev, seeds: unique_seeds }, stats)
     }
+
+    /// The block of layer `layer` (0 = input side) for the distinct
+    /// destinations `dsts` alone: the same one-hop expansion the
+    /// cooperative build runs for that layer under `hop_seeds`, so each
+    /// destination keeps exactly the in-edges, in the same order, that it
+    /// has in the batch [`NeighborSampler::sample_hops`] builds over any
+    /// seed set reaching it at that layer.
+    pub(crate) fn sample_layer_with<A: GraphAccess>(
+        &self,
+        access: &A,
+        dsts: &[NodeId],
+        layer: usize,
+        hop_seeds: &[u64],
+        scratch: &mut SamplerScratch,
+    ) -> Block {
+        let hop = self.fanouts.len() - 1 - layer;
+        let mut stats = SampleStats::default();
+        expand(access, dsts, self.fanouts[hop], hop_seeds[hop], scratch, &mut stats)
+    }
+}
+
+/// One hop of the cooperative build: the block whose destination prefix is
+/// the distinct nodes of `frontier`, each with its (fan-out-subsampled)
+/// neighbor list in fetch order.
+fn expand<A: GraphAccess>(
+    access: &A,
+    frontier: &[NodeId],
+    fanout: Option<usize>,
+    hop_seed: u64,
+    scratch: &mut SamplerScratch,
+    stats: &mut SampleStats,
+) -> Block {
+    let num_dst = frontier.len();
+    stats.expansions += num_dst as u64;
+
+    // Phase 1 — fetch + subsample, range-partitioned across workers.
+    // Chunk boundaries decide only which worker fetches a node; its
+    // sampled list is keyed by `(hop_seed, node)`.
+    let parts = (num_dst / PAR_FRONTIER_THRESHOLD).clamp(1, splpg_par::effective_threads());
+    let ranges = splpg_par::partition_items(num_dst, parts);
+    if scratch.workers.len() < ranges.len() {
+        scratch.workers.resize_with(ranges.len(), WorkerScratch::default);
+    }
+    let fetch = |w0: usize, workers: &mut [WorkerScratch]| {
+        for (i, ws) in workers.iter_mut().enumerate() {
+            ws.nbrs.clear();
+            ws.segs.clear();
+            for &v in &frontier[ranges[w0 + i].clone()] {
+                let start = ws.nbrs.len();
+                access.neighbors_into(v, &mut ws.nbrs);
+                let len = ws.nbrs.len() - start;
+                let mut kept = len;
+                if let Some(k) = fanout {
+                    if len > k {
+                        let mut r = splpg_rng::derive_stream(hop_seed, u64::from(v));
+                        partial_shuffle(&mut ws.nbrs[start..start + len], k, &mut r);
+                        ws.nbrs.truncate(start + k);
+                        kept = k;
+                    }
+                }
+                ws.segs.push((start, kept));
+            }
+        }
+    };
+    {
+        let live = &mut scratch.workers[..ranges.len()];
+        if ranges.len() > 1 {
+            splpg_par::Pool::new(ranges.len()).parallel_for_mut(live, 1, 1, fetch);
+        } else {
+            fetch(0, live);
+        }
+    }
+
+    // Phase 2 — ordered reduction: scan workers (= frontier ranges) in
+    // partition order, indexing discoveries first-touch into the block.
+    // The scan order equals a sequential pass over the whole frontier, so
+    // the result is independent of `parts`.
+    let total: usize = scratch.workers[..ranges.len()]
+        .iter()
+        .map(|ws| ws.segs.iter().map(|&(_, kept)| kept).sum::<usize>())
+        .sum();
+    stats.sampled_edges += total as u64;
+    let mut src_ids = Vec::with_capacity(num_dst + total);
+    src_ids.extend_from_slice(frontier);
+    let mut edge_src = Vec::with_capacity(total);
+    let mut edge_dst = Vec::with_capacity(total);
+    let mut edge_weight = Vec::with_capacity(total);
+    let epoch = scratch.begin_epoch(access.num_nodes());
+    // Split-borrow the scratch fields: the dense map is written while the
+    // worker buffers are only read.
+    let SamplerScratch { workers, node_pos, node_stamp, .. } = &mut *scratch;
+    for (i, &v) in frontier.iter().enumerate() {
+        node_stamp[v as usize] = epoch;
+        node_pos[v as usize] =
+            u32::try_from(i).expect("invariant: frontier size fits u32 (node ids are u32)");
+    }
+    let mut dst_idx = 0u32;
+    for ws in &workers[..ranges.len()] {
+        for &(start, kept) in &ws.segs {
+            for &(nbr, weight) in &ws.nbrs[start..start + kept] {
+                let at = nbr as usize;
+                let src_idx = if node_stamp[at] == epoch {
+                    node_pos[at]
+                } else {
+                    let idx = u32::try_from(src_ids.len())
+                        .expect("invariant: batch node count fits u32 (node ids are u32)");
+                    node_stamp[at] = epoch;
+                    node_pos[at] = idx;
+                    src_ids.push(nbr);
+                    idx
+                };
+                edge_src.push(src_idx);
+                edge_dst.push(dst_idx);
+                edge_weight.push(weight);
+            }
+            dst_idx += 1;
+        }
+    }
+    debug_assert_eq!(dst_idx as usize, num_dst);
+    let src_degree = src_ids.iter().map(|&v| access.degree(v) as f32).collect();
+    Block { src_ids, num_dst, edge_src, edge_dst, edge_weight, src_degree }
 }
 
 /// First-occurrence deduplication of `seeds` via the scratch epoch map.

@@ -8,7 +8,7 @@
 use splpg_rng::rngs::StdRng;
 use splpg_rng::seq::SliceRandom;
 use splpg_rng::{Rng, SeedableRng};
-use splpg_graph::{Edge, EdgeSplit, FeatureMatrix, Graph};
+use splpg_graph::{Edge, EdgeSplit, FeatureMatrix, Graph, NodeId};
 use splpg_nn::{Adam, Optimizer, ParamSet};
 use splpg_tensor::{Tape, Tensor};
 
@@ -192,9 +192,39 @@ where
     Ok((loss_value, collected))
 }
 
-/// Scores a list of edges under the current parameters (no gradients,
-/// full-precision eval pass). Resets and reuses `tape` and `scratch` per
-/// chunk.
+/// Destination rows per layer chunk and pairs per scoring chunk of an
+/// evaluation pass: bounds the tape's working set.
+const EVAL_CHUNK: usize = 1024;
+
+/// What one evaluation pass computed: destination rows per layer
+/// (input side first) and feature rows gathered.
+#[derive(Debug, Default)]
+struct EvalStats {
+    layer_rows: Vec<usize>,
+    feature_rows: usize,
+}
+
+/// Scores every edge set under the current parameters (no gradients, no
+/// dropout), one score vector per set in order.
+///
+/// Evaluation is layer-wise: one cooperative sample of all the sets'
+/// endpoints fixes each layer's destination set, then each layer runs
+/// over its destination set exactly once, 1024 rows at a time,
+/// reading its inputs from the previous layer's rows (the gathered
+/// features at layer 0), and the predictor scores the pairs from the
+/// final rows. Every output row depends only on its own in-edges in
+/// sampler order, and every kernel fixes the summation order per output
+/// row, so each score is the bit pattern a forward pass over any batch
+/// holding the edge would produce. `tape` and `scratch` are reset and
+/// reused per chunk.
+///
+/// `rng` advances by one hop-seed draw per layer for every started
+/// 1024-edge chunk of every set — the draws of sampling each chunk on its
+/// own; the first chunk's seeds drive the cooperative sample.
+///
+/// # Panics
+///
+/// Panics if `sampler` and the model disagree on the layer count.
 #[allow(clippy::too_many_arguments)]
 pub fn score_edges<G, F>(
     model: &LinkPredictor,
@@ -202,38 +232,134 @@ pub fn score_edges<G, F>(
     graph_access: &G,
     feature_access: &mut F,
     sampler: &NeighborSampler,
-    edges: &[Edge],
+    edge_sets: &[&[Edge]],
     rng: &mut StdRng,
     tape: &mut Tape,
     scratch: &mut SamplerScratch,
-) -> Vec<f32>
+) -> Vec<Vec<f32>>
 where
     G: GraphAccess,
     F: FeatureAccess,
 {
-    let mut scores = Vec::with_capacity(edges.len());
-    // Chunk to bound peak memory on large eval sets; the reused tape keeps
-    // the chunk working set warm instead of reallocating it per chunk.
-    for chunk in edges.chunks(1024) {
-        let (seeds, pairs, _) = edges_to_pairs(chunk, &[]);
-        let batch = sampler.sample_with(graph_access, &seeds, rng, scratch);
-        tape.reset();
-        let binding = params.bind(tape);
-        let input_nodes = batch.input_nodes();
-        let x = tape.leaf_with(input_nodes.len(), feature_access.dim(), |buf| {
-            feature_access.gather_into(input_nodes, buf);
-        });
-        let logits = model.score_pairs(tape, &binding, x, &batch, &pairs, None);
-        scores.extend_from_slice(tape.value(logits).data());
-    }
-    scores
+    score_edges_with_stats(
+        model, params, graph_access, feature_access, sampler, edge_sets, rng, tape, scratch,
+    )
+    .0
 }
 
-/// Hits@K of `model` on held-out positives vs negatives.
+#[allow(clippy::too_many_arguments)]
+fn score_edges_with_stats<G, F>(
+    model: &LinkPredictor,
+    params: &ParamSet,
+    graph_access: &G,
+    feature_access: &mut F,
+    sampler: &NeighborSampler,
+    edge_sets: &[&[Edge]],
+    rng: &mut StdRng,
+    tape: &mut Tape,
+    scratch: &mut SamplerScratch,
+) -> (Vec<Vec<f32>>, EvalStats)
+where
+    G: GraphAccess,
+    F: FeatureAccess,
+{
+    let layers = sampler.num_layers();
+    assert_eq!(layers, model.gnn().num_layers(), "one sampler hop per model layer");
+    let mut stats = EvalStats::default();
+    let chunks: usize = edge_sets.iter().map(|edges| edges.len().div_ceil(EVAL_CHUNK)).sum();
+    if chunks == 0 {
+        return (vec![Vec::new(); edge_sets.len()], stats);
+    }
+    let hop_seeds = sampler.draw_hop_seeds(rng);
+    for _ in layers..chunks * layers {
+        let _: u64 = rng.gen();
+    }
+
+    let endpoints: Vec<NodeId> =
+        edge_sets.iter().flat_map(|edges| edges.iter().flat_map(|e| [e.src, e.dst])).collect();
+    let (plan, _) = sampler.sample_hops(graph_access, &endpoints, &hop_seeds, scratch);
+
+    // `rows` holds one `width`-wide row per node of the current layer's
+    // input set; `row_of[v]` is node `v`'s row there.
+    let mut row_of = vec![0u32; graph_access.num_nodes()];
+    let mut width = feature_access.dim();
+    let mut rows = Vec::with_capacity(plan.input_nodes().len() * width);
+    feature_access.gather_into(plan.input_nodes(), &mut rows);
+    stats.feature_rows = plan.input_nodes().len();
+    let mut next = Vec::new();
+    for (i, layer_block) in plan.blocks.iter().enumerate() {
+        index_rows(&layer_block.src_ids, &mut row_of);
+        let dsts = layer_block.dst_ids();
+        next.clear();
+        for chunk in dsts.chunks(EVAL_CHUNK) {
+            let block = sampler.sample_layer_with(graph_access, chunk, i, &hop_seeds, scratch);
+            tape.reset();
+            let binding = params.bind(tape);
+            let h = tape.leaf_with(block.num_src(), width, |buf| {
+                copy_rows(block.src_ids.iter().copied(), &row_of, &rows, width, buf);
+            });
+            let out = model.gnn().layer(i, tape, &binding, h, &block);
+            next.extend_from_slice(tape.value(out).data());
+        }
+        stats.layer_rows.push(dsts.len());
+        width = next.len() / dsts.len();
+        std::mem::swap(&mut rows, &mut next);
+    }
+    // `next` now holds the previous layer's (widest) input rows.
+    drop(next);
+
+    index_rows(&plan.seeds, &mut row_of);
+    let scores = edge_sets
+        .iter()
+        .map(|edges| {
+            let mut scores = Vec::with_capacity(edges.len());
+            for chunk in edges.chunks(EVAL_CHUNK) {
+                tape.reset();
+                let binding = params.bind(tape);
+                let h_u = tape.leaf_with(chunk.len(), width, |buf| {
+                    copy_rows(chunk.iter().map(|e| e.src), &row_of, &rows, width, buf);
+                });
+                let h_v = tape.leaf_with(chunk.len(), width, |buf| {
+                    copy_rows(chunk.iter().map(|e| e.dst), &row_of, &rows, width, buf);
+                });
+                let logits = model.predictor().score(tape, &binding, h_u, h_v);
+                scores.extend_from_slice(tape.value(logits).data());
+            }
+            scores
+        })
+        .collect();
+    (scores, stats)
+}
+
+/// Points `row_of[v]` at `v`'s position in `ids`.
+fn index_rows(ids: &[NodeId], row_of: &mut [u32]) {
+    for (r, &v) in ids.iter().enumerate() {
+        row_of[v as usize] =
+            u32::try_from(r).expect("invariant: row count fits u32 (node ids are u32)");
+    }
+}
+
+/// Appends the `width`-wide row of every node of `ids` from `rows`, where
+/// node `v` sits at row `row_of[v]`.
+fn copy_rows(
+    ids: impl Iterator<Item = NodeId>,
+    row_of: &[u32],
+    rows: &[f32],
+    width: usize,
+    out: &mut Vec<f32>,
+) {
+    for v in ids {
+        let r = row_of[v as usize] as usize;
+        out.extend_from_slice(&rows[r * width..(r + 1) * width]);
+    }
+}
+
+/// Hits@K of `model` on held-out positives vs negatives, scored in one
+/// layer-wise pass ([`score_edges`]).
 ///
 /// # Errors
 ///
-/// Propagates metric errors (empty inputs).
+/// Propagates metric errors (empty inputs, NaN scores).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_hits<G, F>(
     model: &LinkPredictor,
@@ -252,13 +378,18 @@ where
     G: GraphAccess,
     F: FeatureAccess,
 {
-    let pos = score_edges(
-        model, params, graph_access, feature_access, sampler, positives, rng, tape, scratch,
+    let scores = score_edges(
+        model,
+        params,
+        graph_access,
+        feature_access,
+        sampler,
+        &[positives, negatives],
+        rng,
+        tape,
+        scratch,
     );
-    let neg = score_edges(
-        model, params, graph_access, feature_access, sampler, negatives, rng, tape, scratch,
-    );
-    metrics::hits_at_k(&pos, &neg, k)
+    metrics::hits_at_k(&scores[0], &scores[1], k)
 }
 
 /// Progress of a training run: per-epoch loss and validation accuracy.
@@ -495,24 +626,54 @@ mod tests {
     }
 
     #[test]
-    fn score_edges_deterministic_in_eval_mode() {
+    fn evaluation_computes_each_node_once_per_layer() {
         let (g, f, split) = toy_dataset();
-        let mut rng = StdRng::seed_from_u64(0);
         let config = quick_config();
         let mut params = ParamSet::new();
-        let model = config.build_model(ModelKind::Gcn, f.dim(), &mut params, &mut rng);
-        let sampler = NeighborSampler::full(config.layers);
-        let run = || {
-            let ga = FullGraphAccess::new(&g);
-            let mut fa = FullFeatureAccess::new(&f);
-            let mut r = StdRng::seed_from_u64(9);
-            let mut tape = Tape::new();
-            let mut scratch = SamplerScratch::new();
-            score_edges(
-                &model, &params, &ga, &mut fa, &sampler, &split.test, &mut r, &mut tape,
-                &mut scratch,
-            )
-        };
-        assert_eq!(run(), run());
+        let mut init = StdRng::seed_from_u64(0);
+        let model = config.build_model(ModelKind::GraphSage, f.dim(), &mut params, &mut init);
+        let ga = FullGraphAccess::new(&g);
+        let mut fa = FullFeatureAccess::new(&f);
+        let (scores, stats) = score_edges_with_stats(
+            &model,
+            &params,
+            &ga,
+            &mut fa,
+            &NeighborSampler::full(config.layers),
+            &[&split.test, &split.test_neg, &split.valid],
+            &mut StdRng::seed_from_u64(9),
+            &mut Tape::new(),
+            &mut SamplerScratch::new(),
+        );
+        let lens: Vec<usize> = scores.iter().map(Vec::len).collect();
+        assert_eq!(lens, [split.test.len(), split.test_neg.len(), split.valid.len()]);
+        let n = g.num_nodes();
+        assert_eq!(stats.layer_rows.len(), config.layers);
+        assert!(stats.layer_rows.iter().all(|&rows| rows <= n), "{stats:?}");
+        assert!(stats.layer_rows.iter().sum::<usize>() <= config.layers * n, "{stats:?}");
+        assert!(stats.feature_rows <= n, "{stats:?}");
+    }
+
+    #[test]
+    fn empty_edge_sets_score_nothing_and_leave_the_rng() {
+        let (g, f, _) = toy_dataset();
+        let config = quick_config();
+        let mut params = ParamSet::new();
+        let mut init = StdRng::seed_from_u64(0);
+        let model = config.build_model(ModelKind::Gcn, f.dim(), &mut params, &mut init);
+        let mut rng = StdRng::seed_from_u64(9);
+        let scores = score_edges(
+            &model,
+            &params,
+            &FullGraphAccess::new(&g),
+            &mut FullFeatureAccess::new(&f),
+            &NeighborSampler::full(config.layers),
+            &[&[], &[]],
+            &mut rng,
+            &mut Tape::new(),
+            &mut SamplerScratch::new(),
+        );
+        assert_eq!(scores, [Vec::<f32>::new(), Vec::new()]);
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
     }
 }

@@ -235,9 +235,9 @@ fn alloc_in_hot_loop_passes_good_fixture_and_other_files() {
         include_str!("fixtures/alloc_loop_good.rs"),
     );
     assert!(good.is_empty(), "{good:?}");
-    // Only the sampling hot-path files are in scope.
+    // Only the hot-path files are in scope.
     let elsewhere = fired_content(
-        "crates/gnn/src/trainer.rs",
+        "crates/gnn/src/negative.rs",
         include_str!("fixtures/alloc_loop_bad.rs"),
     );
     assert!(elsewhere.is_empty(), "non-hot files may allocate in loops: {elsewhere:?}");
@@ -255,6 +255,19 @@ fn the_setup_hot_paths_reuse_their_pass_buffers() {
         let good = fired_content(path, include_str!("fixtures/fm_pass_good.rs"));
         assert!(good.is_empty(), "{path}: {good:?}");
     }
+}
+
+#[test]
+fn the_evaluation_chunk_loops_reuse_their_buffers() {
+    // The trainer joined the hot-loop set: a row buffer allocated per
+    // layer or per chunk fires…
+    let trainer = "crates/gnn/src/trainer.rs";
+    let d = check_source(trainer, include_str!("fixtures/eval_chunk_bad.rs"));
+    let hits: Vec<_> = d.iter().filter(|d| d.rule == "alloc-in-hot-loop").collect();
+    assert_eq!(hits.len(), 2, "Vec::new and vec![…] sites: {hits:?}");
+    // …and the form that hoists them and clears per layer is clean.
+    let good = fired_content(trainer, include_str!("fixtures/eval_chunk_good.rs"));
+    assert!(good.is_empty(), "{good:?}");
 }
 
 #[test]
