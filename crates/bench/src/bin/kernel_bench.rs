@@ -7,8 +7,9 @@
 //! `BENCH_kernels.json` to the repo root. Each row carries the thread
 //! count, ns/iter, speedup vs the single-threaded scalar baseline, a
 //! throughput figure (GFLOP/s for matmul, Medges/s for sampling,
-//! edges/s for sparsification), and the host's hardware thread count so
-//! results from different machines are comparable. A final
+//! edges/s for sparsification), the host's hardware thread count and the
+//! target features the binary was compiled with, so results from
+//! different machines and builds are comparable. A final
 //! `fanout_dedup` row records how many neighbor-list expansions the
 //! cooperative (deduplicated) batch build performs versus a naive
 //! per-seed-block build of the same mini-batch.
@@ -221,7 +222,22 @@ fn repo_root() -> std::path::PathBuf {
     }
 }
 
+/// The compiled-in target features that set the kernels' vector width,
+/// as a JSON array. Reported only: no kernel branches on them.
+fn target_features() -> String {
+    let compiled = [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+    ];
+    let names: Vec<String> =
+        compiled.iter().filter(|(_, on)| *on).map(|(name, _)| format!("\"{name}\"")).collect();
+    format!("[{}]", names.join(", "))
+}
+
 fn write_json(records: &[Record], dedup: &DedupSummary, hardware_threads: usize) {
+    let features = target_features();
     let mut out = String::from("[\n");
     for r in records {
         let _ = writeln!(
@@ -229,7 +245,7 @@ fn write_json(records: &[Record], dedup: &DedupSummary, hardware_threads: usize)
             "  {{\"op\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \
              \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}, \
              \"throughput\": {:.3}, \"throughput_unit\": \"{}\", \
-             \"hardware_threads\": {}}},",
+             \"hardware_threads\": {}, \"target_features\": {}}},",
             r.op,
             r.shape,
             r.threads,
@@ -237,7 +253,8 @@ fn write_json(records: &[Record], dedup: &DedupSummary, hardware_threads: usize)
             r.speedup_vs_scalar,
             r.throughput,
             r.throughput_unit,
-            hardware_threads
+            hardware_threads,
+            features
         );
     }
     let _ = writeln!(
@@ -245,13 +262,14 @@ fn write_json(records: &[Record], dedup: &DedupSummary, hardware_threads: usize)
         "  {{\"op\": \"fanout_dedup\", \"shape\": \"{}\", \
          \"expansions_cooperative\": {}, \"expansions_naive\": {}, \
          \"naive_blocks\": {}, \"dedup_ratio\": {:.3}, \
-         \"hardware_threads\": {}}}",
+         \"hardware_threads\": {}, \"target_features\": {}}}",
         dedup.shape,
         dedup.expansions_cooperative,
         dedup.expansions_naive,
         DEDUP_BLOCKS,
         dedup.ratio(),
-        hardware_threads
+        hardware_threads,
+        features
     );
     out.push_str("]\n");
     let path = repo_root().join("BENCH_kernels.json");

@@ -51,6 +51,7 @@ pub const RULE_NAMES: &[&str] = &[
     RULE_RNG_NOT_DERIVED,
     RULE_NET_CALL_NO_TIMEOUT,
     RULE_AS_CAST_TRUNCATION,
+    RULE_ISA_SELECT,
     RULE_STALE_PRAGMA,
 ];
 
@@ -66,6 +67,7 @@ pub const RULE_FLOAT_ACCUM_IN_PAR: &str = "float-accum-in-par";
 pub const RULE_RNG_NOT_DERIVED: &str = "rng-not-derived";
 pub const RULE_NET_CALL_NO_TIMEOUT: &str = "net-call-no-timeout";
 pub const RULE_AS_CAST_TRUNCATION: &str = "as-cast-truncation";
+pub const RULE_ISA_SELECT: &str = "isa-select";
 pub const RULE_STALE_PRAGMA: &str = "stale-pragma";
 
 /// Files whose loop bodies are sampling/kernel hot paths: fresh `Vec`s
@@ -202,6 +204,14 @@ pub fn describe(rule: &str) -> &'static str {
              tape and sampler hot paths: an oversized node/edge id silently \
              wraps — use try_from with a documented invariant, or widen \
              the type"
+        }
+        RULE_ISA_SELECT => {
+            "no target_feature (in cfg, cfg! or an attribute), no \
+             is_*_feature_detected! and no std::arch/core::arch paths in \
+             library code (crates/bench and binaries may report them): they \
+             select code by the build's or the host's instruction set, so \
+             the output bits would depend on it — write plain Rust over \
+             fixed lanes and let the compiler pick the vector width"
         }
         RULE_STALE_PRAGMA => {
             "every `splpg-lint: allow(…)` pragma must suppress at least one \
@@ -411,6 +421,7 @@ pub const RULES: &[Rule] = &[
     Rule { name: RULE_RNG_NOT_DERIVED, run: rng_not_derived },
     Rule { name: RULE_NET_CALL_NO_TIMEOUT, run: net_call_no_timeout },
     Rule { name: RULE_AS_CAST_TRUNCATION, run: as_cast_truncation },
+    Rule { name: RULE_ISA_SELECT, run: isa_select },
 ];
 
 /// Runs every rule (then the stale-pragma pass) over one analyzed file.
@@ -571,6 +582,45 @@ fn print_macro(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
             }
         }
     }
+}
+
+/// Code paths chosen by instruction set. The workspace is built for one
+/// ISA (`.cargo/config.toml`) and its bits must not depend on which: a
+/// `cfg!(target_feature)` branch or a `#[target_feature]` fn is safe code,
+/// so `forbid(unsafe_code)` lets it through. Bench binaries may report
+/// the compiled-in features.
+fn isa_select(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
+    if a.scope.in_crate("bench") || a.scope.is_binary {
+        return;
+    }
+    for (idx, line) in each_library_line(a) {
+        let code = &line.code;
+        let hit = if !find_word(code, "target_feature").is_empty() {
+            Some("target_feature")
+        } else if feature_detect_macro(code) {
+            Some("is_*_feature_detected!")
+        } else {
+            ["std::arch", "core::arch"].into_iter().find(|p| !find_word(code, p).is_empty())
+        };
+        if let Some(what) = hit {
+            a.push(
+                out,
+                idx,
+                RULE_ISA_SELECT,
+                format!(
+                    "{what} selects code by instruction set, so the bits would \
+                     depend on the build or the host: keep one portable path"
+                ),
+            );
+        }
+    }
+}
+
+/// Whether `code` names a runtime feature-detection macro
+/// (`is_x86_feature_detected`, `is_aarch64_feature_detected`, …).
+fn feature_detect_macro(code: &str) -> bool {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .any(|word| word.starts_with("is_") && word.ends_with("_feature_detected"))
 }
 
 fn forbid_unsafe(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {

@@ -372,6 +372,28 @@ fn quantization_casts_through_sanctioned_helpers_pass_in_compress() {
 }
 
 #[test]
+fn isa_select_fires_on_bad_fixture() {
+    let d = check_source("crates/tensor/src/fixture.rs", include_str!("fixtures/isa_select_bad.rs"));
+    let lines: Vec<usize> = d.iter().filter(|d| d.rule == "isa-select").map(|d| d.line).collect();
+    // cfg attribute, target_feature attribute, cfg!, two detection macros
+    // (one behind a std::arch path) and a core::arch import.
+    assert_eq!(lines, vec![3, 6, 12, 20, 24, 28]);
+}
+
+#[test]
+fn isa_select_passes_good_fixture_and_bench_binaries() {
+    let good =
+        fired_content("crates/tensor/src/fixture.rs", include_str!("fixtures/isa_select_good.rs"));
+    assert!(good.is_empty(), "{good:?}");
+    // kernel_bench reports the compiled-in target features.
+    let bench = fired_content(
+        "crates/bench/src/bin/kernel_bench.rs",
+        include_str!("fixtures/isa_select_bad.rs"),
+    );
+    assert!(!bench.contains(&"isa-select"), "{bench:?}");
+}
+
+#[test]
 fn seeded_bad_patterns_fire_in_workspace_hot_paths() {
     // The acceptance bar: dropping any bad-fixture pattern into a real
     // hot-path file must fail the same scan scripts/verify.sh runs.
@@ -502,8 +524,15 @@ fn workspace_scan_reports_zero_violations() {
     assert!(report.files_scanned > 50, "expected to scan the whole workspace");
     // The full v2 rule set must be active for the clean bill to mean
     // anything.
-    assert_eq!(splpg_lint::RULE_NAMES.len(), 13, "v2 ships 13 rules");
-    for rule in ["float-accum-in-par", "rng-not-derived", "net-call-no-timeout", "as-cast-truncation", "stale-pragma"] {
+    assert_eq!(splpg_lint::RULE_NAMES.len(), 14, "v2 ships 14 rules");
+    for rule in [
+        "float-accum-in-par",
+        "rng-not-derived",
+        "net-call-no-timeout",
+        "as-cast-truncation",
+        "isa-select",
+        "stale-pragma",
+    ] {
         assert!(splpg_lint::RULE_NAMES.contains(&rule), "missing v2 rule {rule}");
     }
 }

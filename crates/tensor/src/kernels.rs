@@ -6,7 +6,9 @@
 //! accumulators held in a stack array) with scalar tail loops for the
 //! row/column remainders. The tile loops have compile-time trip counts
 //! over contiguous slices, which is the shape LLVM auto-vectorizes into
-//! packed SIMD without any `unsafe` (the workspace forbids intrinsics).
+//! packed SIMD without any `unsafe` (the workspace forbids intrinsics):
+//! 8-lane AVX2 registers under the workspace's x86-64-v3 build, 4-lane
+//! SSE2 ones on baseline x86-64, with the same bits either way.
 //!
 //! Both the partitioning and the tiling preserve the per-element
 //! accumulation order of the scalar reference kernels in

@@ -44,6 +44,8 @@ case "$host_triple" in
     x86_64-unknown-linux-gnu|aarch64-unknown-linux-gnu)
         if rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src (installed)'; then
             echo "== thread sanitizer (splpg-par unit tests) =="
+            # RUSTFLAGS replaces .cargo/config.toml's x86-64-v3 flags for
+            # this run; the race check does not need the wider vectors.
             RUSTFLAGS="-Zsanitizer=thread" \
                 cargo +nightly test -p splpg-par --lib \
                 -Zbuild-std --target "$host_triple"

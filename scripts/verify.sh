@@ -8,6 +8,27 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo build --release =="
 cargo build --workspace --release
 
+echo "== instruction set (x86-64-v3) =="
+# .cargo/config.toml builds the workspace for x86-64-v3. A deleted or
+# shadowed config, or a stray RUSTFLAGS (which replaces config rustflags
+# entirely), falls back to baseline SSE2 without a word: the same bits,
+# with every kernel at half width. Ask rustc which target features the
+# release build compiles with. (scripts/sanitize.sh sets its own
+# RUSTFLAGS for the TSan pass on purpose: it checks races, not the
+# release build's speed.)
+if [ "$(uname -m)" = "x86_64" ]; then
+    cfgs=$(cargo rustc -q --release -p splpg-tensor --lib -- --print cfg)
+    for feature in avx2 fma; do
+        if ! printf '%s\n' "$cfgs" | grep -qx "target_feature=\"$feature\""; then
+            echo "FAIL: the release build is not compiled with target_feature=\"$feature\"." >&2
+            echo "      .cargo/config.toml sets -C target-cpu=x86-64-v3; check that it exists," >&2
+            echo "      and that RUSTFLAGS / CARGO_TARGET_*_RUSTFLAGS / CARGO_BUILD_RUSTFLAGS are unset." >&2
+            exit 1
+        fi
+    done
+    echo "release build: avx2 + fma"
+fi
+
 echo "== cargo test =="
 cargo test --workspace -q
 

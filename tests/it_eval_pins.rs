@@ -15,6 +15,7 @@ use splpg::prelude::*;
 use splpg::tensor::Tape;
 use splpg_rng::rngs::StdRng;
 use splpg_rng::{Rng, SeedableRng};
+use splpg_tests::at_pool_size;
 
 /// FNV-1a over a stream of u64 words.
 struct Fnv(u64);
@@ -46,14 +47,6 @@ const INIT_SEED: u64 = 3;
 const EVAL_SEED: u64 = 11;
 
 const POOL_SIZES: [usize; 2] = [1, 4];
-
-/// Runs `f` with the global pool at `threads` workers.
-fn at_pool_size<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    splpg_par::set_num_threads(threads);
-    let out = f();
-    splpg_par::set_num_threads(0);
-    out
-}
 
 /// A freshly initialized 2-layer model of `kind` and its parameters.
 fn model(kind: ModelKind, in_dim: usize, hidden: usize) -> (LinkPredictor, ParamSet) {

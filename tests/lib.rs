@@ -6,6 +6,16 @@
 //! `proptest`/`quickcheck` are not options, and determinism is a feature:
 //! a failing case always reproduces under the same configured seed.
 
+/// Runs `f` with the global pool at `threads` workers, then restores the
+/// default width. The pinned-output tests use it to check their values at
+/// more than one pool size.
+pub fn at_pool_size<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    splpg_par::set_num_threads(threads);
+    let out = f();
+    splpg_par::set_num_threads(0);
+    out
+}
+
 pub mod prop {
     //! In-tree property-based testing: seeded generators and greedy
     //! shrinking.
