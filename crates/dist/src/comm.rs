@@ -1,6 +1,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use splpg_net::FetchLedger;
+
 /// Bytes per node identifier on the wire (DGL ships int64 ids).
 pub const BYTES_PER_NODE_ID: u64 = 8;
 /// Bytes per transferred edge (source id + destination id).
@@ -8,13 +10,41 @@ pub const BYTES_PER_EDGE: u64 = 2 * BYTES_PER_NODE_ID;
 /// Bytes per feature element (`f32`).
 pub const BYTES_PER_FEATURE: u64 = 4;
 
+/// Raw structure bytes a ledger carries at the byte model.
+pub(crate) fn structure_bytes(l: &FetchLedger) -> u64 {
+    l.structure_edges * BYTES_PER_EDGE + l.structure_nodes * BYTES_PER_NODE_ID
+}
+
+/// Raw feature bytes a ledger carries at the byte model.
+pub(crate) fn feature_bytes(l: &FetchLedger) -> u64 {
+    l.feature_elems * BYTES_PER_FEATURE
+}
+
+/// Raw structure + feature bytes: the paper's communication metric.
+pub(crate) fn raw_bytes(l: &FetchLedger) -> u64 {
+    structure_bytes(l) + feature_bytes(l)
+}
+
+/// On-wire bytes a ledger carries under the negotiated codec.
+pub(crate) fn wire_bytes(l: &FetchLedger) -> u64 {
+    l.structure_wire_bytes + l.feature_wire_bytes
+}
+
+/// Bus-plane feature bytes a ledger carries, at the raw byte model (the
+/// bytes those rows *would* have cost uncompressed on the wire).
+pub(crate) fn bus_bytes(l: &FetchLedger) -> u64 {
+    l.feature_bus_elems * BYTES_PER_FEATURE
+}
+
 /// Thread-safe meter of master→worker graph-data transfer.
 ///
 /// Cloning shares the underlying counters, so one tracker can be handed to
-/// every worker view of a cluster and read by the coordinator. This is the
-/// measurement behind Figures 4, 8, 9, 13 and Table III: "the total
-/// cumulative amount of data transferred from the master server to all
-/// workers for one training epoch".
+/// every clone of a worker's view. The counters are the raw quantities of
+/// a [`FetchLedger`]; a worker ships their deltas back in its responses,
+/// and the master prices the ledgers it accepts into the measurement
+/// behind Figures 4, 8, 9, 13 and Table III: "the total cumulative amount
+/// of data transferred from the master server to all workers for one
+/// training epoch".
 ///
 /// # Examples
 ///
@@ -31,11 +61,9 @@ pub struct CommTracker {
     inner: Arc<Counters>,
 }
 
+/// One atomic per [`FetchLedger`] field.
 #[derive(Debug, Default)]
 struct Counters {
-    structure: AtomicU64,
-    features: AtomicU64,
-    fetches: AtomicU64,
     structure_edges: AtomicU64,
     structure_nodes: AtomicU64,
     feature_elems: AtomicU64,
@@ -59,13 +87,9 @@ impl CommTracker {
     /// Records a structure transfer of `edges` edges and `nodes` node
     /// ids that cost `wire_bytes` on the wire under the active codec.
     pub fn add_structure_wire(&self, edges: u64, nodes: u64, wire_bytes: u64) {
-        self.inner
-            .structure
-            .fetch_add(edges * BYTES_PER_EDGE + nodes * BYTES_PER_NODE_ID, Ordering::Relaxed);
         self.inner.structure_edges.fetch_add(edges, Ordering::Relaxed);
         self.inner.structure_nodes.fetch_add(nodes, Ordering::Relaxed);
         self.inner.structure_wire.fetch_add(wire_bytes, Ordering::Relaxed);
-        self.inner.fetches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a feature transfer of `rows` rows of width `dim`, shipped
@@ -77,12 +101,8 @@ impl CommTracker {
     /// Records a feature transfer of `rows` rows of width `dim` that
     /// cost `wire_bytes` on the wire under the active codec.
     pub fn add_features_wire(&self, rows: u64, dim: u64, wire_bytes: u64) {
-        self.inner
-            .features
-            .fetch_add(rows * dim * BYTES_PER_FEATURE, Ordering::Relaxed);
         self.inner.feature_elems.fetch_add(rows * dim, Ordering::Relaxed);
         self.inner.feature_wire.fetch_add(wire_bytes, Ordering::Relaxed);
-        self.inner.fetches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a feature transfer of `rows` rows of width `dim` served
@@ -90,83 +110,42 @@ impl CommTracker {
     /// plane only, never on the raw-feature or wire planes.
     pub fn add_features_bus(&self, rows: u64, dim: u64) {
         self.inner.feature_bus_elems.fetch_add(rows * dim, Ordering::Relaxed);
-        self.inner.fetches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Everything recorded so far, as raw counts.
+    pub fn ledger(&self) -> FetchLedger {
+        let c = &self.inner;
+        FetchLedger {
+            structure_edges: c.structure_edges.load(Ordering::Relaxed),
+            structure_nodes: c.structure_nodes.load(Ordering::Relaxed),
+            feature_elems: c.feature_elems.load(Ordering::Relaxed),
+            structure_wire_bytes: c.structure_wire.load(Ordering::Relaxed),
+            feature_wire_bytes: c.feature_wire.load(Ordering::Relaxed),
+            feature_bus_elems: c.feature_bus_elems.load(Ordering::Relaxed),
+        }
     }
 
     /// Cumulative structure bytes.
     pub fn structure_bytes(&self) -> u64 {
-        self.inner.structure.load(Ordering::Relaxed)
+        structure_bytes(&self.ledger())
     }
 
     /// Cumulative feature bytes.
     pub fn feature_bytes(&self) -> u64 {
-        self.inner.features.load(Ordering::Relaxed)
+        feature_bytes(&self.ledger())
     }
 
     /// Cumulative total bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.structure_bytes() + self.feature_bytes()
-    }
-
-    /// Number of individual fetch operations.
-    pub fn fetch_count(&self) -> u64 {
-        self.inner.fetches.load(Ordering::Relaxed)
-    }
-
-    /// Raw count of remotely-fetched edges (the quantity behind
-    /// [`structure_bytes`](CommTracker::structure_bytes)).
-    pub fn structure_edges(&self) -> u64 {
-        self.inner.structure_edges.load(Ordering::Relaxed)
-    }
-
-    /// Raw count of remotely-fetched node identifiers.
-    pub fn structure_nodes(&self) -> u64 {
-        self.inner.structure_nodes.load(Ordering::Relaxed)
-    }
-
-    /// Raw count of remotely-fetched feature elements (`f32` scalars).
-    pub fn feature_elems(&self) -> u64 {
-        self.inner.feature_elems.load(Ordering::Relaxed)
-    }
-
-    /// On-wire structure bytes under the active codec (equals
-    /// [`structure_bytes`](CommTracker::structure_bytes) when
-    /// compression is off).
-    pub fn structure_wire_bytes(&self) -> u64 {
-        self.inner.structure_wire.load(Ordering::Relaxed)
-    }
-
-    /// On-wire feature bytes under the active codec (equals
-    /// [`feature_bytes`](CommTracker::feature_bytes) when compression
-    /// is off).
-    pub fn feature_wire_bytes(&self) -> u64 {
-        self.inner.feature_wire.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative on-wire total bytes.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.structure_wire_bytes() + self.feature_wire_bytes()
-    }
-
-    /// Raw count of feature elements served over the shared-memory bus.
-    pub fn feature_bus_elems(&self) -> u64 {
-        self.inner.feature_bus_elems.load(Ordering::Relaxed)
-    }
-
-    /// Bus-plane feature bytes, priced at the raw byte model (the bytes
-    /// those rows *would* have cost uncompressed on the wire).
-    pub fn feature_bus_bytes(&self) -> u64 {
-        self.feature_bus_elems() * BYTES_PER_FEATURE
+        raw_bytes(&self.ledger())
     }
 }
 
 /// Per-worker communication meters for a whole cluster.
 ///
 /// Each worker's view writes into its own [`CommTracker`], so a worker's
-/// remote traffic can be shipped back over the wire as a
-/// [`FetchLedger`](splpg_net::FetchLedger) delta and reconciled against
-/// what the master actually received. The summing accessors keep the
-/// aggregate-meter interface that predates per-worker metering.
+/// remote traffic can be shipped back over the wire as a [`FetchLedger`]
+/// delta. The summing accessors read the cluster-wide ledger.
 #[derive(Debug, Clone, Default)]
 pub struct CommMeter {
     workers: Vec<CommTracker>,
@@ -183,54 +162,28 @@ impl CommMeter {
         &self.workers[w]
     }
 
-    /// Number of workers metered.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
+    /// Cluster-wide sum of the workers' ledgers.
+    pub fn ledger(&self) -> FetchLedger {
+        let mut sum = FetchLedger::default();
+        for t in &self.workers {
+            sum.add(&t.ledger());
+        }
+        sum
     }
 
     /// Cluster-wide structure bytes.
     pub fn structure_bytes(&self) -> u64 {
-        self.workers.iter().map(CommTracker::structure_bytes).sum()
+        structure_bytes(&self.ledger())
     }
 
     /// Cluster-wide feature bytes.
     pub fn feature_bytes(&self) -> u64 {
-        self.workers.iter().map(CommTracker::feature_bytes).sum()
+        feature_bytes(&self.ledger())
     }
 
     /// Cluster-wide total bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.structure_bytes() + self.feature_bytes()
-    }
-
-    /// Cluster-wide fetch-operation count.
-    pub fn fetch_count(&self) -> u64 {
-        self.workers.iter().map(CommTracker::fetch_count).sum()
-    }
-
-    /// Cluster-wide on-wire structure bytes.
-    pub fn structure_wire_bytes(&self) -> u64 {
-        self.workers.iter().map(CommTracker::structure_wire_bytes).sum()
-    }
-
-    /// Cluster-wide on-wire feature bytes.
-    pub fn feature_wire_bytes(&self) -> u64 {
-        self.workers.iter().map(CommTracker::feature_wire_bytes).sum()
-    }
-
-    /// Cluster-wide on-wire total bytes.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.structure_wire_bytes() + self.feature_wire_bytes()
-    }
-
-    /// Cluster-wide bus-plane feature elements.
-    pub fn feature_bus_elems(&self) -> u64 {
-        self.workers.iter().map(CommTracker::feature_bus_elems).sum()
-    }
-
-    /// Cluster-wide bus-plane feature bytes (raw byte model).
-    pub fn feature_bus_bytes(&self) -> u64 {
-        self.workers.iter().map(CommTracker::feature_bus_bytes).sum()
+        raw_bytes(&self.ledger())
     }
 }
 
@@ -253,6 +206,18 @@ pub struct CommReport {
 }
 
 impl CommReport {
+    /// Prices a run's cumulative `ledger`, with `epoch_bytes` per epoch.
+    pub(crate) fn priced(epoch_bytes: Vec<u64>, ledger: &FetchLedger) -> Self {
+        CommReport {
+            epoch_bytes,
+            total_structure_bytes: structure_bytes(ledger),
+            total_feature_bytes: feature_bytes(ledger),
+            total_structure_wire_bytes: ledger.structure_wire_bytes,
+            total_feature_wire_bytes: ledger.feature_wire_bytes,
+            total_feature_bus_bytes: bus_bytes(ledger),
+        }
+    }
+
     /// Mean bytes per epoch (0 when no epochs ran).
     pub fn mean_epoch_bytes(&self) -> u64 {
         if self.epoch_bytes.is_empty() {
@@ -267,38 +232,9 @@ impl CommReport {
         self.total_structure_bytes + self.total_feature_bytes
     }
 
-    /// Human-readable gigabytes for the mean epoch.
-    pub fn mean_epoch_gb(&self) -> f64 {
-        self.mean_epoch_bytes() as f64 / 1e9
-    }
-
     /// Cumulative on-wire total bytes.
     pub fn total_wire_bytes(&self) -> u64 {
         self.total_structure_wire_bytes + self.total_feature_wire_bytes
-    }
-
-    /// Raw-over-wire compression ratio. A zero on *either* side of the
-    /// division — an empty-traffic run, or a bus-only run with no wire
-    /// bytes at all — reports 1.0 rather than NaN/inf, so downstream
-    /// tables never print a non-finite ratio.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.total_wire_bytes() == 0 || self.total_bytes() == 0 {
-            1.0
-        } else {
-            self.total_bytes() as f64 / self.total_wire_bytes() as f64
-        }
-    }
-
-    /// Fraction of feature bytes served over the shared-memory bus
-    /// instead of the wire, in `[0, 1]` (0.0 when no features moved at
-    /// all — never NaN).
-    pub fn bus_fraction(&self) -> f64 {
-        let total = self.total_feature_bytes + self.total_feature_bus_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.total_feature_bus_bytes as f64 / total as f64
-        }
     }
 }
 
@@ -315,7 +251,6 @@ mod tests {
         t.add_features(10, 16);
         assert_eq!(t.feature_bytes(), 640);
         assert_eq!(t.total_bytes(), t.structure_bytes() + 640);
-        assert_eq!(t.fetch_count(), 3);
     }
 
     #[test]
@@ -339,24 +274,22 @@ mod tests {
         assert_eq!(r.mean_epoch_bytes(), 200);
         assert_eq!(r.total_bytes(), 400);
         assert_eq!(r.total_wire_bytes(), 200);
-        assert!((r.compression_ratio() - 2.0).abs() < 1e-12);
         assert!(CommReport::default().mean_epoch_bytes() == 0);
-        assert!((CommReport::default().compression_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn ratio_accessors_are_finite_on_empty_and_bus_only_traffic() {
-        // Empty run: both planes zero.
-        let empty = CommReport::default();
-        assert!(empty.compression_ratio().is_finite());
-        assert!((empty.compression_ratio() - 1.0).abs() < 1e-12);
-        assert!((empty.bus_fraction() - 0.0).abs() < 1e-12);
-        // Bus-only run: wire planes zero, bus plane populated — the
-        // raw/wire ratio must still come out 1.0, never inf.
-        let bus_only =
-            CommReport { total_feature_bus_bytes: 4096, ..CommReport::default() };
-        assert!((bus_only.compression_ratio() - 1.0).abs() < 1e-12);
-        assert!((bus_only.bus_fraction() - 1.0).abs() < 1e-12);
+    fn report_prices_a_ledger_like_the_tracker() {
+        let t = CommTracker::new();
+        t.add_structure_wire(3, 2, 20);
+        t.add_features_wire(7, 5, 40);
+        t.add_features_bus(1, 5);
+        let r = CommReport::priced(vec![1], &t.ledger());
+        assert_eq!(r.total_structure_bytes, t.structure_bytes());
+        assert_eq!(r.total_feature_bytes, t.feature_bytes());
+        assert_eq!(r.total_bytes(), t.total_bytes());
+        assert_eq!(r.total_wire_bytes(), 60);
+        assert_eq!(r.total_wire_bytes(), wire_bytes(&t.ledger()));
+        assert_eq!(r.total_feature_bus_bytes, 5 * BYTES_PER_FEATURE);
     }
 
     #[test]
@@ -365,17 +298,17 @@ mod tests {
         t.add_features(2, 8);
         t.add_features_bus(3, 8);
         // Bus rows never leak into the raw-feature or wire planes.
+        let l = t.ledger();
         assert_eq!(t.feature_bytes(), 2 * 8 * BYTES_PER_FEATURE);
-        assert_eq!(t.feature_wire_bytes(), 2 * 8 * BYTES_PER_FEATURE);
-        assert_eq!(t.feature_bus_elems(), 24);
-        assert_eq!(t.feature_bus_bytes(), 24 * BYTES_PER_FEATURE);
-        assert_eq!(t.fetch_count(), 2);
+        assert_eq!(l.feature_wire_bytes, 2 * 8 * BYTES_PER_FEATURE);
+        assert_eq!(l.feature_bus_elems, 24);
+        assert_eq!(bus_bytes(&l), 24 * BYTES_PER_FEATURE);
 
         let m = CommMeter::new(2);
         m.worker(0).add_features_bus(1, 4);
         m.worker(1).add_features_bus(2, 4);
-        assert_eq!(m.feature_bus_elems(), 12);
-        assert_eq!(m.feature_bus_bytes(), 48);
+        assert_eq!(m.ledger().feature_bus_elems, 12);
+        assert_eq!(bus_bytes(&m.ledger()), 48);
     }
 
     #[test]
@@ -395,16 +328,19 @@ mod tests {
         assert_eq!(t.feature_bytes(), 140);
         assert_eq!(t.total_bytes(), 204);
         // Raw counts behind those bytes.
-        assert_eq!(t.structure_edges(), 3);
-        assert_eq!(t.structure_nodes(), 2);
-        assert_eq!(t.feature_elems(), 35);
+        let l = t.ledger();
+        assert_eq!(l.structure_edges, 3);
+        assert_eq!(l.structure_nodes, 2);
+        assert_eq!(l.feature_elems, 35);
         // Bytes are always reconstructible from the raw counts.
         assert_eq!(
             t.total_bytes(),
-            t.structure_edges() * BYTES_PER_EDGE
-                + t.structure_nodes() * BYTES_PER_NODE_ID
-                + t.feature_elems() * BYTES_PER_FEATURE
+            l.structure_edges * BYTES_PER_EDGE
+                + l.structure_nodes * BYTES_PER_NODE_ID
+                + l.feature_elems * BYTES_PER_FEATURE
         );
+        // Uncompressed transfers price wire bytes identically to raw.
+        assert_eq!(wire_bytes(&l), t.total_bytes());
     }
 
     #[test]
@@ -412,11 +348,9 @@ mod tests {
         let m = CommMeter::new(3);
         m.worker(0).add_structure(1, 1);
         m.worker(2).add_features(2, 4);
-        assert_eq!(m.num_workers(), 3);
         assert_eq!(m.structure_bytes(), BYTES_PER_EDGE + BYTES_PER_NODE_ID);
         assert_eq!(m.feature_bytes(), 32);
         assert_eq!(m.total_bytes(), m.structure_bytes() + m.feature_bytes());
-        assert_eq!(m.fetch_count(), 2);
         assert_eq!(m.worker(1).total_bytes(), 0, "trackers are independent");
     }
 }

@@ -4,10 +4,12 @@
 //! The cluster of the paper (one master + `p` GPU workers exchanging graph
 //! data through shared memory) is simulated with OS threads:
 //!
-//! * [`CommTracker`] meters every byte of graph structure and node
-//!   features a worker pulls from outside its own partition — the paper's
-//!   communication-cost metric (cumulative master→worker transfer per
-//!   training epoch);
+//! * [`CommTracker`] counts every byte of graph structure and node
+//!   features a worker pulls from outside its own partition; workers ship
+//!   those counts back as fetch ledgers, and the master prices the ledgers
+//!   it accepts into the paper's communication-cost metric (cumulative
+//!   master→worker transfer per training epoch) — one meter for the
+//!   cluster and the sequential reference alike;
 //! * [`WorkerView`] gives each worker exactly the data its strategy
 //!   allows: its partitioned subgraph (with or without halo/full-neighbor
 //!   retention), plus optionally the full graph (complete data sharing,

@@ -3,11 +3,13 @@
 //!
 //! Workers are long-lived actors hosted by `splpg-net`; the master talks
 //! to them exclusively through typed [`Request`]/[`Response`] frames. The
-//! same per-replica compute methods also back
-//! [`DistTrainer::run_reference`], the sequential in-process baseline the
-//! bit-identity tests compare against — both paths execute the identical
-//! floating-point operations in the identical order, so a fault-free
-//! full-quorum cluster run reproduces the reference exactly.
+//! sequential in-process baseline the bit-identity tests compare against,
+//! [`DistTrainer::run_reference`], is a client of the same protocol: it
+//! answers each request by calling the replicas' [`compute_response`] in
+//! worker order — the function every worker actor calls — so both paths
+//! execute the identical floating-point operations in the identical
+//! order, and a fault-free full-quorum cluster run reproduces the
+//! reference exactly.
 //!
 //! Determinism under faults rests on three rules:
 //!
@@ -35,19 +37,20 @@ use splpg_rng::rngs::StdRng;
 use splpg_rng::seq::SliceRandom;
 use splpg_tensor::{Tape, Tensor};
 
+use crate::comm::{bus_bytes, raw_bytes, wire_bytes};
 use crate::setup::WorkerData;
 use crate::trainer::FaultConfig;
-use crate::{CommTracker, DistError, BYTES_PER_EDGE, BYTES_PER_FEATURE, BYTES_PER_NODE_ID};
+use crate::DistError;
 
 /// Wire-level traffic report of a distributed run.
 ///
 /// Frame counts and byte totals are measured at the transport (what
-/// actually entered a lane); `data_bytes` is the sum of the
-/// [`FetchLedger`] deltas workers shipped back in their responses,
-/// converted with the same byte constants the [`CommTracker`] meters use —
-/// on a fault-free run it equals the meters' `total_bytes()` exactly.
-/// Under crash faults the frame counts depend on response timing (how many
-/// retransmissions were needed); the data-plane and metric values do not.
+/// actually entered a lane); the `data_*` fields price the [`FetchLedger`]
+/// deltas the master accepted from its workers' responses — the same
+/// ledger, priced by the same functions, as the run's
+/// [`CommReport`](crate::CommReport). Under crash faults the frame counts
+/// depend on response timing (how many retransmissions were needed); the
+/// data-plane and metric values do not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetReport {
     /// Frames that entered a lane (duplicates counted individually).
@@ -88,23 +91,6 @@ pub struct NetReport {
     pub dead_workers: Vec<usize>,
 }
 
-/// Converts raw fetch counts to bytes with the tracker constants.
-pub(crate) fn ledger_bytes(l: &FetchLedger) -> u64 {
-    l.structure_edges * BYTES_PER_EDGE
-        + l.structure_nodes * BYTES_PER_NODE_ID
-        + l.feature_elems * BYTES_PER_FEATURE
-}
-
-/// On-wire bytes a ledger carries under the negotiated codec.
-pub(crate) fn ledger_wire_bytes(l: &FetchLedger) -> u64 {
-    l.structure_wire_bytes + l.feature_wire_bytes
-}
-
-/// Bus-plane feature bytes a ledger carries, at the raw byte model.
-pub(crate) fn ledger_bus_bytes(l: &FetchLedger) -> u64 {
-    l.feature_bus_elems * BYTES_PER_FEATURE
-}
-
 /// Concatenates gradient tensors into one flat wire payload.
 pub(crate) fn flatten_grads(grads: &[Tensor]) -> Vec<f32> {
     let mut out = Vec::with_capacity(grads.iter().map(Tensor::len).sum());
@@ -140,15 +126,14 @@ pub(crate) fn unflatten_grads(
 ///
 /// The compute methods are the single source of truth for worker-side
 /// training math — the cluster worker loop and the sequential reference
-/// path both call them, which is what makes the two bit-identical.
+/// path both reach them through [`compute_response`], which is what makes
+/// the two bit-identical.
 pub(crate) struct Replica {
-    pub worker_id: usize,
     model: LinkPredictor,
     params: ParamSet,
     opt: Adam,
     rng: StdRng,
     data: WorkerData,
-    tracker: CommTracker,
     sampler: NeighborSampler,
     negative_sampler: PerSourceNegativeSampler,
     batch_size: usize,
@@ -163,27 +148,22 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        worker_id: usize,
         model: LinkPredictor,
         params: ParamSet,
         opt: Adam,
         rng: StdRng,
         data: WorkerData,
-        tracker: CommTracker,
         sampler: NeighborSampler,
         batch_size: usize,
     ) -> Self {
         let negative_sampler = PerSourceNegativeSampler::new(data.negative_space.clone());
         Replica {
-            worker_id,
             model,
             params,
             opt,
             rng,
             data,
-            tracker,
             sampler,
             negative_sampler,
             batch_size,
@@ -197,14 +177,7 @@ impl Replica {
 
     /// Remote fetches performed since the previous call.
     fn ledger_delta(&mut self) -> FetchLedger {
-        let now = FetchLedger {
-            structure_edges: self.tracker.structure_edges(),
-            structure_nodes: self.tracker.structure_nodes(),
-            feature_elems: self.tracker.feature_elems(),
-            structure_wire_bytes: self.tracker.structure_wire_bytes(),
-            feature_wire_bytes: self.tracker.feature_wire_bytes(),
-            feature_bus_elems: self.tracker.feature_bus_elems(),
-        };
+        let now = self.data.view.tracker().ledger();
         let delta = now.since(&self.reported);
         self.reported = now;
         delta
@@ -213,7 +186,7 @@ impl Replica {
     /// One full local epoch from `flat` (model averaging): shuffle the
     /// local positives, step the local optimizer per batch, return
     /// `(trained flat params, loss sum, batch count)`.
-    pub fn epoch_ma(&mut self, epoch: u64, flat: &[f32]) -> Result<(Vec<f32>, f64, u64), String> {
+    fn epoch_ma(&mut self, epoch: u64, flat: &[f32]) -> Result<(Vec<f32>, f64, u64), String> {
         self.params.load_flat(flat).map_err(|e| e.to_string())?;
         self.data.view.begin_epoch(epoch);
         let mut positives = self.data.positives.clone();
@@ -252,7 +225,7 @@ impl Replica {
     /// unconditionally at the first round of an epoch — including for
     /// injected-down workers — so the RNG stream is identical whether or
     /// not the worker contributes.
-    pub fn ensure_shuffled(&mut self, epoch: u64) {
+    fn ensure_shuffled(&mut self, epoch: u64) {
         if self.shuffled_epoch != Some(epoch) {
             self.data.view.begin_epoch(epoch);
             self.positives = self.data.positives.clone();
@@ -261,15 +234,10 @@ impl Replica {
         }
     }
 
-    /// One mini-batch round at `flat` (gradient averaging). `None` when
-    /// this worker's positives are exhausted for the epoch.
-    pub fn round_ga(
-        &mut self,
-        epoch: u64,
-        round: u64,
-        flat: &[f32],
-    ) -> Result<Option<(f32, Vec<f32>)>, String> {
-        self.ensure_shuffled(epoch);
+    /// One mini-batch round at `flat` (gradient averaging), after this
+    /// epoch's [`Replica::ensure_shuffled`]. `None` when this worker's
+    /// positives are exhausted for the epoch.
+    fn round_ga(&mut self, round: u64, flat: &[f32]) -> Result<Option<(f32, Vec<f32>)>, String> {
         self.params.load_flat(flat).map_err(|e| e.to_string())?;
         let start = (round as usize) * self.batch_size;
         if start >= self.positives.len() {
@@ -351,9 +319,11 @@ pub(crate) fn worker_loop(
     }
 }
 
+/// One replica's answer to one request: the worker side of the protocol,
+/// shared by the worker actors and the sequential reference.
 fn compute_response(rep: &mut Replica, req: &Request, faults: Option<&FaultConfig>) -> Response {
     let id = req.id();
-    let down = faults.is_some_and(|f| f.is_down(rep.worker_id, id.epoch as usize));
+    let down = faults.is_some_and(|f| f.is_down(rep.data.worker_id, id.epoch as usize));
     match req {
         Request::Epoch { params, .. } => {
             if down {
@@ -376,30 +346,13 @@ fn compute_response(rep: &mut Replica, req: &Request, faults: Option<&FaultConfi
             // The epoch shuffle happens even for down workers (their RNG
             // stream must match a fault-free run of the same seed).
             rep.ensure_shuffled(id.epoch);
-            if down {
-                return Response::Round {
-                    id,
-                    active: false,
-                    loss: 0.0,
-                    grads: Vec::new(),
-                    ledger: rep.ledger_delta(),
-                };
-            }
-            match rep.round_ga(id.epoch, id.round, params) {
-                Ok(Some((loss, grads))) => Response::Round {
-                    id,
-                    active: true,
-                    loss,
-                    grads,
-                    ledger: rep.ledger_delta(),
-                },
-                Ok(None) => Response::Round {
-                    id,
-                    active: false,
-                    loss: 0.0,
-                    grads: Vec::new(),
-                    ledger: rep.ledger_delta(),
-                },
+            let batch = if down { Ok(None) } else { rep.round_ga(id.round, params) };
+            match batch {
+                Ok(batch) => {
+                    let active = batch.is_some();
+                    let (loss, grads) = batch.unwrap_or_default();
+                    Response::Round { id, active, loss, grads, ledger: rep.ledger_delta() }
+                }
                 Err(error) => Response::Failed { id, error },
             }
         }
@@ -417,7 +370,6 @@ pub(crate) struct MasterNet {
     /// cluster uses plain blocking receives and never consults a clock.
     active: bool,
     quorum: usize,
-    data_ledger: FetchLedger,
     dead: Vec<usize>,
 }
 
@@ -430,7 +382,6 @@ impl MasterNet {
             policy,
             active,
             quorum,
-            data_ledger: FetchLedger::default(),
             dead: Vec::new(),
         }
     }
@@ -495,13 +446,7 @@ impl MasterNet {
                         continue;
                     }
                     if let Response::Failed { error, .. } = &resp {
-                        return Err(DistError::Worker(format!("worker {w}: {error}")));
-                    }
-                    match &resp {
-                        Response::Epoch { ledger, .. } | Response::Round { ledger, .. } => {
-                            self.data_ledger.add(ledger);
-                        }
-                        _ => {}
+                        return Err(worker_failed(w, error));
                     }
                     slots[w] = Some(resp);
                     pending.retain(|&x| x != w);
@@ -545,49 +490,61 @@ pub(crate) type EpochSlot = Option<(Vec<f32>, f64, u64)>;
 pub(crate) type RoundSlot = Option<(f32, Vec<f32>)>;
 
 /// How the master reaches its workers: over the message-passing cluster,
-/// or by calling the replicas in-process and in worker order (the
-/// sequential reference that defines bit-exact expected behaviour).
+/// or by asking the replicas in-process and in worker order (the
+/// sequential reference that defines bit-exact expected behaviour). Both
+/// answer a request with one response slot per worker.
 pub(crate) enum Backend {
     Net(MasterNet),
     Local { replicas: Vec<Replica>, faults: Option<FaultConfig> },
 }
 
 impl Backend {
+    /// One synchronization unit: the response of each worker, `None` for
+    /// dead or silent ones. Every accepted response's fetch ledger is
+    /// folded into `fetched` — the master's only data-plane meter.
+    fn gather(
+        &mut self,
+        req: Request,
+        fetched: &mut FetchLedger,
+    ) -> Result<Vec<Option<Response>>, DistError> {
+        let slots = match self {
+            Backend::Net(net) => net.gather(req)?,
+            Backend::Local { replicas, faults } => replicas
+                .iter_mut()
+                .enumerate()
+                .map(|(w, rep)| match compute_response(rep, &req, faults.as_ref()) {
+                    Response::Failed { error, .. } => Err(worker_failed(w, &error)),
+                    resp => Ok(Some(resp)),
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        for slot in slots.iter().flatten() {
+            if let Response::Epoch { ledger, .. } | Response::Round { ledger, .. } = slot {
+                fetched.add(ledger);
+            }
+        }
+        Ok(slots)
+    }
+
     /// One model-averaging epoch: per-worker `(flat params, loss sum,
     /// batch count)` contributions, `None` for down/dead workers.
     pub fn epoch_ma(
         &mut self,
         epoch: usize,
         flat: &[f32],
+        fetched: &mut FetchLedger,
     ) -> Result<Vec<EpochSlot>, DistError> {
-        match self {
-            Backend::Net(net) => {
-                let slots = net.gather(Request::Epoch {
-                    id: MsgId { worker: 0, epoch: epoch as u64, round: 0, attempt: 0 },
-                    params: flat.to_vec(),
-                })?;
-                Ok(slots
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(Response::Epoch { params, loss_sum, batches, .. }) => {
-                            Some((params, loss_sum, batches))
-                        }
-                        _ => None,
-                    })
-                    .collect())
-            }
-            Backend::Local { replicas, faults } => {
-                let mut out = Vec::with_capacity(replicas.len());
-                for rep in replicas.iter_mut() {
-                    if faults.is_some_and(|f| f.is_down(rep.worker_id, epoch)) {
-                        out.push(None);
-                    } else {
-                        out.push(Some(rep.epoch_ma(epoch as u64, flat).map_err(DistError::Worker)?));
-                    }
+        let id = MsgId { worker: 0, epoch: epoch as u64, round: 0, attempt: 0 };
+        let slots = self.gather(Request::Epoch { id, params: flat.to_vec() }, fetched)?;
+        Ok(slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Response::Epoch { params, loss_sum, batches, .. }) => {
+                    Some((params, loss_sum, batches))
                 }
-                Ok(out)
-            }
-        }
+                _ => None,
+            })
+            .collect())
     }
 
     /// One gradient-averaging round: per-worker `(loss, flat grads)`
@@ -597,108 +554,23 @@ impl Backend {
         epoch: usize,
         round: u64,
         flat: &[f32],
+        fetched: &mut FetchLedger,
     ) -> Result<Vec<RoundSlot>, DistError> {
-        match self {
-            Backend::Net(net) => {
-                let slots = net.gather(Request::Round {
-                    id: MsgId { worker: 0, epoch: epoch as u64, round, attempt: 0 },
-                    params: flat.to_vec(),
-                })?;
-                Ok(slots
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(Response::Round { active: true, loss, grads, .. }) => {
-                            Some((loss, grads))
-                        }
-                        _ => None,
-                    })
-                    .collect())
-            }
-            Backend::Local { replicas, faults } => {
-                let mut out = Vec::with_capacity(replicas.len());
-                for rep in replicas.iter_mut() {
-                    rep.ensure_shuffled(epoch as u64);
-                    if faults.is_some_and(|f| f.is_down(rep.worker_id, epoch)) {
-                        out.push(None);
-                    } else {
-                        out.push(
-                            rep.round_ga(epoch as u64, round, flat)
-                                .map_err(DistError::Worker)?,
-                        );
-                    }
-                }
-                Ok(out)
-            }
-        }
+        let id = MsgId { worker: 0, epoch: epoch as u64, round, attempt: 0 };
+        let slots = self.gather(Request::Round { id, params: flat.to_vec() }, fetched)?;
+        Ok(slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Response::Round { active: true, loss, grads, .. }) => Some((loss, grads)),
+                _ => None,
+            })
+            .collect())
     }
 
-    /// Graph-data bytes fetched so far, from the vantage point this
-    /// backend can actually observe: the shared tracker for in-process
-    /// replicas, the gathered fetch ledgers for a cluster — whose
-    /// workers may live in other processes, where the master-side
-    /// tracker never advances. On a fault-free full-quorum run the two
-    /// are identical (every response, hence every ledger delta, is
-    /// accepted), which the bit-identity tests pin by comparing a
-    /// cluster run's ledger-based report against the reference's
-    /// tracker-based one.
-    pub fn data_bytes_so_far(&self, tracker: &crate::CommMeter) -> u64 {
-        match self {
-            Backend::Net(net) => ledger_bytes(&net.data_ledger),
-            Backend::Local { .. } => tracker.total_bytes(),
-        }
-    }
-
-    /// On-wire graph-data bytes fetched so far, same vantage points as
-    /// [`Backend::data_bytes_so_far`].
-    pub fn data_wire_bytes_so_far(&self, tracker: &crate::CommMeter) -> u64 {
-        match self {
-            Backend::Net(net) => ledger_wire_bytes(&net.data_ledger),
-            Backend::Local { .. } => tracker.total_wire_bytes(),
-        }
-    }
-
-    /// Bus-plane feature bytes fetched so far, same vantage points as
-    /// [`Backend::data_bytes_so_far`].
-    pub fn comm_bus_bytes(&self, tracker: &crate::CommMeter) -> u64 {
-        match self {
-            Backend::Net(net) => ledger_bus_bytes(&net.data_ledger),
-            Backend::Local { .. } => tracker.feature_bus_bytes(),
-        }
-    }
-
-    /// `(structure bytes, feature bytes)` split of
-    /// [`Backend::data_bytes_so_far`], for the final [`CommReport`].
-    ///
-    /// [`CommReport`]: crate::CommReport
-    pub fn comm_split(&self, tracker: &crate::CommMeter) -> (u64, u64) {
-        match self {
-            Backend::Net(net) => {
-                let l = &net.data_ledger;
-                (
-                    l.structure_edges * BYTES_PER_EDGE + l.structure_nodes * BYTES_PER_NODE_ID,
-                    l.feature_elems * BYTES_PER_FEATURE,
-                )
-            }
-            Backend::Local { .. } => (tracker.structure_bytes(), tracker.feature_bytes()),
-        }
-    }
-
-    /// `(structure wire bytes, feature wire bytes)` split under the
-    /// negotiated codec, same vantage points as [`Backend::comm_split`].
-    pub fn comm_wire_split(&self, tracker: &crate::CommMeter) -> (u64, u64) {
-        match self {
-            Backend::Net(net) => {
-                let l = &net.data_ledger;
-                (l.structure_wire_bytes, l.feature_wire_bytes)
-            }
-            Backend::Local { .. } => {
-                (tracker.structure_wire_bytes(), tracker.feature_wire_bytes())
-            }
-        }
-    }
-
-    /// Shuts the cluster down (if any) and reports wire traffic.
-    pub fn finish(self) -> NetReport {
+    /// Shuts the cluster down (if any) and reports wire traffic, with the
+    /// data plane priced from `fetched`, the run's accepted ledgers. The
+    /// sequential reference moves no messages: its report is all zeros.
+    pub fn finish(self, fetched: &FetchLedger) -> NetReport {
         match self {
             Backend::Net(mut net) => {
                 net.hub.shutdown();
@@ -712,9 +584,9 @@ impl Backend {
                     duplicated: snap.duplicated,
                     delayed: snap.delayed,
                     retries: snap.retries,
-                    data_bytes: ledger_bytes(&net.data_ledger),
-                    data_wire_bytes: ledger_wire_bytes(&net.data_ledger),
-                    data_bus_bytes: ledger_bus_bytes(&net.data_ledger),
+                    data_bytes: raw_bytes(fetched),
+                    data_wire_bytes: wire_bytes(fetched),
+                    data_bus_bytes: bus_bytes(fetched),
                     shm_fault: None,
                     kinds: snap.kinds,
                     dead_workers: net.dead,
@@ -723,6 +595,11 @@ impl Backend {
             Backend::Local { .. } => NetReport::default(),
         }
     }
+}
+
+/// The error a worker's `Failed` response becomes, on either backend.
+fn worker_failed(w: usize, error: &str) -> DistError {
+    DistError::Worker(format!("worker {w}: {error}"))
 }
 
 /// Folds model-averaging contributions into the global parameters
@@ -803,32 +680,6 @@ mod tests {
         assert!(unflatten_grads(&[1.0; 5], &[(2, 3)]).is_err(), "too short");
         assert!(unflatten_grads(&[1.0; 7], &[(2, 3)]).is_err(), "trailing");
         assert!(unflatten_grads(&[], &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn ledger_bytes_match_tracker_constants() {
-        let l = FetchLedger {
-            structure_edges: 3,
-            structure_nodes: 2,
-            feature_elems: 35,
-            ..FetchLedger::default()
-        };
-        assert_eq!(ledger_bytes(&l), 3 * 16 + 2 * 8 + 35 * 4);
-        // The exact scenario of the CommTracker hand-computed test.
-        let t = CommTracker::new();
-        t.add_structure(3, 2);
-        t.add_features(7, 5);
-        let via_tracker = FetchLedger {
-            structure_edges: t.structure_edges(),
-            structure_nodes: t.structure_nodes(),
-            feature_elems: t.feature_elems(),
-            structure_wire_bytes: t.structure_wire_bytes(),
-            feature_wire_bytes: t.feature_wire_bytes(),
-            feature_bus_elems: t.feature_bus_elems(),
-        };
-        assert_eq!(ledger_bytes(&via_tracker), t.total_bytes());
-        // Uncompressed transfers price wire bytes identically to raw.
-        assert_eq!(ledger_wire_bytes(&via_tracker), t.total_bytes());
     }
 
     #[test]

@@ -15,7 +15,8 @@ use splpg_gnn::{
 use splpg_net::process::{spawn_cluster, worker_from_env, ProcessSpec, WorkerEnv};
 use splpg_net::shm::{identity_hash, segment_name};
 use splpg_net::{
-    ClusterConfig, CodecConfig, FaultPlan, RetryPolicy, SegmentSpec, ShmLane, ShmOwner, TcpConfig,
+    ClusterConfig, CodecConfig, FaultPlan, FetchLedger, RetryPolicy, SegmentSpec, ShmLane,
+    ShmOwner, TcpConfig,
 };
 use splpg_nn::{Adam, Optimizer, ParamSet};
 use splpg_tensor::Tape;
@@ -23,7 +24,8 @@ use splpg_tensor::Tape;
 use crate::runtime::{
     ga_apply_round, ma_aggregate, worker_loop, Backend, MasterNet, NetReport, Replica,
 };
-use crate::setup::ClusterSetup;
+use crate::comm::{raw_bytes, wire_bytes};
+use crate::setup::{ClusterSetup, WorkerData};
 use crate::{CommReport, DistError, Strategy};
 
 /// How worker replicas are synchronized.
@@ -212,12 +214,17 @@ impl DistTrainer {
         &self.train
     }
 
-    /// Rejects invalid fault, retry, and quorum parameters before any
-    /// thread or channel exists.
+    /// Rejects invalid cluster, fault, retry, and quorum parameters
+    /// before any thread or channel exists.
     fn validate(&self) -> Result<(), DistError> {
         if self.dist.num_workers < 2 {
             return Err(DistError::InvalidConfig(
                 "distributed strategies need at least 2 workers".to_string(),
+            ));
+        }
+        if self.dist.eval_every == 0 {
+            return Err(DistError::InvalidConfig(
+                "eval_every must be at least 1 (evaluate every n-th epoch)".to_string(),
             ));
         }
         if let Some(f) = &self.dist.faults {
@@ -327,44 +334,37 @@ impl DistTrainer {
         }
     }
 
-    /// Identically-initialized worker replicas, one per partition.
-    fn build_replicas(
+    /// One worker's replica. Every replica starts from the same model
+    /// initialization and seeds its own RNG stream, so building one alone
+    /// (a worker process) gives the same bits as building all of them.
+    fn build_replica(
         &self,
         kind: ModelKind,
         data: &Dataset,
-        setup: &ClusterSetup,
+        worker: &WorkerData,
         bus: Option<&ShmLane>,
-    ) -> Vec<Replica> {
-        setup
-            .workers
-            .iter()
-            .map(|w| {
-                let mut rng = StdRng::seed_from_u64(self.train.seed);
-                let mut params = ParamSet::new();
-                let model =
-                    self.train.build_model(kind, data.features.dim(), &mut params, &mut rng);
-                // Every replica path (cluster, multi-process, sequential
-                // reference) prices and degrades remote fetches under the
-                // same codec, which is what keeps them bit-identical.
-                let mut w = w.clone();
-                w.view = w.view.with_wire_codec(self.dist.wire_codec);
-                if let Some(lane) = bus {
-                    w.view = w.view.with_feature_bus(lane.clone());
-                }
-                let worker_id = w.worker_id;
-                Replica::new(
-                    worker_id,
-                    model,
-                    params,
-                    Adam::new(self.train.learning_rate),
-                    splpg_rng::derive_stream(self.train.seed, w.worker_id as u64 + 1),
-                    w,
-                    setup.tracker.worker(worker_id).clone(),
-                    self.train.sampler(),
-                    self.train.batch_size,
-                )
-            })
-            .collect()
+    ) -> Replica {
+        let mut rng = StdRng::seed_from_u64(self.train.seed);
+        let mut params = ParamSet::new();
+        let model = self.train.build_model(kind, data.features.dim(), &mut params, &mut rng);
+        // Every replica path (cluster, multi-process, sequential
+        // reference) prices and degrades remote fetches under the same
+        // codec, which is what keeps them bit-identical.
+        let mut w = worker.clone();
+        w.view = w.view.with_wire_codec(self.dist.wire_codec);
+        if let Some(lane) = bus {
+            w.view = w.view.with_feature_bus(lane.clone());
+        }
+        let stream = splpg_rng::derive_stream(self.train.seed, w.worker_id as u64 + 1);
+        Replica::new(
+            model,
+            params,
+            Adam::new(self.train.learning_rate),
+            stream,
+            w,
+            self.train.sampler(),
+            self.train.batch_size,
+        )
     }
 
     /// Runs training of `kind` on `data` and returns accuracy +
@@ -389,14 +389,16 @@ impl DistTrainer {
         // The owner must outlive every replica: it unlinks the segment on
         // drop, and lanes hold the mapping alive independently of the file.
         let (bus_owner, bus_lane, bus_fault) = self.setup_bus(data);
-        let replicas = self.build_replicas(kind, data, &setup, bus_lane.as_ref());
         let p = self.dist.num_workers;
         let quorum = self.dist.quorum.unwrap_or(p);
         let wire: Option<FaultPlan> = self.dist.wire_faults.clone().filter(|f| f.is_active());
         let cluster_cfg =
             ClusterConfig { workers: p, faults: wire.clone(), codec: self.dist.wire_codec };
-        let cells: Vec<Mutex<Option<Replica>>> =
-            replicas.into_iter().map(|r| Mutex::new(Some(r))).collect();
+        let cells: Vec<Mutex<Option<Replica>>> = setup
+            .workers
+            .iter()
+            .map(|w| Mutex::new(Some(self.build_replica(kind, data, w, bus_lane.as_ref()))))
+            .collect();
         let faults = self.dist.faults;
         let (result, stats) = splpg_net::run_cluster(
             &cluster_cfg,
@@ -538,15 +540,14 @@ impl DistTrainer {
             (ShmBusMode::Off, _) | (_, None) => None,
             (_, Some(name)) => ShmLane::attach(name, &self.bus_spec(data)).ok(),
         };
-        let mut replicas = self.build_replicas(kind, data, &setup, bus_lane.as_ref());
         let w = env.worker();
-        if w >= replicas.len() {
-            return Err(DistError::Process(format!(
-                "worker index {w} out of range for {} replicas",
-                replicas.len()
-            )));
-        }
-        let rep = replicas.remove(w);
+        let worker = setup.workers.get(w).ok_or_else(|| {
+            DistError::Process(format!(
+                "worker index {w} out of range for {} workers",
+                setup.workers.len()
+            ))
+        })?;
+        let rep = self.build_replica(kind, data, worker, bus_lane.as_ref());
         let wire: Option<FaultPlan> = self.dist.wire_faults.clone().filter(|f| f.is_active());
         let crash = wire.as_ref().and_then(|f| f.crash_epoch(w)).map(|e| e as u64);
         // Dial only now, with the replica fully built: the instant the
@@ -562,9 +563,10 @@ impl DistTrainer {
     }
 
     /// Sequential in-process reference of [`DistTrainer::run`]: the same
-    /// replicas, the same aggregation, executed on the calling thread in
-    /// worker order with no message passing. This defines the expected
-    /// bits of a fault-free cluster run.
+    /// replicas answer the same requests through the same worker-side
+    /// code, on the calling thread in worker order with no message
+    /// passing, and the same master loop aggregates and meters them. This
+    /// defines the expected bits of a fault-free cluster run.
     ///
     /// # Errors
     ///
@@ -582,8 +584,9 @@ impl DistTrainer {
         self.validate()?;
         let (train_graph, setup) = self.prepare(data)?;
         let (bus_owner, bus_lane, bus_fault) = self.setup_bus(data);
-        let replicas = self.build_replicas(kind, data, &setup, bus_lane.as_ref());
-        let backend = Backend::Local { replicas, faults: self.dist.faults };
+        let replicas =
+            setup.workers.iter().map(|w| self.build_replica(kind, data, w, bus_lane.as_ref()));
+        let backend = Backend::Local { replicas: replicas.collect(), faults: self.dist.faults };
         let mut out = self.master_loop(backend, kind, data, &train_graph, &setup)?;
         out.net.shm_fault = bus_fault;
         drop(bus_owner);
@@ -620,8 +623,10 @@ impl DistTrainer {
         let mut global_flat = master_params.to_flat();
         let mut epochs = Vec::with_capacity(self.train.epochs);
         let mut best = (f64::NEG_INFINITY, global_flat.clone());
-        let mut prev_bytes = backend.data_bytes_so_far(&setup.tracker);
-        let mut prev_wire_bytes = backend.data_wire_bytes_so_far(&setup.tracker);
+        // Every fetch ledger the backend accepted: the run's one data-plane
+        // meter, priced into the per-epoch stats, the CommReport and the
+        // cluster's NetReport alike.
+        let mut fetched = FetchLedger::default();
         let rounds_per_epoch = setup
             .workers
             .iter()
@@ -635,6 +640,7 @@ impl DistTrainer {
         // the error path deadlock-free by construction.
         let loop_result: Result<(), DistError> = (|| {
             for epoch in 0..self.train.epochs {
+                let mut epoch_fetched = FetchLedger::default();
                 for w in 0..self.dist.num_workers {
                     if self.dist.faults.is_some_and(|f| f.is_down(w, epoch)) {
                         failures.push((epoch, w));
@@ -642,14 +648,19 @@ impl DistTrainer {
                 }
                 let mean_loss = match self.dist.sync {
                     SyncMethod::ModelAveraging => {
-                        let contribs = backend.epoch_ma(epoch, &global_flat)?;
+                        let contribs =
+                            backend.epoch_ma(epoch, &global_flat, &mut epoch_fetched)?;
                         ma_aggregate(contribs, &mut global_flat)?
                     }
                     SyncMethod::GradientAveraging => {
                         let mut loss_acc = (0.0f64, 0u64);
                         for round in 0..rounds_per_epoch {
-                            let contribs =
-                                backend.round_ga(epoch, round as u64, &global_flat)?;
+                            let contribs = backend.round_ga(
+                                epoch,
+                                round as u64,
+                                &global_flat,
+                                &mut epoch_fetched,
+                            )?;
                             ga_apply_round(
                                 contribs,
                                 &mut master_params,
@@ -695,12 +706,7 @@ impl DistTrainer {
                     global_flat = master_params.to_flat();
                 }
 
-                let now_bytes = backend.data_bytes_so_far(&setup.tracker);
-                let comm_bytes = now_bytes - prev_bytes;
-                prev_bytes = now_bytes;
-                let now_wire = backend.data_wire_bytes_so_far(&setup.tracker);
-                let comm_wire_bytes = now_wire - prev_wire_bytes;
-                prev_wire_bytes = now_wire;
+                fetched.add(&epoch_fetched);
 
                 let valid_hits = if epoch % self.dist.eval_every == 0
                     || epoch + 1 == self.train.epochs
@@ -735,17 +741,13 @@ impl DistTrainer {
                     epoch,
                     mean_loss,
                     valid_hits,
-                    comm_bytes,
-                    comm_wire_bytes,
+                    comm_bytes: raw_bytes(&epoch_fetched),
+                    comm_wire_bytes: wire_bytes(&epoch_fetched),
                 });
             }
             Ok(())
         })();
-        let (total_structure_bytes, total_feature_bytes) = backend.comm_split(&setup.tracker);
-        let (total_structure_wire_bytes, total_feature_wire_bytes) =
-            backend.comm_wire_split(&setup.tracker);
-        let total_feature_bus_bytes = backend.comm_bus_bytes(&setup.tracker);
-        let net = backend.finish();
+        let net = backend.finish(&fetched);
         loop_result?;
 
         master_params.load_flat(&best.1).map_err(|e| DistError::Worker(e.to_string()))?;
@@ -766,14 +768,7 @@ impl DistTrainer {
         )
         .map_err(|e| DistError::Eval(e.to_string()))?;
 
-        let comm = CommReport {
-            epoch_bytes: epochs.iter().map(|e| e.comm_bytes).collect(),
-            total_structure_bytes,
-            total_feature_bytes,
-            total_structure_wire_bytes,
-            total_feature_wire_bytes,
-            total_feature_bus_bytes,
-        };
+        let comm = CommReport::priced(epochs.iter().map(|e| e.comm_bytes).collect(), &fetched);
         Ok(DistOutcome {
             test_hits,
             epochs,
@@ -1154,6 +1149,80 @@ mod tests {
             assert_eq!(cluster.comm, reference.comm);
             assert_eq!(cluster.failures, reference.failures);
         }
+        // Epoch-granular faults: down workers answer without computing on
+        // the cluster and are skipped by the reference, which must agree.
+        for strategy in [Strategy::SpLpg, Strategy::PsgdPaPlus] {
+            for sync in [SyncMethod::ModelAveraging, SyncMethod::GradientAveraging] {
+                let dist = DistConfig {
+                    num_workers: 3,
+                    strategy,
+                    sync,
+                    faults: Some(FaultConfig { failure_probability: 0.4, seed: 7 }),
+                    ..Default::default()
+                };
+                let trainer = DistTrainer::new(dist, quick_train());
+                let cluster = trainer.run(ModelKind::GraphSage, &data).unwrap();
+                let reference = trainer.run_reference(ModelKind::GraphSage, &data).unwrap();
+                let label = format!("{strategy:?} {sync:?}");
+                assert!(!reference.failures.is_empty(), "{label}: no worker was down");
+                assert_eq!(cluster.epochs, reference.epochs, "{label}");
+                assert_eq!(cluster.test_hits.to_bits(), reference.test_hits.to_bits(), "{label}");
+                assert_eq!(cluster.comm, reference.comm, "{label}");
+                assert_eq!(cluster.failures, reference.failures, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn master_ledger_reconciles_with_the_worker_trackers() {
+        // The master prices only the ledgers the replicas' responses carry;
+        // the trackers saw every fetch as it happened. Over the sequential
+        // backend every response is accepted, so the two must agree on
+        // every plane — under a lossy codec and, where /dev/shm works, the
+        // feature bus.
+        use crate::comm::{bus_bytes, raw_bytes, wire_bytes};
+        use splpg_net::{FeatCodec, StructCodec};
+        let data = tiny_data();
+        let int8 = CodecConfig { structure: StructCodec::Varint, features: FeatCodec::Int8 };
+        let mut buses = vec![ShmBusMode::Off];
+        if splpg_net::shm::shm_available() {
+            buses.push(ShmBusMode::On);
+        }
+        for sync in [SyncMethod::ModelAveraging, SyncMethod::GradientAveraging] {
+            for &feature_bus in &buses {
+                let dist = DistConfig {
+                    num_workers: 2,
+                    strategy: Strategy::SpLpg,
+                    sync,
+                    wire_codec: int8,
+                    feature_bus,
+                    ..Default::default()
+                };
+                let trainer = DistTrainer::new(dist, quick_train());
+                let (train_graph, setup) = trainer.prepare(&data).unwrap();
+                let (_owner, lane, fault) = trainer.setup_bus(&data);
+                assert!(fault.is_none(), "{fault:?}");
+                let replicas = setup.workers.iter().map(|w| {
+                    trainer.build_replica(ModelKind::GraphSage, &data, w, lane.as_ref())
+                });
+                let backend = Backend::Local { replicas: replicas.collect(), faults: None };
+                let out = trainer
+                    .master_loop(backend, ModelKind::GraphSage, &data, &train_graph, &setup)
+                    .unwrap();
+                let label = format!("{sync:?} {feature_bus:?}");
+                let tracked = setup.tracker.ledger();
+                assert!(raw_bytes(&tracked) > 0, "{label}");
+                let priced = CommReport::priced(out.comm.epoch_bytes.clone(), &tracked);
+                assert_eq!(out.comm, priced, "{label}: raw, wire and bus planes");
+                assert_eq!(out.comm.epoch_bytes.iter().sum::<u64>(), raw_bytes(&tracked));
+                assert_eq!(out.net, NetReport::default(), "{label}: the reference moves no frames");
+                if feature_bus == ShmBusMode::On {
+                    assert!(bus_bytes(&tracked) > 0, "{label}");
+                } else {
+                    assert!(wire_bytes(&tracked) < raw_bytes(&tracked), "{label}");
+                }
+            }
+        }
     }
 }
 
@@ -1252,6 +1321,15 @@ mod validation_tests {
     #[test]
     fn quorum_zero_rejected() {
         expect_invalid_fault(DistConfig { num_workers: 2, quorum: Some(0), ..Default::default() });
+    }
+
+    #[test]
+    fn eval_every_zero_rejected() {
+        let dist = DistConfig { num_workers: 2, eval_every: 0, ..Default::default() };
+        match trainer(dist).validate() {
+            Err(DistError::InvalidConfig(_)) => {}
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -519,10 +519,11 @@ mod tests {
         assert_eq!(wire_tracker.feature_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);
         // ...the bus path moved the same rows without touching the
         // raw-feature or wire planes.
+        let l = tracker.ledger();
         assert_eq!(tracker.feature_bytes(), 0);
-        assert_eq!(tracker.feature_wire_bytes(), 0);
-        assert_eq!(tracker.feature_bus_elems(), 2 * 2);
-        assert_eq!(tracker.feature_bus_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(l.feature_wire_bytes, 0);
+        assert_eq!(l.feature_bus_elems, 2 * 2);
+        assert_eq!(crate::comm::bus_bytes(&l), 2 * 2 * crate::BYTES_PER_FEATURE);
     }
 
     #[test]

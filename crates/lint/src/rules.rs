@@ -103,7 +103,6 @@ pub const NET_WRAPPER_FILES: &[&str] = &[
     "crates/net/src/tcp.rs",
     "crates/net/src/process.rs",
     "crates/net/src/conformance.rs",
-    "crates/net/src/shm.rs",
     "crates/dist/src/runtime.rs",
 ];
 
@@ -195,7 +194,8 @@ pub fn describe(rule: &str) -> &'static str {
         RULE_NET_CALL_NO_TIMEOUT => {
             "no raw Transport send/recv/recv_timeout in dist/net outside the \
              timeout/retry wrapper layer (net/transport.rs, net/cluster.rs, \
-             net/fault.rs, dist/runtime.rs): a bare recv deadlocks the \
+             net/fault.rs, net/tcp.rs, net/process.rs, net/conformance.rs, \
+             dist/runtime.rs): a bare recv deadlocks the \
              quorum protocol on a dropped frame — go through the wrappers' \
              retry ladder"
         }
@@ -1254,6 +1254,16 @@ mod tests {
         }
         // mpsc channels in par are not transport traffic.
         assert!(diags("crates/par/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn net_call_description_lists_exactly_the_wrapper_files() {
+        let text = describe(RULE_NET_CALL_NO_TIMEOUT);
+        for path in NET_WRAPPER_FILES {
+            let short = path.trim_start_matches("crates/").replace("/src/", "/");
+            assert!(text.contains(&short), "{short} missing from: {text}");
+        }
+        assert_eq!(text.matches(".rs").count(), NET_WRAPPER_FILES.len(), "{text}");
     }
 
     #[test]
