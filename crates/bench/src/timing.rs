@@ -1,13 +1,14 @@
 //! Minimal in-tree timing harness.
 //!
-//! Replaces the criterion dev-dependency so benches build offline. Each
-//! bench target (`benches/*.rs`, `harness = false`) is a plain binary
-//! that calls [`bench`] per case; [`bench`] auto-calibrates an iteration
-//! count, times a few repetitions, and reports the best ns/iter.
+//! Replaces the criterion dev-dependency so the `kernel_bench` binary
+//! builds offline: it calls [`bench`] per case, and [`bench`]
+//! auto-calibrates an iteration count, times a few repetitions, and
+//! reports the best ns/iter. (End-to-end and per-layer measurements are
+//! the separate `benchmark/` package's job.)
 //!
 //! `SPLPG_BENCH_MS` overrides the per-repetition time budget
 //! (milliseconds, default 100) — set it low (e.g. `5`) to smoke-test
-//! that benches run without waiting for stable numbers.
+//! that the bench runs without waiting for stable numbers.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -209,7 +209,10 @@ impl ClusterSetup {
         let worker_ids: Vec<usize> = (0..num_workers).collect();
         let partition_ref = &partition;
         let sparsified_ref = &sparsified;
-        let workers: Vec<WorkerData> = pool.parallel_map_chunks(&worker_ids, 1, |_, &w| {
+        // Every edge a worker can see is an edge of `graph`, so a space of
+        // more than `max_degree + 1` nodes always holds a valid negative.
+        let max_degree = graph.max_degree();
+        let workers = pool.parallel_map_chunks(&worker_ids, 1, |_, &w| {
             let core: Vec<NodeId> = partition_ref.part_nodes(w as u32);
             let mut structure_local = vec![false; n];
             let mut feature_local = vec![false; n];
@@ -234,6 +237,34 @@ impl ClusterSetup {
                     owner: Arc::clone(&owner),
                 },
             };
+            let positives = locals[w].edges().to_vec();
+            let negative_space = match spec.negatives {
+                NegativeSpace::Local => core.clone(),
+                NegativeSpace::Global => (0..n as NodeId).collect(),
+            };
+            if negative_space.len() <= max_degree + 1 {
+                // Per-source sampling rejects the source itself and every
+                // edge the worker sees: a source adjacent to the whole
+                // space would fail mid-run, so fail here instead. Only a
+                // source of degree >= |space| - 1 can be one.
+                let space = negative_space.len();
+                let mut sources: Vec<NodeId> = positives
+                    .iter()
+                    .map(|e| e.src)
+                    .filter(|&s| graph.degree(s) + 1 >= space)
+                    .collect();
+                sources.sort_unstable();
+                sources.dedup();
+                let visible = |u, v| locals[w].has_edge(u, v) || remote.has_edge(u, v);
+                for source in sources {
+                    if negative_space.iter().all(|&d| d == source || visible(source, d)) {
+                        return Err(DistError::InvalidConfig(format!(
+                            "worker {w}: no valid negative destination for source {source} \
+                             in space of {space}"
+                        )));
+                    }
+                }
+            }
             let view = WorkerView::new(
                 Arc::clone(&locals[w]),
                 Arc::new(structure_local),
@@ -242,13 +273,9 @@ impl ClusterSetup {
                 remote,
                 tracker.worker(w).clone(),
             );
-            let positives = locals[w].edges().to_vec();
-            let negative_space = match spec.negatives {
-                NegativeSpace::Local => core.clone(),
-                NegativeSpace::Global => (0..n as NodeId).collect(),
-            };
-            WorkerData { worker_id: w, view, positives, negative_space }
+            Ok(WorkerData { worker_id: w, view, positives, negative_space })
         });
+        let workers = workers.into_iter().collect::<Result<Vec<_>, DistError>>()?;
         Ok(ClusterSetup { workers, tracker, partition, partition_time, sparsify_time })
     }
 }
@@ -260,12 +287,16 @@ mod tests {
     use splpg_gnn::GraphAccess;
 
     fn fixture() -> (Arc<Graph>, Arc<FeatureMatrix>) {
-        // Two cliques of 8 joined by one bridge.
+        // Two cliques of 8 joined by one bridge, each less the matching
+        // {2k, 2k + 1}: every node keeps a non-neighbor in its own
+        // clique, so a local negative space is valid.
         let mut b = splpg_graph::GraphBuilder::new(16);
         for base in [0u32, 8] {
             for i in 0..8 {
                 for j in (i + 1)..8 {
-                    b.add_edge(base + i, base + j).unwrap();
+                    if j != (i | 1) {
+                        b.add_edge(base + i, base + j).unwrap();
+                    }
                 }
             }
         }
@@ -419,6 +450,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_source_adjacent_to_its_whole_negative_space_fails_setup() {
+        // Two 4-cliques joined by one bridge: each local space of 4 nodes
+        // is one clique, and each of its sources is adjacent to the rest.
+        let mut b = splpg_graph::GraphBuilder::new(8);
+        for base in [0u32, 4] {
+            for i in 0..4 {
+                for j in (i + 1)..4 {
+                    b.add_edge(base + i, base + j).unwrap();
+                }
+            }
+        }
+        b.add_edge(0, 4).unwrap();
+        let (g, f) = (Arc::new(b.build()), Arc::new(FeatureMatrix::zeros(8, 4)));
+        let err = ClusterSetup::build(&g, &f, Strategy::PsgdPa.spec(), 2, 0.15, 1).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, DistError::InvalidConfig(_)), "{msg}");
+        assert!(msg.contains("worker 0: no valid negative destination for source "), "{msg}");
+        assert!(msg.ends_with(" in space of 4"), "{msg}");
+        // The global space (8 > max degree + 1) takes the O(1) path.
+        assert!(ClusterSetup::build(&g, &f, Strategy::SpLpg.spec(), 2, 0.15, 1).is_ok());
     }
 
     #[test]

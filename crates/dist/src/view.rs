@@ -48,6 +48,21 @@ pub enum RemoteMode {
     },
 }
 
+impl RemoteMode {
+    /// Whether the remote structure holds edge `(u, v)`: the rejection
+    /// test negative sampling applies beyond the local partition.
+    pub(crate) fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        match self {
+            RemoteMode::None => false,
+            RemoteMode::Full { graph } => graph.has_edge(u, v),
+            RemoteMode::Sparsified { parts, owner } => {
+                parts[owner[u as usize] as usize].has_edge(u, v)
+                    || parts[owner[v as usize] as usize].has_edge(u, v)
+            }
+        }
+    }
+}
+
 /// One worker's data plane: local partition (free) + optional remote
 /// access (metered).
 ///
@@ -248,17 +263,7 @@ impl GraphAccess for WorkerView {
     }
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if self.local.has_edge(u, v) {
-            return true;
-        }
-        match &self.remote {
-            RemoteMode::None => false,
-            RemoteMode::Full { graph } => graph.has_edge(u, v),
-            RemoteMode::Sparsified { parts, owner } => {
-                parts[owner[u as usize] as usize].has_edge(u, v)
-                    || parts[owner[v as usize] as usize].has_edge(u, v)
-            }
-        }
+        self.local.has_edge(u, v) || self.remote.has_edge(u, v)
     }
 }
 

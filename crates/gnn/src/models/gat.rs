@@ -342,7 +342,7 @@ mod tests {
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::from_fn(3, 4, |r, c| ((r + 1) * (c + 1)) as f32 * 0.1));
         let out = gat.forward(&mut tape, &binding, x, &batch.blocks[..1], None);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         let mut grads = tape.backward(loss);
         let gs = binding.collect_grads(&params, &mut grads);
         // weight, attn_l, attn_r all participate.
@@ -461,7 +461,7 @@ mod multihead_tests {
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::from_fn(3, 4, |r, c| ((r * 4 + c) as f32) * 0.1));
         let out = gat.forward(&mut tape, &binding, x, &batch.blocks[..1], None);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         let mut grads = tape.backward(loss);
         let gs = binding.collect_grads(&params, &mut grads);
         // Both heads' weight matrices (indices 0 and 4) must receive signal.

@@ -135,7 +135,7 @@ mod tests {
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::from_fn(3, 4, |r, c| (r + c) as f32 * 0.3 - 0.5));
         let out = gcn.forward(&mut tape, &binding, x, &batch.blocks, None);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         let mut grads = tape.backward(loss);
         let gs = binding.collect_grads(&params, &mut grads);
         // First layer's weight must receive signal through two hops.

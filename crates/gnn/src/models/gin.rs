@@ -154,7 +154,7 @@ mod tests {
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::from_fn(3, 4, |r, c| (r + c) as f32 * 0.2));
         let out = gin.forward(&mut tape, &binding, x, &batch.blocks[..1], None);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         let mut grads = tape.backward(loss);
         let gs = binding.collect_grads(&params, &mut grads);
         // The epsilon parameter is the last registered one for layer 0.

@@ -169,7 +169,7 @@ mod tests {
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1));
         let out = sage.forward(&mut tape, &binding, x, &batch.blocks, None);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         let mut grads = tape.backward(loss);
         let gs = binding.collect_grads(&params, &mut grads);
         assert!(gs[0].norm_sq() > 0.0);

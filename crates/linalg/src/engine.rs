@@ -9,9 +9,9 @@
 //!    weighted degrees the [`LaplacianOperator`] already materializes
 //!    *are* the Jacobi preconditioner; a [`CgWorkspace`] owns every
 //!    vector the iteration touches, so steady-state solves perform zero
-//!    heap allocations (the workspace counts its growth events, and the
-//!    `sparsify_bench` gate asserts the count stays at zero after
-//!    warm-up).
+//!    heap allocations (the workspace counts its growth events, and
+//!    `tests/it_solver.rs::engine_beats_the_per_edge_baseline_on_a_community_graph`
+//!    asserts the count stays at zero after warm-up).
 //! 2. **Blocked multi-RHS CG.** `k` right-hand sides advance through
 //!    *shared* matvec sweeps
 //!    ([`LaplacianOperator::apply_block_into`]): one pass over the CSR
@@ -98,7 +98,8 @@ pub struct SolveStats {
     /// at zero per solve).
     pub warm_start_saved_iterations: u64,
     /// Workspace buffer growth events. Zero once warmed up — the
-    /// steady-state-allocation gate in `sparsify_bench`.
+    /// steady-state-allocation gate in
+    /// `tests/it_solver.rs::engine_beats_the_per_edge_baseline_on_a_community_graph`.
     pub workspace_allocs: u64,
 }
 

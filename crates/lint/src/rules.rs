@@ -1122,7 +1122,7 @@ mod tests {
         let in_test = "#![forbid(unsafe_code)]\n#[cfg(test)]\nmod tests {\n    fn t() {\n        for i in 0..3 {\n            let mut tape = Tape::new();\n        }\n    }\n}\n";
         assert!(diags("crates/gnn/src/trainer.rs", in_test).is_empty());
         let in_bin = "fn main() {\n    for i in 0..3 {\n        let t = Tape::new();\n    }\n}\n";
-        assert!(diags("crates/bench/src/bin/train_step.rs", in_bin).is_empty());
+        assert!(diags("crates/bench/src/bin/kernel_bench.rs", in_bin).is_empty());
         // `impl Trait for Type` must not be mistaken for a loop header.
         let impl_for = "#![forbid(unsafe_code)]\nimpl Builder for Factory {\n    fn build(&self) -> Tape {\n        Tape::new()\n    }\n}\n";
         assert!(diags("crates/gnn/src/trainer.rs", impl_for).is_empty());

@@ -210,9 +210,9 @@ fn tape_in_loop_passes_good_fixture_and_binaries() {
         include_str!("fixtures/tape_loop_good.rs"),
     );
     assert!(good.is_empty(), "{good:?}");
-    // Binaries (e.g. the bench's cold-start baseline) are exempt.
+    // Binaries (e.g. a bench timing cold-start tapes) are exempt.
     let binary = fired_content(
-        "crates/bench/src/bin/train_step.rs",
+        "crates/bench/src/bin/kernel_bench.rs",
         include_str!("fixtures/tape_loop_bad.rs"),
     );
     assert!(binary.is_empty(), "bin targets may build throwaway tapes: {binary:?}");

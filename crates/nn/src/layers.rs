@@ -178,7 +178,7 @@ mod tests {
         let b = params.bind(&mut tape);
         let x = tape.leaf(Tensor::ones(4, 2));
         let y = mlp.forward(&mut tape, &b, x);
-        let loss = tape.mean_all(y);
+        let loss = tape.sum_all(y);
         let mut grads = tape.backward(loss);
         let gs = b.collect_grads(&params, &mut grads);
         // At least the last layer weight must receive nonzero gradient.
@@ -205,7 +205,7 @@ mod tests {
             let xw = tape.matmul(x, wv);
             let y = tape.add_bias(xw, b);
             let a = tape.relu(y);
-            tape.mean_all(a)
+            tape.sum_all(a)
         });
         assert!(report.passes(2e-2), "{report:?}");
     }

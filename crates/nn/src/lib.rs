@@ -30,7 +30,7 @@
 //! let binding = params.bind(&mut tape);
 //! let input = tape.leaf(x);
 //! let y = layer.forward(&mut tape, &binding, input);
-//! let loss = tape.mean_all(y);
+//! let loss = tape.sum_all(y);
 //! let mut grads = tape.backward(loss);
 //! let flat = binding.collect_grads(&params, &mut grads);
 //! opt.step(&mut params, &flat);

@@ -11,9 +11,9 @@ use crate::{SparsifyConfig, SparsifyError, Sparsifier};
 /// distinct edge endpoint (`<= n`) instead of one per edge (`m`), each
 /// resistance recovered as `R(u,v) = x_u[u] - x_u[v] - x_v[u] + x_v[v]`.
 ///
-/// It exists to validate [`crate::DegreeSparsifier`] (the ablation bench
-/// `sparsify_exact_vs_approx` compares the two) and to demonstrate the
-/// spectral guarantee of Theorem 1 in tests.
+/// It exists to validate [`crate::DegreeSparsifier`] (the
+/// `ablation_sparsifier` experiment compares the two) and to demonstrate
+/// the spectral guarantee of Theorem 1 in tests.
 ///
 /// Disconnected inputs are fine (solves project per connected
 /// component; every edge's endpoints trivially share a component) — the
@@ -28,7 +28,9 @@ impl ExactSparsifier {
     /// CG tolerance for the exact path: 1e-8, matching the per-edge
     /// reference's `CgOptions::default()` so the two paths are directly
     /// comparable; the four-term per-node recovery still lands within
-    /// ~1e-8 relative error of that reference (see `sparsify_bench`).
+    /// ~1e-8 relative error of that reference (the test
+    /// `tests/it_solver.rs::engine_beats_the_per_edge_baseline_on_a_community_graph`
+    /// bounds it at 1e-6).
     const TOLERANCE: f64 = 1e-8;
 
     /// Creates an exact-resistance sparsifier.
@@ -36,8 +38,9 @@ impl ExactSparsifier {
         ExactSparsifier { config }
     }
 
-    /// Solver options the exact path uses (shared with the
-    /// `sparsify_bench` gate so it measures the same configuration).
+    /// Solver options the exact path uses (shared with
+    /// `tests/it_solver.rs::engine_beats_the_per_edge_baseline_on_a_community_graph`,
+    /// so it checks the same configuration).
     pub fn engine_options() -> EngineOptions {
         EngineOptions::with_cg(CgOptions { tolerance: Self::TOLERANCE, ..CgOptions::default() })
     }

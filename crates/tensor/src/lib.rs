@@ -24,7 +24,7 @@
 //!   aggregation as one op, no per-edge tensors), and the primitives
 //!   attention layers compose: [`Tape::gather_rows`],
 //!   [`Tape::segment_sum`], [`Tape::segment_softmax`],
-//!   [`Tape::scale_rows`];
+//!   [`Tape::scale_rows_with`];
 //! * [`grad_check`] — central-difference gradient verification used
 //!   extensively by the test suite.
 //!

@@ -44,14 +44,10 @@ enum Op {
     Leaf,
     MatMul { a: Var, b: Var },
     Add { a: Var, b: Var },
-    Sub { a: Var, b: Var },
     Mul { a: Var, b: Var },
-    Scale { a: Var, c: f32 },
     AddBias { a: Var, bias: Var },
     Relu { a: Var },
     LeakyRelu { a: Var, slope: f32 },
-    Sigmoid { a: Var },
-    Tanh { a: Var },
     Dropout { a: Var, mask: Vec<f32> },
     ConcatCols { a: Var, b: Var },
     RowPrefix { a: Var },
@@ -62,7 +58,6 @@ enum Op {
     MulColBroadcast { a: Var, col: Var },
     SegmentSoftmax { a: Var, seg: Vec<u32> },
     RowSum { a: Var },
-    MeanAll { a: Var },
     SumAll { a: Var },
     BceWithLogits { a: Var, targets: Vec<f32> },
 }
@@ -74,16 +69,12 @@ impl Op {
             Op::Leaf => [None, None],
             Op::MatMul { a, b }
             | Op::Add { a, b }
-            | Op::Sub { a, b }
             | Op::Mul { a, b }
             | Op::ConcatCols { a, b }
             | Op::AddBias { a, bias: b }
             | Op::MulColBroadcast { a, col: b } => [Some(*a), Some(*b)],
-            Op::Scale { a, .. }
-            | Op::Relu { a }
+            Op::Relu { a }
             | Op::LeakyRelu { a, .. }
-            | Op::Sigmoid { a }
-            | Op::Tanh { a }
             | Op::Dropout { a, .. }
             | Op::RowPrefix { a }
             | Op::GatherRows { a, .. }
@@ -92,7 +83,6 @@ impl Op {
             | Op::ScaleRows { a, .. }
             | Op::SegmentSoftmax { a, .. }
             | Op::RowSum { a }
-            | Op::MeanAll { a }
             | Op::SumAll { a }
             | Op::BceWithLogits { a, .. } => [Some(*a), None],
         }
@@ -353,19 +343,9 @@ impl Tape {
         self.zip(a, b, |x, y| x + y, Op::Add { a, b })
     }
 
-    /// Element-wise `a - b` (same shapes).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.zip(a, b, |x, y| x - y, Op::Sub { a, b })
-    }
-
     /// Element-wise `a * b` (same shapes).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         self.zip(a, b, |x, y| x * y, Op::Mul { a, b })
-    }
-
-    /// Scalar multiple `c * a`.
-    pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        self.map(a, |x| x * c, Op::Scale { a, c })
     }
 
     /// Broadcast row addition: `[n, m] + [1, m]`.
@@ -395,16 +375,6 @@ impl Tape {
     /// Leaky ReLU with the given negative slope (GAT uses 0.2).
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
         self.map(a, |x| if x > 0.0 { x } else { slope * x }, Op::LeakyRelu { a, slope })
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.map(a, stable_sigmoid, Op::Sigmoid { a })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.map(a, f32::tanh, Op::Tanh { a })
     }
 
     /// Inverted dropout with keep-probability scaling. A no-op when
@@ -529,8 +499,8 @@ impl Tape {
     /// `edge_dst[e] == d`, accumulated in ascending edge order.
     ///
     /// Bit-identical, forward and backward, to
-    /// `segment_sum(scale_rows(gather_rows(h, edge_src), coeff), edge_dst,
-    /// num_dst)` without the two `[edges, dim]` tensors that composition
+    /// `segment_sum(scale_rows_with(gather_rows(h, edge_src), coeff),
+    /// edge_dst, num_dst)` without the two `[edges, dim]` tensors that composition
     /// records (and the two more its backward pass produces). No gradient
     /// flows to `coeff`.
     ///
@@ -587,18 +557,10 @@ impl Tape {
         self.push(Tensor::from_raw(num_dst, m, out), Op::Aggregate { a: h, src, dst, coeff })
     }
 
-    /// Multiplies row `i` by the constant `factors[i]` (no gradient flows
-    /// to the factors — they encode normalization coefficients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len()` differs from the row count.
-    pub fn scale_rows(&mut self, a: Var, factors: &[f32]) -> Var {
-        self.scale_rows_with(a, |buf| buf.extend_from_slice(factors))
-    }
-
-    /// [`Tape::scale_rows`] with the factors written by `fill` straight
-    /// into a cleared pooled buffer with room for one factor per row.
+    /// Multiplies row `i` by the constant factor `fill` writes for it into
+    /// a cleared pooled buffer with room for one factor per row (no
+    /// gradient flows to the factors — they encode normalization
+    /// coefficients).
     ///
     /// # Panics
     ///
@@ -668,13 +630,6 @@ impl Tape {
         let mut out = self.arena.stale_f32(n);
         segment::row_sums(self.value(a).data(), m, &mut out, &splpg_par::global());
         self.push(Tensor::from_raw(n, 1, out), Op::RowSum { a })
-    }
-
-    /// Mean of all elements as a `[1, 1]` scalar.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = self.value(a).mean();
-        let t = self.arena.filled_tensor(1, 1, v);
-        self.push(t, Op::MeanAll { a })
     }
 
     /// Sum of all elements as a `[1, 1]` scalar.
@@ -790,14 +745,6 @@ impl Backward<'_> {
         self.add(to, Tensor::from_raw(n, m, d));
     }
 
-    /// `f(grad)` element-wise, in pooled storage.
-    fn mapped(&mut self, grad: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let (n, m) = grad.shape();
-        let mut d = self.arena.stale_f32(n * m);
-        segment::unary_map(grad.data(), &mut d, f, &splpg_par::global());
-        Tensor::from_raw(n, m, d)
-    }
-
     /// Propagates `grad`, the finished gradient of node `id`, to the
     /// inputs of its op that need one, then releases it (a leaf keeps
     /// it). Every node that reaches here has `needs_grad` set, so at
@@ -834,23 +781,9 @@ impl Backward<'_> {
                 let last = if self.needs(*b) { *b } else { *a };
                 return self.add(last, grad);
             }
-            Op::Sub { a, b } => {
-                // `a` first, as ever: the order shows when both name one var.
-                let db = self.needs(*b).then(|| self.mapped(&grad, |g| -g));
-                self.pass_on(*a, grad);
-                if let Some(db) = db {
-                    self.add(*b, db);
-                }
-                return;
-            }
             Op::Mul { a, b } => {
                 self.add_zip(*a, &grad, val(b).data(), |g, y| g * y);
                 self.add_zip(*b, &grad, val(a).data(), |g, x| g * x);
-            }
-            Op::Scale { a, c } => {
-                let c = *c;
-                let da = self.mapped(&grad, |g| g * c);
-                self.add(*a, da);
             }
             Op::AddBias { a, bias } => {
                 if self.needs(*bias) {
@@ -871,12 +804,6 @@ impl Backward<'_> {
             Op::LeakyRelu { a, slope } => {
                 let slope = *slope;
                 self.add_zip(*a, &grad, val(a).data(), |g, x| if x <= 0.0 { g * slope } else { g });
-            }
-            Op::Sigmoid { a } => {
-                self.add_zip(*a, &grad, nodes[id].value.data(), |g, s| g * (s * (1.0 - s)));
-            }
-            Op::Tanh { a } => {
-                self.add_zip(*a, &grad, nodes[id].value.data(), |g, t| g * (1.0 - t * t));
             }
             Op::Dropout { a, mask } => self.add_zip(*a, &grad, mask, |g, mk| g * mk),
             Op::ConcatCols { a, b } => {
@@ -962,12 +889,6 @@ impl Backward<'_> {
                 let mut da = self.arena.stale_f32(n * m);
                 segment::rows_from_col(grad.data(), m, &mut da, &pool);
                 self.add(*a, Tensor::from_raw(n, m, da));
-            }
-            Op::MeanAll { a } => {
-                let (n, m) = val(a).shape();
-                let g = grad.get(0, 0) / (n * m) as f32;
-                let da = self.arena.filled_tensor(n, m, g);
-                self.add(*a, da);
             }
             Op::SumAll { a } => {
                 let (n, m) = val(a).shape();
@@ -1131,7 +1052,7 @@ mod tests {
     fn scale_rows_has_no_factor_gradient() {
         let mut tape = Tape::new();
         let a = tape.leaf(t(2, 2, vec![1.0; 4]));
-        let y = tape.scale_rows(a, &[2.0, 3.0]);
+        let y = tape.scale_rows_with(a, |f| f.extend_from_slice(&[2.0, 3.0]));
         let s = tape.sum_all(y);
         let g = tape.backward(s);
         assert_eq!(g.get(a).unwrap().data(), &[2.0, 2.0, 3.0, 3.0]);
@@ -1165,7 +1086,7 @@ mod tests {
         let h = tape.relu(h);
         let agg = tape.aggregate(h, &[1, 3, 0], &[0, 0, 1], &[1.0, 2.0, -0.5], 2);
         let out = tape.matmul(agg, w1);
-        let loss = tape.mean_all(out);
+        let loss = tape.sum_all(out);
         [xv, loss, w0, w1]
     }
 
@@ -1208,13 +1129,13 @@ mod tests {
         let idx: Vec<u32> = (0..16).map(|i| (i * 7 % x.rows()) as u32).collect();
         let seg: Vec<u32> = (0..16).map(|i| (i % 5) as u32).collect();
         let gathered = tape.gather_rows(xv, &idx);
-        let scaled = tape.scale_rows(gathered, &[0.5; 16]);
+        let scaled = tape.scale_rows_with(gathered, |f| f.resize(16, 0.5));
         let agg = tape.segment_sum(scaled, &seg, 5);
         let h = tape.matmul(agg, wv);
         let act = tape.relu(h);
         let dropped = tape.dropout(act, 0.3, &mut rng);
         let scores = tape.row_sum(dropped);
-        let att_in = tape.scale(scores, 0.1);
+        let att_in = tape.scale_rows_with(scores, |f| f.resize(5, 0.1));
         let att = tape.segment_softmax(att_in, &[0, 0, 1, 1, 1], 2);
         let weighted = tape.mul_col_broadcast(dropped, att);
         let logits = tape.row_sum(weighted);

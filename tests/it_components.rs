@@ -5,6 +5,7 @@ use splpg_rng::SeedableRng;
 use splpg::linalg::{quadratic_form, CgOptions};
 use splpg::prelude::*;
 use splpg::sparsify::DegreeSparsifier;
+use splpg_tests::at_pool_size;
 
 fn rng() -> splpg_rng::rngs::StdRng {
     splpg_rng::rngs::StdRng::seed_from_u64(13)
@@ -113,17 +114,25 @@ fn graph_io_round_trips_generated_dataset() {
 
 #[test]
 fn train_step_tape_is_under_half_the_unfused_footprint() {
-    // The `train_step` bench shape (3000 nodes / 12000 edges, GCN 2x32,
-    // fanouts 10/5, batch 256). With per-edge gather/scale tensors on the
-    // tape and every interior gradient held until `backward` returned,
-    // the warmed-up tape backed 13 927 168 bytes on this shape
-    // (BENCH_train_step.json before the fused `aggregate` op).
+    // GCN 2x32 on 3000 nodes / 12000 edges, fanouts 10/5, one fixed
+    // batch of 256 resampled identically every step, Adam between steps.
+    // With per-edge gather/scale tensors on the tape and every interior
+    // gradient held until `backward` returned, the warmed-up tape backed
+    // 13 927 168 bytes on this shape (before the fused `aggregate` op).
+    // At every pool size the tape must back at most half of that, and
+    // after two warm-up steps (the first grows the arena to its
+    // high-water mark, the second proves it stays there) three more
+    // steps must create or grow no arena buffer.
     use splpg::datasets::{generate_community_graph, CommunityGraphParams};
     use splpg::gnn::trainer::batch_grads;
     use splpg::gnn::{
         FullFeatureAccess, FullGraphAccess, PerSourceNegativeSampler, SamplerScratch,
     };
+    use splpg::nn::{Adam, Optimizer, ParamSet};
+    use splpg::tensor::Tape;
     const UNFUSED_TAPE_BYTES: usize = 13_927_168;
+    const WARMUP_STEPS: usize = 2;
+    const STEADY_STEPS: usize = 3;
 
     let shape = CommunityGraphParams { nodes: 3_000, edges: 12_000, ..Default::default() };
     let mut r = splpg_rng::rngs::StdRng::seed_from_u64(7);
@@ -135,30 +144,41 @@ fn train_step_tape_is_under_half_the_unfused_footprint() {
         seed: 17,
         ..TrainConfig::default()
     };
-    let mut params = splpg::nn::ParamSet::new();
-    let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
-    let model = config.build_model(ModelKind::Gcn, features.dim(), &mut params, &mut init);
     let batch = &graph.edges()[..config.batch_size];
     let negatives = PerSourceNegativeSampler::global(graph.num_nodes());
-    let mut tape = splpg::tensor::Tape::new();
-    let mut scratch = SamplerScratch::new();
-    for _ in 0..3 {
-        let mut step_rng = splpg_rng::rngs::StdRng::seed_from_u64(1_000);
-        let (_, grads) = batch_grads(
-            &model,
-            &params,
-            &FullGraphAccess::new(&graph),
-            &mut FullFeatureAccess::new(&features),
-            &config.sampler(),
-            &negatives,
-            batch,
-            &mut step_rng,
-            &mut tape,
-            &mut scratch,
-        )
-        .expect("training step");
-        grads.into_iter().for_each(|g| tape.recycle(g));
+    for threads in [1, 2, 4, 8] {
+        let (allocs, bytes) = at_pool_size(threads, || {
+            let mut params = ParamSet::new();
+            let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
+            let model = config.build_model(ModelKind::Gcn, features.dim(), &mut params, &mut init);
+            let mut opt = Adam::new(config.learning_rate);
+            let mut tape = Tape::new();
+            let mut scratch = SamplerScratch::new();
+            let mut warm = 0;
+            for step in 0..WARMUP_STEPS + STEADY_STEPS {
+                if step == WARMUP_STEPS {
+                    warm = tape.arena_stats().allocations();
+                }
+                let mut step_rng = splpg_rng::rngs::StdRng::seed_from_u64(1_000);
+                let (_, grads) = batch_grads(
+                    &model,
+                    &params,
+                    &FullGraphAccess::new(&graph),
+                    &mut FullFeatureAccess::new(&features),
+                    &config.sampler(),
+                    &negatives,
+                    batch,
+                    &mut step_rng,
+                    &mut tape,
+                    &mut scratch,
+                )
+                .expect("training step");
+                opt.step(&mut params, &grads);
+                grads.into_iter().for_each(|g| tape.recycle(g));
+            }
+            (tape.arena_stats().allocations() - warm, tape.backing_bytes())
+        });
+        assert_eq!(allocs, 0, "{threads} threads: steady-state steps allocated arena buffers");
+        assert!(2 * bytes <= UNFUSED_TAPE_BYTES, "{threads} threads: tape backs {bytes} B");
     }
-    let bytes = tape.backing_bytes();
-    assert!(2 * bytes <= UNFUSED_TAPE_BYTES, "tape backs {bytes} B after backward");
 }

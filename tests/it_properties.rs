@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use splpg::dist::{ClusterSetup, Strategy};
+use splpg::dist::{ClusterSetup, DistError, Strategy};
 use splpg::gnn::GraphAccess;
 use splpg::graph::{FeatureMatrix, Graph, GraphBuilder, NodeId};
 use splpg::partition::{MetisLike, Partitioner};
@@ -98,15 +98,20 @@ fn splpg_halo_keeps_full_neighbor_lists_of_core_nodes() {
             let graph = Arc::new(ring_graph(n, seed));
             let features = Arc::new(FeatureMatrix::zeros(n, 4));
             let workers = 2 + (seed % 2) as usize;
-            let mut setup = ClusterSetup::build(
+            let mut setup = match ClusterSetup::build(
                 &graph,
                 &features,
                 Strategy::SpLpg.spec(),
                 workers,
                 0.3,
                 seed,
-            )
-            .map_err(|e| format!("setup failed: {e}"))?;
+            ) {
+                Ok(setup) => setup,
+                // A node adjacent to every other has no negative: setup
+                // rejects the graph, and there is no view to check.
+                Err(DistError::InvalidConfig(_)) => return Ok(()),
+                Err(e) => return Err(format!("setup failed: {e}")),
+            };
             for w in &mut setup.workers {
                 let wid = w.worker_id as u32;
                 for v in setup.partition.part_nodes(wid) {

@@ -12,15 +12,20 @@
 //!    unit-weight graphs, a trace identity of `L^+ L`) and the
 //!    Theorem 1/2 bracket `d_uv / 2 <= R_uv <= d_uv / gamma` with
 //!    `gamma = lambda2_normalized` (the paper's spectral-gap bound).
+//!
+//! A fixed-fixture test then holds the engine to what it must deliver
+//! over the per-edge path it replaced.
 
 use splpg::graph::{Graph, GraphBuilder, NodeId};
+use splpg::datasets::{generate_community_graph, CommunityGraphParams};
 use splpg::linalg::{
-    effective_resistance, lambda2_normalized, CgOptions, EngineOptions, PowerIterOptions,
-    SolverEngine,
+    effective_resistance, lambda2_normalized, solve_laplacian, CgOptions, EngineOptions,
+    PowerIterOptions, SolverEngine,
 };
 use splpg::sparsify::{DegreeSparsifier, ExactSparsifier};
 use splpg_rng::rngs::StdRng;
 use splpg_rng::{Rng, RngCore, SeedableRng};
+use splpg_tests::at_pool_size;
 use splpg_tests::prop::{check, shrink_usize, Config};
 
 /// A connected random graph: a Hamiltonian ring (connectivity) plus
@@ -151,4 +156,55 @@ fn exact_path_satisfies_foster_sum_and_spectral_bracket() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn engine_beats_the_per_edge_baseline_on_a_community_graph() {
+    // Baseline: one unpreconditioned whole-graph CG solve per edge. At
+    // every pool size the engine (Jacobi-PCG, blocked multi-RHS, per-node
+    // reuse) must match it within 1e-6 relative error, take no more PCG
+    // iterations, do at least 5x less matvec work, and allocate nothing
+    // in its workspaces once warmed up.
+    let shape = CommunityGraphParams { nodes: 200, edges: 800, ..Default::default() };
+    let g = generate_community_graph(&shape, &mut StdRng::seed_from_u64(6)).expect("valid").0;
+    let pairs = edge_pairs(&g);
+    let n = g.num_nodes();
+    let mut baseline = Vec::with_capacity(pairs.len());
+    let mut baseline_iterations = 0u64;
+    for &(u, v) in &pairs {
+        let mut b = vec![0.0f64; n];
+        (b[u as usize], b[v as usize]) = (1.0, -1.0);
+        let out = solve_laplacian(&g, &b, CgOptions::default()).expect("connected graph");
+        baseline_iterations += out.iterations as u64;
+        baseline.push(out.solution[u as usize] - out.solution[v as usize]);
+    }
+    let baseline_work = baseline_iterations * n as u64;
+    for threads in [1, 2, 4, 8] {
+        at_pool_size(threads, || {
+            let mut engine = SolverEngine::new(&g, ExactSparsifier::engine_options());
+            let mut out = Vec::with_capacity(pairs.len());
+            engine.edge_resistances_into(&pairs, &mut out).expect("engine solve");
+            for ((&r, &reference), &(u, v)) in out.iter().zip(&baseline).zip(&pairs) {
+                let rel = (r - reference).abs() / reference.abs().max(f64::MIN_POSITIVE);
+                assert!(rel <= 1e-6, "t{threads} ({u},{v}): {r} vs {reference} ({rel:.3e})");
+            }
+            engine.reset_stats();
+            engine.edge_resistances_into(&pairs, &mut out).expect("engine solve");
+            let stats = engine.stats();
+            assert!(
+                stats.iterations <= baseline_iterations,
+                "t{threads}: {} PCG iterations vs {baseline_iterations}",
+                stats.iterations
+            );
+            assert!(
+                baseline_work >= 5 * stats.matvec_rows,
+                "t{threads}: matvec work {} vs baseline {baseline_work}",
+                stats.matvec_rows
+            );
+            for _ in 0..3 {
+                engine.edge_resistances_into(&pairs, &mut out).expect("engine solve");
+            }
+            assert_eq!(engine.stats().workspace_allocs, 0, "t{threads}: steady state allocated");
+        });
+    }
 }
