@@ -3,7 +3,9 @@
 //! Times the three kernels the pool accelerates — dense matmul, fan-out
 //! neighbor sampling, and exact effective-resistance sparsification —
 //! at 1/2/4/8 threads (via [`splpg_par::set_num_threads`]) plus the
-//! scalar matmul reference, prints a table, and writes
+//! scalar matmul reference, then the `nn`/`tn`/`nt` products of one
+//! GraphSAGE layer at the `ma-seq` workload's shape at 1 and 2 threads
+//! against their own scalar references, prints a table, and writes
 //! `BENCH_kernels.json` to the repo root (except under
 //! `--assert-speedup`, below). Each row carries the thread
 //! count, ns/iter, speedup vs the single-threaded scalar baseline, a
@@ -120,6 +122,64 @@ fn bench_matmul(records: &mut Vec<Record>) -> SpeedupCheck {
         flops / best
     );
     SpeedupCheck { op: "matmul", scalar_ns: scalar.ns_per_iter, best_parallel_ns: best }
+}
+
+/// The three layouts at one GraphSAGE layer's training shape, `ma-seq`'s
+/// layer 0 (`[3072,256]` inputs, 64 hidden): forward `X·W` (`nn`),
+/// weight gradient `Xᵀ·G` (`tn`) and input gradient `G·Wᵀ` (`nt`).
+fn bench_layer_matmuls(records: &mut Vec<Record>) {
+    let (rows, d_in, d_out) = (3072usize, 256usize, 64usize);
+    let macs = rows * d_in * d_out;
+    let x = rand_tensor(rows, d_in, 7);
+    let w = rand_tensor(d_in, d_out, 8);
+    let g = rand_tensor(rows, d_out, 9);
+    let shape = format!("[{rows},{d_in}]x[{d_in},{d_out}]");
+    let ops = ("matmul_nn", "matmul_nn_scalar");
+    bench_layout(records, ops, shape, macs, || x.matmul(&w), || x.matmul_scalar(&w));
+    let shape = format!("[{rows},{d_in}]^Tx[{rows},{d_out}]");
+    let ops = ("matmul_tn", "matmul_tn_scalar");
+    bench_layout(records, ops, shape, macs, || x.matmul_tn(&g), || x.matmul_tn_scalar(&g));
+    let shape = format!("[{rows},{d_out}]x[{d_in},{d_out}]^T");
+    let ops = ("matmul_nt", "matmul_nt_scalar");
+    bench_layout(records, ops, shape, macs, || g.matmul_nt(&w), || g.matmul_nt_scalar(&w));
+}
+
+/// One layout's rows: its scalar reference, then the dispatching entry
+/// point at 1 and 2 threads. `macs` is `n·k·m`.
+fn bench_layout(
+    records: &mut Vec<Record>,
+    (op, scalar_op): (&'static str, &'static str),
+    shape: String,
+    macs: usize,
+    kernel: impl Fn() -> Tensor,
+    scalar: impl Fn() -> Tensor,
+) {
+    let flops = 2.0 * macs as f64;
+    timing::section(&format!("{op} {shape}"));
+    let base = timing::bench(scalar_op, &scalar);
+    records.push(Record {
+        op: scalar_op,
+        shape: shape.clone(),
+        threads: 1,
+        ns_per_iter: base.ns_per_iter,
+        speedup_vs_scalar: 1.0,
+        throughput: flops / base.ns_per_iter,
+        throughput_unit: "GFLOP/s",
+    });
+    for threads in [1, 2] {
+        splpg_par::set_num_threads(threads);
+        let r = timing::bench(&format!("{op}_t{threads}"), &kernel);
+        records.push(Record {
+            op,
+            shape: shape.clone(),
+            threads,
+            ns_per_iter: r.ns_per_iter,
+            speedup_vs_scalar: base.ns_per_iter / r.ns_per_iter,
+            throughput: flops / r.ns_per_iter,
+            throughput_unit: "GFLOP/s",
+        });
+    }
+    splpg_par::set_num_threads(0);
 }
 
 fn bench_fanout_sampling(
@@ -323,6 +383,7 @@ fn main() {
     let mut records = Vec::new();
     let mut checks = Vec::new();
     checks.push(bench_matmul(&mut records));
+    bench_layer_matmuls(&mut records);
     let (sample_check, dedup) = bench_fanout_sampling(&mut records);
     checks.push(sample_check);
     bench_er_sparsify(&mut records);

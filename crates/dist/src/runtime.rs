@@ -294,14 +294,13 @@ pub(crate) fn worker_loop(
             // discovers it through retry exhaustion.
             return;
         }
-        if let Some((unit, resp)) = &cached {
+        if let Some((unit, resp)) = &mut cached {
             if id.unit() == *unit {
                 // Re-send under the retransmission's attempt number so
                 // the fault layer makes a fresh delivery decision — an
                 // echoed attempt would be re-dropped identically forever.
-                let mut resend = resp.clone();
-                resend.set_attempt(id.attempt);
-                if port.send(&resend).is_err() {
+                resp.set_attempt(id.attempt);
+                if port.send(resp).is_err() {
                     return;
                 }
                 continue;
@@ -312,10 +311,12 @@ pub(crate) fn worker_loop(
         }
         let resp = compute_response(&mut rep, &req, faults.as_ref());
         let failed = matches!(resp, Response::Failed { .. });
-        cached = Some((id.unit(), resp.clone()));
         if port.send(&resp).is_err() || failed {
             return;
         }
+        // Cached by move after the send: a gradient-averaging response
+        // carries the whole flat gradient.
+        cached = Some((id.unit(), resp));
     }
 }
 

@@ -281,14 +281,17 @@ impl Pool {
         let ranges = partition_items(items, parts);
         thread::scope(|s| {
             let f = &f;
-            let mut rest = data;
-            let mut handles = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (chunk, tail) = rest.split_at_mut((r.end - r.start) * item_len);
-                rest = tail;
+            // First chunk runs on the calling thread; spawn the rest.
+            let (head, tail) = ranges.split_first().expect("non-empty partition");
+            let (head_chunk, mut rest) = data.split_at_mut(head.len() * item_len);
+            let mut handles = Vec::with_capacity(tail.len());
+            for r in tail {
+                let (chunk, after) = rest.split_at_mut(r.len() * item_len);
+                rest = after;
                 let start = r.start;
                 handles.push(s.spawn(move || f(start, chunk)));
             }
+            f(head.start, head_chunk);
             for h in handles {
                 h.join().expect("pool worker panicked");
             }
@@ -372,6 +375,22 @@ mod tests {
         for (r, row) in data.chunks(cols).enumerate() {
             assert!(row.iter().all(|&v| v == r), "row {r}");
         }
+    }
+
+    #[test]
+    fn parallel_for_mut_runs_the_first_chunk_on_the_caller() {
+        let pool = Pool::new(4);
+        let caller = thread::current().id();
+        let ids = std::sync::Mutex::new(Vec::new());
+        let mut data = vec![0u8; 64];
+        pool.parallel_for_mut(&mut data, 1, 1, |start, _| {
+            ids.lock().unwrap().push((start, thread::current().id()));
+        });
+        let mut ids = ids.into_inner().unwrap();
+        ids.sort_by_key(|&(start, _)| start);
+        assert_eq!(ids.len(), 4);
+        assert_eq!(ids[0], (0, caller), "chunk 0 runs on the calling thread");
+        assert!(ids[1..].iter().all(|&(_, id)| id != caller), "the rest are spawned");
     }
 
     #[test]

@@ -4,20 +4,27 @@
 //! output row is owned by exactly one thread — and computes fixed-width
 //! register tiles (`MR` output rows × `NR` output columns of `f32`
 //! accumulators held in a stack array) with scalar tail loops for the
-//! row/column remainders. The tile loops have compile-time trip counts
-//! over contiguous slices, which is the shape LLVM auto-vectorizes into
-//! packed SIMD without any `unsafe` (the workspace forbids intrinsics):
-//! 8-lane AVX2 registers under the workspace's x86-64-v3 build, 4-lane
-//! SSE2 ones on baseline x86-64, with the same bits either way.
+//! row/column remainders, one `TK`-deep k-block at a time, spilling the
+//! accumulators to the output between blocks. `nn` and `tn` share one
+//! tile that differs only in how it strides through `a`. The tile loops
+//! have compile-time trip counts over contiguous slices, which is the
+//! shape LLVM auto-vectorizes into packed SIMD without any `unsafe` (the
+//! workspace forbids intrinsics): 8-lane AVX2 registers under the
+//! workspace's x86-64-v3 build, 4-lane SSE2 ones on baseline x86-64,
+//! with the same bits either way.
 //!
 //! Both the partitioning and the tiling preserve the per-element
 //! accumulation order of the scalar reference kernels in
-//! [`Tensor`](crate::Tensor) (`k` ascending, with the same
-//! skip-on-zero for `nn`/`tn` and the same single left-to-right dot for
-//! `nt`), so the results are **bit-identical** to the scalar kernels at
-//! every thread count and at every tile boundary. The equality tests in
-//! `tests/parallel_kernels.rs` and the `#[cfg(test)]` bit-identity
-//! harness below pin this down shape by shape.
+//! [`Tensor`](crate::Tensor) (`k` ascending for `nn`/`tn`, whose
+//! skip-on-zero the tile drops only where it cannot change a bit — see
+//! `tiled_cols` — and the same single left-to-right dot for `nt`), so
+//! the results are **bit-identical** to the scalar kernels at every
+//! thread count and at every tile and k-block boundary. The
+//! bit-equality tests in `tests/parallel_kernels.rs` and the
+//! `#[cfg(test)]` bit-identity harness below pin this down shape by
+//! shape.
+
+use std::ops::Range;
 
 use splpg_par::Pool;
 
@@ -38,8 +45,10 @@ const NR: usize = 16;
 /// Output rows per register tile.
 const MR: usize = 4;
 
-/// Depth per packed k-tile in the `nt` kernel: bounds the transposed
-/// `b` panel to `TK * NR * 4` bytes (8 KiB) of stack.
+/// Depth of one k-block in all three kernels. For `nn`/`tn` it keeps a
+/// block's `TK x m` slice of `b` cache-resident while every row strip
+/// reuses it; for `nt` it bounds the packed transposed `b` panel to
+/// `TK * NR * 4` bytes (8 KiB) of stack.
 const TK: usize = 128;
 
 /// Minimum output rows per chunk so each spawn amortizes.
@@ -82,10 +91,11 @@ pub fn par_dispatch(rows: usize, k: usize, m: usize) -> bool {
 
 /// `a[n,k] @ b[k,m]`, row-major, into a fresh `[n,m]` buffer.
 ///
-/// Row-partitioned over `pool`; register-tiled. Accumulation per output
-/// element runs over `k` ascending with the scalar kernel's
-/// skip-on-zero, so the result is bit-identical to
-/// [`Tensor::matmul_scalar`](crate::Tensor::matmul_scalar).
+/// Row-partitioned over `pool`; register-tiled and k-blocked (see
+/// [`nn_tn_chunk`]). Accumulation per output element runs over `k`
+/// ascending, so the result is bit-identical to
+/// [`Tensor::matmul_scalar`](crate::Tensor::matmul_scalar), skip-on-zero
+/// and all.
 pub fn matmul_nn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, pool: &Pool) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
     matmul_nn_into(a, b, n, k, m, pool, &mut out);
@@ -111,108 +121,19 @@ pub fn matmul_nn_into(
     if n == 0 || m == 0 || k == 0 {
         return;
     }
+    let jm = tiled_cols(b, m);
     pool.parallel_for_mut(out, m, min_rows_per_chunk(k, m), |row0, chunk| {
-        nn_chunk(a, b, k, m, row0, chunk);
+        nn_tn_chunk(a, b, k, m, (k, 1), jm, row0, chunk);
     });
-}
-
-/// One chunk of `nn` output rows: `MR x NR` register tiles with scalar
-/// tails. Per output element the adds run over `k` ascending with
-/// skip-on-zero, exactly like the scalar reference.
-fn nn_chunk(a: &[f32], b: &[f32], k: usize, m: usize, row0: usize, chunk: &mut [f32]) {
-    let rows = chunk.len() / m;
-    let jm = m - m % NR;
-    let mut r = 0;
-    while r + MR <= rows {
-        let mut jb = 0;
-        while jb < jm {
-            nn_tile::<MR>(a, b, k, m, row0 + r, jb, r, chunk);
-            jb += NR;
-        }
-        nn_cols_tail(a, b, k, m, row0 + r, MR, jm, r, chunk);
-        r += MR;
-    }
-    while r < rows {
-        let mut jb = 0;
-        while jb < jm {
-            nn_tile::<1>(a, b, k, m, row0 + r, jb, r, chunk);
-            jb += NR;
-        }
-        nn_cols_tail(a, b, k, m, row0 + r, 1, jm, r, chunk);
-        r += 1;
-    }
-}
-
-/// `R x NR` register tile of `out = a @ b` at rows `ar0..ar0+R`, columns
-/// `jb..jb+NR`. The accumulator array lives in registers; `k` streams
-/// ascending with the scalar skip-on-zero per row.
-#[inline]
-#[allow(clippy::too_many_arguments)] // flat kernel params mirror the BLAS-style signature
-fn nn_tile<const R: usize>(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    ar0: usize,
-    jb: usize,
-    cr0: usize,
-    chunk: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; R];
-    for kk in 0..k {
-        let b_seg = &b[kk * m + jb..kk * m + jb + NR];
-        for r in 0..R {
-            let av = a[(ar0 + r) * k + kk];
-            if av == 0.0 {
-                continue;
-            }
-            for (al, &bv) in acc[r].iter_mut().zip(b_seg) {
-                *al += av * bv;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        chunk[(cr0 + r) * m + jb..(cr0 + r) * m + jb + NR].copy_from_slice(acc_row);
-    }
-}
-
-/// Scalar column tail (`jm..m`) for `rows` rows of the `nn` kernel, in
-/// the scalar reference's exact per-element order.
-#[allow(clippy::too_many_arguments)] // flat kernel params mirror the BLAS-style signature
-fn nn_cols_tail(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    ar0: usize,
-    rows: usize,
-    jm: usize,
-    cr0: usize,
-    chunk: &mut [f32],
-) {
-    if jm == m {
-        return;
-    }
-    for r in 0..rows {
-        let a_row = &a[(ar0 + r) * k..(ar0 + r + 1) * k];
-        let o_row = &mut chunk[(cr0 + r) * m + jm..(cr0 + r) * m + m];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_seg = &b[kk * m + jm..kk * m + m];
-            for (o, &bv) in o_row.iter_mut().zip(b_seg) {
-                *o += av * bv;
-            }
-        }
-    }
 }
 
 /// `a[k,n]^T @ b[k,m]` into a fresh `[n,m]` buffer, without
 /// materializing the transpose.
 ///
-/// Output rows (columns of `a`) are partitioned over `pool`; the shared
-/// `k` dimension streams in ascending order for every element, matching
+/// Output rows (columns of `a`) are partitioned over `pool` and computed
+/// by the same k-blocked tile as [`matmul_nn`], with `a` read down its
+/// columns. The shared `k` dimension streams in ascending order for
+/// every element, matching
 /// [`Tensor::matmul_tn_scalar`](crate::Tensor::matmul_tn_scalar)
 /// bit for bit.
 pub fn matmul_tn(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, pool: &Pool) -> Vec<f32> {
@@ -240,61 +161,109 @@ pub fn matmul_tn_into(
     if n == 0 || m == 0 || k == 0 {
         return;
     }
+    let jm = tiled_cols(b, m);
     pool.parallel_for_mut(out, m, min_rows_per_chunk(k, m), |row0, chunk| {
-        tn_chunk(a, b, k, n, m, row0, chunk);
+        nn_tn_chunk(a, b, k, m, (1, n), jm, row0, chunk);
     });
 }
 
-/// One chunk of `tn` output rows (columns of `a`): same tiling as
-/// [`nn_chunk`], with `a` read down its columns.
-fn tn_chunk(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, row0: usize, chunk: &mut [f32]) {
-    let rows = chunk.len() / m;
-    let jm = m - m % NR;
-    let mut r = 0;
-    while r + MR <= rows {
-        let mut jb = 0;
-        while jb < jm {
-            tn_tile::<MR>(a, b, k, n, m, row0 + r, jb, r, chunk);
-            jb += NR;
-        }
-        tn_cols_tail(a, b, k, n, m, row0 + r, MR, jm, r, chunk);
-        r += MR;
-    }
-    while r < rows {
-        let mut jb = 0;
-        while jb < jm {
-            tn_tile::<1>(a, b, k, n, m, row0 + r, jb, r, chunk);
-            jb += NR;
-        }
-        tn_cols_tail(a, b, k, n, m, row0 + r, 1, jm, r, chunk);
-        r += 1;
+/// Output columns `0..jm` of an `nn`/`tn` product that the register
+/// [`tile`] computes: every whole `NR`-wide tile when `b` is finite,
+/// none otherwise.
+///
+/// The tile adds `a * b` even where `a` is zero, which the scalar
+/// reference skips. The two agree bit for bit whenever `b` is finite: a
+/// zero of `a` times a finite `b` is `±0.0`, and adding `±0.0` leaves
+/// an accumulator unchanged, because one that starts at `+0.0` never
+/// becomes `-0.0` under round-to-nearest. A `0 * inf` or `0 * NaN` term
+/// would be NaN instead, so a `b` holding a non-finite value goes
+/// through [`cols_tail`], which keeps the skip, for every column.
+fn tiled_cols(b: &[f32], m: usize) -> usize {
+    if b.iter().all(|x| x.is_finite()) {
+        m - m % NR
+    } else {
+        0
     }
 }
 
-/// `R x NR` register tile of `out = a^T @ b` at output rows
-/// `ar0..ar0+R` (columns of `a`), columns `jb..jb+NR`.
-#[inline]
+/// One chunk of `nn` or `tn` output rows: [`tile`] on columns `0..jm`
+/// (see [`tiled_cols`]), [`cols_tail`] on the rest. `a` is addressed
+/// through `(row_stride, k_stride)`: output row `i` at depth `kk` reads
+/// `a[i * row_stride + kk * k_stride]`, which is `(k, 1)` for `nn` and
+/// `(1, n)` for `tn`.
+///
+/// The `k` loop is blocked `TK` deep and outermost; inside a block each
+/// `MR`-row strip sweeps every `NR`-column tile, so the block's `TK x m`
+/// panel of `b` and the strip's `TK x MR` slice of `a` stay in cache
+/// while they are reused. The accumulators are reloaded from the
+/// zero-filled output at the start of each block and stored back at its
+/// end — exact `f32` round trips — so every element still sees the
+/// scalar reference's add chain, `k` ascending.
 #[allow(clippy::too_many_arguments)] // flat kernel params mirror the BLAS-style signature
-fn tn_tile<const R: usize>(
+fn nn_tn_chunk(
     a: &[f32],
     b: &[f32],
     k: usize,
-    n: usize,
     m: usize,
+    a_strides: (usize, usize),
+    jm: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    let rows = chunk.len() / m;
+    let mut kb = 0;
+    while kb < k {
+        let ks = kb..(kb + TK).min(k);
+        let mut r = 0;
+        while r + MR <= rows {
+            let mut jb = 0;
+            while jb < jm {
+                tile::<MR>(a, b, m, a_strides, ks.clone(), row0 + r, jb, r, chunk);
+                jb += NR;
+            }
+            cols_tail(a, b, m, a_strides, ks.clone(), row0 + r, MR, jm, r, chunk);
+            r += MR;
+        }
+        while r < rows {
+            let mut jb = 0;
+            while jb < jm {
+                tile::<1>(a, b, m, a_strides, ks.clone(), row0 + r, jb, r, chunk);
+                jb += NR;
+            }
+            cols_tail(a, b, m, a_strides, ks.clone(), row0 + r, 1, jm, r, chunk);
+            r += 1;
+        }
+        kb = ks.end;
+    }
+}
+
+/// `R x NR` register tile of an `nn`/`tn` product over the depths `ks`,
+/// at output rows `ar0..ar0+R`, columns `jb..jb+NR`. The accumulator
+/// array lives in registers between the reload and the store. Zeros of
+/// `a` are not skipped: no branch in the inner loop (see
+/// [`tiled_cols`] for why the bits still match).
+#[inline]
+#[allow(clippy::too_many_arguments)] // flat kernel params mirror the BLAS-style signature
+fn tile<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    (row_stride, k_stride): (usize, usize),
+    ks: Range<usize>,
     ar0: usize,
     jb: usize,
     cr0: usize,
     chunk: &mut [f32],
 ) {
     let mut acc = [[0.0f32; NR]; R];
-    for kk in 0..k {
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&chunk[(cr0 + r) * m + jb..(cr0 + r) * m + jb + NR]);
+    }
+    for kk in ks {
         let b_seg = &b[kk * m + jb..kk * m + jb + NR];
-        for r in 0..R {
-            let av = a[kk * n + ar0 + r];
-            if av == 0.0 {
-                continue;
-            }
-            for (al, &bv) in acc[r].iter_mut().zip(b_seg) {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = a[(ar0 + r) * row_stride + kk * k_stride];
+            for (al, &bv) in acc_row.iter_mut().zip(b_seg) {
                 *al += av * bv;
             }
         }
@@ -304,14 +273,15 @@ fn tn_tile<const R: usize>(
     }
 }
 
-/// Scalar column tail for the `tn` kernel.
+/// Scalar column tail (`jm..m`) of [`tile`] for `rows` rows, in the
+/// scalar reference's exact per-element order, skip-on-zero included.
 #[allow(clippy::too_many_arguments)] // flat kernel params mirror the BLAS-style signature
-fn tn_cols_tail(
+fn cols_tail(
     a: &[f32],
     b: &[f32],
-    k: usize,
-    n: usize,
     m: usize,
+    (row_stride, k_stride): (usize, usize),
+    ks: Range<usize>,
     ar0: usize,
     rows: usize,
     jm: usize,
@@ -323,8 +293,8 @@ fn tn_cols_tail(
     }
     for r in 0..rows {
         let o_row = &mut chunk[(cr0 + r) * m + jm..(cr0 + r) * m + m];
-        for kk in 0..k {
-            let av = a[kk * n + ar0 + r];
+        for kk in ks.clone() {
+            let av = a[(ar0 + r) * row_stride + kk * k_stride];
             if av == 0.0 {
                 continue;
             }
@@ -550,8 +520,8 @@ mod tests {
     }
 
     /// Shapes chosen to straddle every tile boundary: row tails
-    /// (`n % MR`), column tails (`m % NR`), k-tile tails (`k % TK`), and
-    /// degenerate sizes.
+    /// (`n % MR`), column tails (`m % NR`), k-block tails (`k % TK`),
+    /// products spanning several k-blocks, and degenerate sizes.
     fn shapes() -> Vec<(usize, usize, usize)> {
         vec![
             (1, 1, 1),
@@ -559,34 +529,96 @@ mod tests {
             (3, 5, 15),
             (4, 7, 16),
             (5, 129, 33),
+            (5, 600, 70),
             (7, 64, 48),
             (8, 130, 16),
             (9, 2, 31),
+            (9, 3100, 64),
             (13, 257, 19),
             (17, 128, 35),
             (33, 1, 16),
         ]
     }
 
+    /// Raw bits, with every NaN folded to one pattern: IEEE 754 fixes
+    /// *that* a NaN comes out but not its sign or payload, which may
+    /// follow the operand order the compiler picks. Everything else,
+    /// the sign of zero included, must match exactly.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// Writes `-0.0` into all of output row 0 of `a` and makes `b`'s
+    /// output column 0 non-negative, so every term of output (0, 0) is
+    /// `-0.0` and the scalar reference leaves it at `+0.0`. With `inf`,
+    /// also writes signed zeros into `a`'s depth `kk0` and `±inf` into
+    /// `b`'s: skip-on-zero (`nn`/`tn`) keeps them out of every output,
+    /// while the `nt` dot has no skip and `0 * inf` makes it NaN.
+    /// `a_at(i, kk)` and `b_at(kk, j)` map logical indices to storage.
+    fn specials(
+        a: &mut [f32],
+        b: &mut [f32],
+        (n, k, m): (usize, usize, usize),
+        inf: bool,
+        a_at: impl Fn(usize, usize) -> usize,
+        b_at: impl Fn(usize, usize) -> usize,
+    ) {
+        for kk in 0..k {
+            a[a_at(0, kk)] = -0.0;
+            b[b_at(kk, 0)] = b[b_at(kk, 0)].abs();
+        }
+        if inf {
+            let kk0 = k / 2;
+            for i in 0..n {
+                a[a_at(i, kk0)] = if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+            }
+            for j in 0..m {
+                b[b_at(kk0, j)] = if j.is_multiple_of(2) { f32::INFINITY } else { f32::NEG_INFINITY };
+            }
+        }
+    }
+
     #[test]
     fn microkernels_bit_identical_to_scalar_references() {
         for &(n, k, m) in &shapes() {
-            let mut a = vec![0.0f32; n * k];
-            let mut b_nn = vec![0.0f32; k * m];
-            let mut a_tn = vec![0.0f32; k * n];
-            let mut b_nt = vec![0.0f32; m * k];
-            fill(&mut a, (n * 31 + k * 7 + m) as u32);
-            fill(&mut b_nn, (n * 13 + k * 3 + m) as u32);
-            fill(&mut a_tn, (n * 5 + k * 11 + m) as u32);
-            fill(&mut b_nt, (n * 17 + k + m * 3) as u32);
-            for threads in [1usize, 3] {
-                let pool = Pool::new(threads);
-                let got = matmul_nn(&a, &b_nn, n, k, m, &pool);
-                assert_eq!(got, scalar_nn(&a, &b_nn, n, k, m), "nn {n}x{k}x{m} t{threads}");
-                let got = matmul_tn(&a_tn, &b_nn, k, n, m, &pool);
-                assert_eq!(got, scalar_tn(&a_tn, &b_nn, k, n, m), "tn {n}x{k}x{m} t{threads}");
-                let got = matmul_nt(&a, &b_nt, n, k, m, &pool);
-                assert_eq!(got, scalar_nt(&a, &b_nt, n, k, m), "nt {n}x{k}x{m} t{threads}");
+            for special in [None, Some(false), Some(true)] {
+                let mut a = vec![0.0f32; n * k];
+                let mut b_nn = vec![0.0f32; k * m];
+                let mut a_tn = vec![0.0f32; k * n];
+                let mut b_nt = vec![0.0f32; m * k];
+                fill(&mut a, (n * 31 + k * 7 + m) as u32);
+                fill(&mut b_nn, (n * 13 + k * 3 + m) as u32);
+                fill(&mut a_tn, (n * 5 + k * 11 + m) as u32);
+                fill(&mut b_nt, (n * 17 + k + m * 3) as u32);
+                let dims = (n, k, m);
+                if let Some(inf) = special {
+                    specials(&mut a, &mut b_nn, dims, inf, |i, kk| i * k + kk, |kk, j| kk * m + j);
+                    specials(&mut a_tn, &mut b_nt, dims, inf, |i, kk| kk * n + i, |kk, j| j * k + kk);
+                }
+                let nn_ref = scalar_nn(&a, &b_nn, n, k, m);
+                let tn_ref = scalar_tn(&a_tn, &b_nn, k, n, m);
+                let nt_ref = scalar_nt(&a, &b_nt, n, k, m);
+                // The specials must bite: output (0, 0) of `nn`/`tn` is
+                // `+0.0` from `-0.0` terms; skipped infinities leave
+                // `nn`/`tn` finite, unskipped ones make all of `nt` NaN.
+                if special.is_some() {
+                    assert_eq!((nn_ref[0].to_bits(), tn_ref[0].to_bits()), (0, 0), "{n}x{k}x{m}");
+                }
+                if special == Some(true) {
+                    assert!(nn_ref.iter().chain(&tn_ref).all(|x| x.is_finite()), "{n}x{k}x{m}");
+                    assert!(nt_ref.iter().all(|x| x.is_nan()), "{n}x{k}x{m}");
+                }
+                let (nn_ref, tn_ref, nt_ref) = (bits(&nn_ref), bits(&tn_ref), bits(&nt_ref));
+                let tag = format!("{n}x{k}x{m} specials={special:?}");
+                for threads in [1usize, 3, 8] {
+                    let pool = Pool::new(threads);
+                    let got = matmul_nn(&a, &b_nn, n, k, m, &pool);
+                    assert_eq!(bits(&got), nn_ref, "nn {tag} t{threads}");
+                    let got = matmul_tn(&a_tn, &b_nn, k, n, m, &pool);
+                    assert_eq!(bits(&got), tn_ref, "tn {tag} t{threads}");
+                    let got = matmul_nt(&a, &b_nt, n, k, m, &pool);
+                    assert_eq!(bits(&got), nt_ref, "nt {tag} t{threads}");
+                }
             }
         }
     }
@@ -600,7 +632,7 @@ mod tests {
         fill(&mut b, 2);
         let mut out = vec![f32::NAN; n * m];
         matmul_nt_into(&a, &b, n, k, m, &Pool::new(1), &mut out);
-        assert_eq!(out, scalar_nt(&a, &b, n, k, m));
+        assert_eq!(bits(&out), bits(&scalar_nt(&a, &b, n, k, m)));
         let mut out = vec![f32::NAN; n * m];
         matmul_nt_into(&a, &b, n, 0, m, &Pool::new(1), &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "k=0 must still overwrite");
