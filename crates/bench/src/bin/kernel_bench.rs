@@ -23,6 +23,8 @@
 //! sampling run is slower than its scalar baseline; on single-core hosts
 //! (where no speedup is measurable) the assertion is skipped.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a binary prints what the libraries return")]
+
 use std::fmt::Write as _;
 
 use splpg_bench::timing;

@@ -11,6 +11,8 @@
 //! every experiment. A failing experiment is reported on stderr, the rest
 //! still run, and the exit code is 1.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a binary prints what the libraries return")]
+
 use std::error::Error;
 use std::sync::Arc;
 

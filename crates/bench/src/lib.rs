@@ -26,6 +26,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    reason = "the bench harness reads the wall clock and prints what it measured"
+)]
 
 use splpg::prelude::*;
 

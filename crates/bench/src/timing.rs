@@ -1,7 +1,7 @@
 //! Minimal in-tree timing harness.
 //!
 //! Replaces the criterion dev-dependency so the `kernel_bench` binary
-//! builds offline: it calls [`bench`] per case, and [`bench`]
+//! builds offline: it calls [`bench()`] per case, and [`bench()`]
 //! auto-calibrates an iteration count, times a few repetitions, and
 //! reports the best ns/iter. (End-to-end and per-layer measurements are
 //! the separate `benchmark/` package's job.)
@@ -35,7 +35,7 @@ fn target_rep_ns() -> u128 {
     ms.max(1) * 1_000_000
 }
 
-/// Times `f` (auto-calibrated iteration count, best of [`REPS`]
+/// Times `f` (auto-calibrated iteration count, best of `REPS`
 /// repetitions) and returns `(iters, ns_per_iter)`.
 pub fn time_fn<T, F: FnMut() -> T>(mut f: F) -> (u64, f64) {
     let target = target_rep_ns();

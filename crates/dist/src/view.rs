@@ -430,8 +430,11 @@ mod tests {
         // Node 3's sparsified neighborhood lost edge 2-3.
         assert_eq!(view.neighbors(3), vec![(4, 1.0)]);
         assert!(tracker.structure_bytes() > 0);
-        // has_edge still sees the local copy (full adjacency for 0..2).
-        assert!(view.has_edge(2, 3) || !view.has_edge(2, 3)); // no panic
+        // has_edge reads the local copy (here the full path) and meters
+        // nothing.
+        let bytes = tracker.total_bytes();
+        assert!(view.has_edge(2, 3));
+        assert_eq!(tracker.total_bytes(), bytes);
     }
 
     #[test]

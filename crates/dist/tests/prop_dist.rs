@@ -114,7 +114,7 @@ fn positives_cover_every_edge_at_least_once() {
         let (n, edges) = rand_graph(&mut r);
         let g = Graph::from_edges(n, &edges).unwrap();
         let s = setup(n, &edges, TrainingStrategy::SpLpg, 3, case);
-        let mut covered = std::collections::HashSet::new();
+        let mut covered = std::collections::BTreeSet::new();
         for w in &s.workers {
             for e in &w.positives {
                 covered.insert((e.src, e.dst));

@@ -194,7 +194,7 @@ mod tests {
         let g = ring(30);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(2);
         let s = EdgeSplit::random(&g, SplitFractions::paper_default(), 1, &mut rng).unwrap();
-        let train: std::collections::HashSet<_> = s.train.iter().collect();
+        let train: std::collections::BTreeSet<_> = s.train.iter().collect();
         assert!(s.valid.iter().all(|e| !train.contains(e)));
         assert!(s.test.iter().all(|e| !train.contains(e)));
     }
@@ -244,7 +244,7 @@ mod tests {
         let g = ring(15);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(7);
         let neg = sample_global_negatives(&g, 20, &mut rng).unwrap();
-        let set: std::collections::HashSet<_> = neg.iter().collect();
+        let set: std::collections::BTreeSet<_> = neg.iter().collect();
         assert_eq!(set.len(), 20);
     }
 }

@@ -619,8 +619,8 @@ impl<'g> SolverEngine<'g> {
     ///
     /// # Errors
     ///
-    /// [`LinalgError::DimensionMismatch`] on wrong lengths, else as
-    /// [`SolverContext::pcg_block`]: [`LinalgError::Breakdown`] /
+    /// [`LinalgError::DimensionMismatch`] on wrong lengths, else the
+    /// block PCG solve's [`LinalgError::Breakdown`] /
     /// [`LinalgError::NoConvergence`].
     pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<usize, LinalgError> {
         self.solve_block_into(b, 1, x)?;
@@ -713,7 +713,8 @@ impl<'g> SolverEngine<'g> {
     ///
     /// * [`LinalgError::DimensionMismatch`] for out-of-range endpoints;
     /// * [`LinalgError::Disconnected`] for a pair spanning components;
-    /// * solver errors as [`SolverContext::pcg_block`].
+    /// * the block PCG solve's [`LinalgError::Breakdown`] /
+    ///   [`LinalgError::NoConvergence`].
     pub fn edge_resistances(
         &mut self,
         pairs: &[(NodeId, NodeId)],

@@ -6,9 +6,11 @@
 //! training is bit-deterministic across thread counts and across
 //! processes. That property is easy to break silently: one stray
 //! `HashMap` iteration, one hand-mixed RNG seed, one float reduction
-//! whose order follows the thread count. This crate machine-checks those
-//! conventions as named rules over every `crates/*/src` file and is
-//! wired into `scripts/verify.sh` as a standing gate.
+//! whose order follows the thread count. The bans clippy can express
+//! (hash containers, ad-hoc threads, clock reads, prints, undocumented
+//! `unsafe`) live in the workspace's `clippy.toml` and `Cargo.toml`; this
+//! crate machine-checks the rest as named rules over every `crates/*/src`
+//! file and is wired into `scripts/verify.sh` as a standing gate.
 //!
 //! The analyzer is dependency-free and runs as a pass pipeline:
 //!
@@ -27,7 +29,7 @@
 //! A diagnostic can be suppressed with a reasoned pragma:
 //!
 //! ```text
-//! // splpg-lint: allow(hash-iter) — lookup table, never iterated
+//! // splpg-lint: allow(as-cast-truncation) — clamped to [0, 255] above
 //! ```
 //!
 //! on the offending line or alone on the line above it;
@@ -37,8 +39,6 @@
 //! ```text
 //! cargo run -p splpg-lint -- check [--format=json] [--timings]
 //! ```
-
-// splpg-lint: allow-file(wallclock) — the analyzer times its own passes for `--timings`/`--budget-ms`; timing output never feeds back into diagnostics
 
 pub mod lexer;
 pub mod rules;
@@ -226,11 +226,13 @@ fn relative_path(root: &Path, file: &Path) -> String {
         .join("/")
 }
 
-/// Lap timer for `--timings`; a no-op when not timed.
+/// Lap timer for `--timings`; a no-op when not timed. Its readings only
+/// feed the timing report and the `--budget-ms` gate, never a diagnostic.
 struct Clock {
     t0: Option<Instant>,
 }
 
+#[expect(clippy::disallowed_methods, reason = "the analyzer times its own passes for --timings and --budget-ms")]
 impl Clock {
     fn start(timed: bool) -> Clock {
         Clock { t0: timed.then(Instant::now) }

@@ -9,6 +9,8 @@
 //! Exit codes: 0 clean, 1 violations found (or time budget exceeded),
 //! 2 usage or I/O error.
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a binary prints what the libraries return")]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

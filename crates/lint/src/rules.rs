@@ -33,18 +33,10 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Crates whose library code must be bit-reproducible run to run: hash
-/// containers (randomized iteration order *per process*) are banned there.
-pub const DETERMINISTIC_CRATES: &[&str] = &["graph", "gnn", "dist", "net", "partition", "sparsify"];
-
 /// Stable names of every rule, in reporting order.
 pub const RULE_NAMES: &[&str] = &[
-    RULE_HASH_ITER,
-    RULE_THREAD_SPAWN,
-    RULE_WALLCLOCK,
     RULE_UNWRAP,
     RULE_FORBID_UNSAFE,
-    RULE_PRINT_MACRO,
     RULE_TAPE_IN_LOOP,
     RULE_ALLOC_IN_HOT_LOOP,
     RULE_FLOAT_ACCUM_IN_PAR,
@@ -55,12 +47,8 @@ pub const RULE_NAMES: &[&str] = &[
     RULE_STALE_PRAGMA,
 ];
 
-pub const RULE_HASH_ITER: &str = "hash-iter";
-pub const RULE_THREAD_SPAWN: &str = "thread-spawn";
-pub const RULE_WALLCLOCK: &str = "wallclock";
 pub const RULE_UNWRAP: &str = "unwrap-expect";
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
-pub const RULE_PRINT_MACRO: &str = "print-macro";
 pub const RULE_TAPE_IN_LOOP: &str = "tape-in-loop";
 pub const RULE_ALLOC_IN_HOT_LOOP: &str = "alloc-in-hot-loop";
 pub const RULE_FLOAT_ACCUM_IN_PAR: &str = "float-accum-in-par";
@@ -108,8 +96,8 @@ pub const NET_WRAPPER_FILES: &[&str] = &[
 
 /// The only files allowed to contain `unsafe` code (`forbid-unsafe`):
 /// the shared-memory feature bus, whose mmap/raw-pointer plumbing cannot
-/// be expressed safely. Each block there still needs its own
-/// `// splpg-lint: allow(forbid-unsafe) — reason` pragma, and the owning
+/// be expressed safely. Each block there still needs its own `// SAFETY:`
+/// comment (clippy's `undocumented_unsafe_blocks`), and the owning
 /// crate's root downgrades to `#![deny(unsafe_code)]` (so the carve-out
 /// stays an explicit per-module `#[allow]`, not a crate-wide licence).
 pub const SANCTIONED_UNSAFE_FILES: &[&str] = &["crates/net/src/shm.rs"];
@@ -127,23 +115,6 @@ pub const CAST_HOT_FILES: &[&str] = &[
 /// One-line description per rule (for `splpg-lint rules`).
 pub fn describe(rule: &str) -> &'static str {
     match rule {
-        RULE_HASH_ITER => {
-            "no std HashMap/HashSet in library code of deterministic crates \
-             (graph, gnn, dist, net, partition, sparsify): hash iteration \
-             order is randomized per process and silently breaks run-to-run \
-             reproducibility — use BTreeMap/BTreeSet or index vectors"
-        }
-        RULE_THREAD_SPAWN => {
-            "no std::thread::spawn/scope outside splpg-par and splpg-net: \
-             ad-hoc threads bypass the deterministic fork-join pool (par) \
-             and the cluster actor runtime (net) and their thread-count \
-             invariance guarantees"
-        }
-        RULE_WALLCLOCK => {
-            "no std::time::Instant/SystemTime outside crates/bench: wall-clock \
-             reads in library code make outputs timing-dependent; measure in \
-             the bench harness instead"
-        }
         RULE_UNWRAP => {
             "no .unwrap() and no bare .expect(…) in non-test library code of \
              I/O- and solver-facing crates (graph::io, linalg, datasets): \
@@ -154,13 +125,9 @@ pub fn describe(rule: &str) -> &'static str {
             "every crate root must carry #![forbid(unsafe_code)] — except \
              crates hosting a sanctioned-unsafe module (net/src/shm.rs), \
              whose root carries #![deny(unsafe_code)] instead; `unsafe` \
-             tokens are banned everywhere outside the sanctioned list, and \
-             inside it every block needs a per-block \
-             `splpg-lint: allow(forbid-unsafe) — reason` pragma"
-        }
-        RULE_PRINT_MACRO => {
-            "no println!/eprintln!/print!/eprint! in library code outside \
-             crates/bench: libraries return data, binaries print it"
+             tokens are banned everywhere outside the sanctioned list \
+             (clippy's undocumented_unsafe_blocks asks each block inside it \
+             for a `// SAFETY:` comment)"
         }
         RULE_TAPE_IN_LOOP => {
             "no Tape::new() inside a loop body in library code: a fresh \
@@ -409,12 +376,8 @@ pub struct Rule {
 /// Every rule except `stale-pragma`, which must run after all others
 /// (it reads the pragma usage the other rules record).
 pub const RULES: &[Rule] = &[
-    Rule { name: RULE_HASH_ITER, run: hash_iter },
-    Rule { name: RULE_THREAD_SPAWN, run: thread_spawn },
-    Rule { name: RULE_WALLCLOCK, run: wallclock },
     Rule { name: RULE_UNWRAP, run: unwrap_expect },
     Rule { name: RULE_FORBID_UNSAFE, run: forbid_unsafe },
-    Rule { name: RULE_PRINT_MACRO, run: print_macro },
     Rule { name: RULE_TAPE_IN_LOOP, run: tape_in_loop },
     Rule { name: RULE_ALLOC_IN_HOT_LOOP, run: alloc_in_hot_loop },
     Rule { name: RULE_FLOAT_ACCUM_IN_PAR, run: float_accum_in_par },
@@ -441,77 +404,6 @@ pub fn check_analysis(a: &FileAnalysis) -> Vec<Diagnostic> {
 
 fn each_library_line(a: &FileAnalysis) -> impl Iterator<Item = (usize, &Line)> {
     a.file.lines.iter().enumerate().filter(|(_, l)| !l.in_test)
-}
-
-fn hash_iter(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    let applies =
-        a.scope.crate_name.as_deref().is_some_and(|c| DETERMINISTIC_CRATES.contains(&c));
-    if !applies {
-        return;
-    }
-    for (idx, line) in each_library_line(a) {
-        for token in ["HashMap", "HashSet"] {
-            if !find_word(&line.code, token).is_empty() {
-                a.push(
-                    out,
-                    idx,
-                    RULE_HASH_ITER,
-                    format!(
-                        "{token} in a deterministic crate: hash iteration order is \
-                         randomized per process; use BTreeMap/BTreeSet or an index \
-                         vector (or allow with a determinism argument)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn thread_spawn(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    // par hosts the fork-join pool; net hosts the long-lived cluster
-    // actors. All other crates must route threads through one of the two.
-    if a.scope.in_crate("par") || a.scope.in_crate("net") {
-        return;
-    }
-    for (idx, line) in each_library_line(a) {
-        for token in ["thread::spawn", "thread::scope"] {
-            if line.code.contains(token) {
-                a.push(
-                    out,
-                    idx,
-                    RULE_THREAD_SPAWN,
-                    format!(
-                        "{token} outside splpg-par/splpg-net: route parallel work \
-                         through the global pool (or cluster actors through \
-                         splpg-net) so thread-count invariance holds"
-                    ),
-                );
-                break;
-            }
-        }
-    }
-}
-
-fn wallclock(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    if a.scope.in_crate("bench") {
-        return;
-    }
-    for (idx, line) in each_library_line(a) {
-        for token in ["Instant", "SystemTime"] {
-            if !find_word(&line.code, token).is_empty() {
-                a.push(
-                    out,
-                    idx,
-                    RULE_WALLCLOCK,
-                    format!(
-                        "std::time::{token} outside crates/bench: wall-clock reads \
-                         make library output timing-dependent"
-                    ),
-                );
-                break;
-            }
-        }
-    }
 }
 
 fn unwrap_expect(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
@@ -557,29 +449,6 @@ fn unwrap_expect(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
                 );
             }
             from = open;
-        }
-    }
-}
-
-fn print_macro(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    if a.scope.in_crate("bench") || a.scope.is_binary {
-        return;
-    }
-    for (idx, line) in each_library_line(a) {
-        for token in ["println!", "eprintln!", "print!", "eprint!"] {
-            let bare = &token[..token.len() - 1];
-            if find_word(&line.code, bare)
-                .into_iter()
-                .any(|at| line.code[at + bare.len()..].starts_with('!'))
-            {
-                a.push(
-                    out,
-                    idx,
-                    RULE_PRINT_MACRO,
-                    format!("{token} in library code: return data to the caller; only bench and bin targets print"),
-                );
-                break;
-            }
         }
     }
 }
@@ -640,89 +509,26 @@ fn forbid_unsafe(a: &FileAnalysis, out: &mut Vec<Diagnostic>) {
             a.push(out, 0, RULE_FORBID_UNSAFE, format!("crate root is missing {want}"));
         }
     }
-    let sanctioned = SANCTIONED_UNSAFE_FILES.contains(&a.path.as_str());
-    if sanctioned {
-        // The carve-out is per block, never file-wide, and every pragma
-        // must state its reason after the closing paren. Neither check is
-        // itself suppressible — a pragma cannot excuse its own misuse.
-        for e in &a.pragmas.entries {
-            if e.rule != RULE_FORBID_UNSAFE {
-                continue;
-            }
-            if e.file_wide {
-                out.push(Diagnostic {
-                    path: a.path.clone(),
-                    line: e.line + 1,
-                    rule: RULE_FORBID_UNSAFE,
-                    message: "allow-file(forbid-unsafe) is not sanctioned: each \
-                              unsafe block needs its own allow(forbid-unsafe) \
-                              pragma with a reason"
-                        .to_string(),
-                });
-            }
-            let comment = a.file.lines[e.line].comment.as_str();
-            let reason = comment
-                .split("forbid-unsafe")
-                .nth(1)
-                .and_then(|rest| rest.split_once(')'))
-                .map_or("", |(_, after)| after);
-            if !reason.chars().any(|c| c.is_alphabetic()) {
-                out.push(Diagnostic {
-                    path: a.path.clone(),
-                    line: e.line + 1,
-                    rule: RULE_FORBID_UNSAFE,
-                    message: "allow(forbid-unsafe) pragma without a reason: \
-                              state why this block cannot be safe, e.g. \
-                              `// splpg-lint: allow(forbid-unsafe) — <reason>`"
-                        .to_string(),
-                });
-            }
-        }
+    // Inside the sanctioned modules clippy's `undocumented_unsafe_blocks`
+    // asks each block for its `// SAFETY:` comment.
+    if SANCTIONED_UNSAFE_FILES.contains(&a.path.as_str()) {
+        return;
     }
     for i in 0..a.tree.tokens.len() {
         if a.tok(i) != "unsafe" {
             continue;
         }
-        let idx = a.tree.tokens[i].line;
-        if sanctioned {
-            // Suppressible only by a per-block `allow` pragma on this line
-            // or alone on the line above (whose reason the loop above
-            // already vetted) — never by `allow-file`, which would defeat
-            // the block-by-block accounting.
-            let mut covered = false;
-            for e in &a.pragmas.entries {
-                let applies = e.rule == RULE_FORBID_UNSAFE
-                    && !e.file_wide
-                    && (e.line == idx
-                        || (e.line + 1 == idx && a.file.lines[e.line].code.trim().is_empty()));
-                if applies {
-                    e.used.set(true);
-                    covered = true;
-                }
-            }
-            if !covered {
-                out.push(Diagnostic {
-                    path: a.path.clone(),
-                    line: idx + 1,
-                    rule: RULE_FORBID_UNSAFE,
-                    message: "unsafe block without a \
-                              `splpg-lint: allow(forbid-unsafe) — reason` pragma"
-                        .to_string(),
-                });
-            }
-        } else {
-            // Unsuppressible anywhere else: unsafe code belongs in the
-            // sanctioned module list or not in this workspace at all.
-            out.push(Diagnostic {
-                path: a.path.clone(),
-                line: idx + 1,
-                rule: RULE_FORBID_UNSAFE,
-                message: "unsafe code outside the sanctioned modules \
-                          (net/src/shm.rs): wrap the operation behind the \
-                          shared-memory bus API or keep it safe"
-                    .to_string(),
-            });
-        }
+        // Unsuppressible: unsafe code belongs in the sanctioned module
+        // list or not in this workspace at all.
+        out.push(Diagnostic {
+            path: a.path.clone(),
+            line: a.tree.tokens[i].line + 1,
+            rule: RULE_FORBID_UNSAFE,
+            message: "unsafe code outside the sanctioned modules \
+                      (net/src/shm.rs): wrap the operation behind the \
+                      shared-memory bus API or keep it safe"
+                .to_string(),
+        });
     }
 }
 
@@ -1038,33 +844,33 @@ mod tests {
 
     #[test]
     fn same_line_pragma_suppresses() {
-        let src = "#![forbid(unsafe_code)]\nuse std::collections::HashMap; // splpg-lint: allow(hash-iter) — lookup only, never iterated\n";
+        let src = "#![forbid(unsafe_code)]\nuse std::arch::x86_64::_mm_pause; // splpg-lint: allow(isa-select) — a spin hint, no result bits\n";
         assert!(diags("crates/graph/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn preceding_line_pragma_suppresses() {
-        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(hash-iter) — lookup only\nuse std::collections::HashMap;\n";
+        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(isa-select) — a spin hint\nuse std::arch::x86_64::_mm_pause;\n";
         assert!(diags("crates/graph/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn pragma_two_lines_above_does_not_suppress() {
-        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(hash-iter) — too far away\nfn pad() {}\nuse std::collections::HashMap;\n";
+        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(isa-select) — too far away\nfn pad() {}\nuse std::arch::x86_64::_mm_pause;\n";
         let d = diags("crates/graph/src/lib.rs", src);
-        assert!(d.iter().any(|d| d.rule == RULE_HASH_ITER), "{d:?}");
+        assert!(d.iter().any(|d| d.rule == RULE_ISA_SELECT), "{d:?}");
         assert!(d.iter().any(|d| d.rule == RULE_STALE_PRAGMA), "{d:?}");
     }
 
     #[test]
     fn allow_file_pragma_covers_whole_file() {
-        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow-file(hash-iter) — id interner, lookup only\nuse std::collections::HashMap;\nfn f(m: &HashMap<u32, u32>) {}\n";
+        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow-file(isa-select) — spin hints only\nuse std::arch::x86_64::_mm_pause;\nfn f() -> bool { cfg!(target_feature = \"sse2\") }\n";
         assert!(diags("crates/graph/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn stale_pragma_fires_when_nothing_suppressed() {
-        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(wallclock) — removed long ago\nfn f() {}\n";
+        let src = "#![forbid(unsafe_code)]\n// splpg-lint: allow(isa-select) — removed long ago\nfn f() {}\n";
         let d = diags("crates/graph/src/lib.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RULE_STALE_PRAGMA);
@@ -1073,29 +879,11 @@ mod tests {
 
     #[test]
     fn stale_pragma_fires_on_misspelled_rule() {
-        let src = "#![forbid(unsafe_code)]\nuse std::collections::HashMap; // splpg-lint: allow(hash-itre) — typo\n";
+        let src = "#![forbid(unsafe_code)]\nuse std::arch::x86_64::_mm_pause; // splpg-lint: allow(isa-selcet) — typo\n";
         let d = diags("crates/graph/src/lib.rs", src);
         let rules: Vec<_> = d.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&RULE_HASH_ITER), "{d:?}");
+        assert!(rules.contains(&RULE_ISA_SELECT), "{d:?}");
         assert!(rules.contains(&RULE_STALE_PRAGMA), "{d:?}");
-    }
-
-    #[test]
-    fn thread_scope_allowed_in_par_and_net_only() {
-        let src = "#![forbid(unsafe_code)]\nstd::thread::scope(|s| s.spawn(|| {}));\n";
-        assert!(diags("crates/par/src/lib.rs", src).is_empty());
-        assert!(diags("crates/net/src/cluster.rs", src).is_empty());
-        let d = diags("crates/dist/src/trainer.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RULE_THREAD_SPAWN);
-    }
-
-    #[test]
-    fn hash_iter_covers_net() {
-        let src = "#![forbid(unsafe_code)]\nuse std::collections::HashMap;\n";
-        let d = diags("crates/net/src/codec.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RULE_HASH_ITER);
     }
 
     #[test]
@@ -1285,11 +1073,11 @@ mod tests {
 
     #[test]
     fn pragma_for_other_rule_does_not_suppress() {
-        let src = "#![forbid(unsafe_code)]\nuse std::collections::HashMap; // splpg-lint: allow(wallclock) — wrong rule\n";
+        let src = "#![forbid(unsafe_code)]\nuse std::arch::x86_64::_mm_pause; // splpg-lint: allow(tape-in-loop) — wrong rule\n";
         let d = diags("crates/graph/src/lib.rs", src);
         let rules: Vec<_> = d.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&RULE_HASH_ITER), "{d:?}");
-        // And the useless wallclock pragma is itself flagged.
+        assert!(rules.contains(&RULE_ISA_SELECT), "{d:?}");
+        // And the useless tape-in-loop pragma is itself flagged.
         assert!(rules.contains(&RULE_STALE_PRAGMA), "{d:?}");
     }
 }

@@ -1,12 +1,12 @@
-//! Fixture: the sanctioned-unsafe shape — every block carries its own
-//! reasoned pragma (checked under the `crates/net/src/shm.rs` path).
+//! Fixture: the sanctioned-unsafe shape — every block states why it is
+//! sound (clean under the `crates/net/src/shm.rs` path only).
 
 pub fn view(ptr: *const u8, len: usize) -> &'static [u8] {
-    // splpg-lint: allow(forbid-unsafe) — mmap result slice, length validated by the caller
+    // SAFETY: mmap result slice, length validated by the caller
     unsafe { std::slice::from_raw_parts(ptr, len) }
 }
 
 pub struct Mapping(*mut u8);
 
-// splpg-lint: allow(forbid-unsafe) — the mapping is shared and immutable after seal
+// SAFETY: the mapping is shared and immutable after seal
 unsafe impl Send for Mapping {}

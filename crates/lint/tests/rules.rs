@@ -1,6 +1,7 @@
 //! Fixture-based rule tests: every rule must both fire on its bad
 //! fixture and stay silent on its good fixture (which also exercises the
-//! allow-pragma escape hatch).
+//! allow-pragma escape hatch). The bans clippy carries are pinned by
+//! reading the workspace's clippy configuration.
 
 use splpg_lint::check_source;
 
@@ -16,78 +17,6 @@ fn fired(path: &str, src: &str) -> Vec<&'static str> {
 /// header, which non-`lib.rs` fixtures never carry.
 fn fired_content(path: &str, src: &str) -> Vec<&'static str> {
     fired(path, src).into_iter().filter(|r| *r != "forbid-unsafe").collect()
-}
-
-#[test]
-fn hash_iter_fires_on_bad_fixture() {
-    let d = check_source(
-        "crates/graph/src/fixture.rs",
-        include_str!("fixtures/hash_iter_bad.rs"),
-    );
-    let hits: Vec<_> = d.iter().filter(|d| d.rule == "hash-iter").collect();
-    assert!(hits.len() >= 4, "HashMap/HashSet uses + iterations: {hits:?}");
-    // Diagnostics carry file:line coordinates.
-    assert!(hits.iter().all(|d| d.line > 0 && d.path.ends_with("fixture.rs")));
-}
-
-#[test]
-fn hash_iter_passes_good_fixture() {
-    let rules = fired_content(
-        "crates/graph/src/fixture.rs",
-        include_str!("fixtures/hash_iter_good.rs"),
-    );
-    assert!(rules.is_empty(), "good fixture must be clean: {rules:?}");
-}
-
-#[test]
-fn hash_iter_ignores_non_deterministic_crates() {
-    let rules = fired_content(
-        "crates/tensor/src/fixture.rs",
-        include_str!("fixtures/hash_iter_bad.rs"),
-    );
-    assert!(rules.is_empty(), "tensor is not a deterministic-scoped crate: {rules:?}");
-}
-
-#[test]
-fn thread_spawn_fires_on_bad_fixture() {
-    let rules = fired_content(
-        "crates/gnn/src/fixture.rs",
-        include_str!("fixtures/thread_bad.rs"),
-    );
-    assert_eq!(rules, vec!["thread-spawn"]);
-}
-
-#[test]
-fn thread_spawn_passes_good_fixture_and_par() {
-    let good = fired_content(
-        "crates/gnn/src/fixture.rs",
-        include_str!("fixtures/thread_good.rs"),
-    );
-    assert!(good.is_empty(), "{good:?}");
-    // splpg-par itself is the one place threads may be spawned.
-    let par = fired_content("crates/par/src/fixture.rs", include_str!("fixtures/thread_bad.rs"));
-    assert!(par.is_empty(), "{par:?}");
-}
-
-#[test]
-fn wallclock_fires_on_bad_fixture() {
-    let rules = fired_content(
-        "crates/dist/src/fixture.rs",
-        include_str!("fixtures/wallclock_bad.rs"),
-    );
-    assert_eq!(rules, vec!["wallclock"]);
-}
-
-#[test]
-fn wallclock_passes_good_fixture_and_bench() {
-    let good = fired_content(
-        "crates/dist/src/fixture.rs",
-        include_str!("fixtures/wallclock_good.rs"),
-    );
-    assert!(good.is_empty(), "{good:?}");
-    let bench =
-        fired_content("crates/bench/src/fixture.rs", include_str!("fixtures/wallclock_bad.rs"));
-    assert!(bench.is_empty(), "bench may read clocks: {bench:?}");
 }
 
 #[test]
@@ -130,24 +59,12 @@ fn forbid_unsafe_passes_compliant_root_and_non_roots() {
 }
 
 #[test]
-fn forbid_unsafe_sanctioned_module_needs_reasoned_pragma_per_block() {
-    // The sanctioned shm module: pragma'd blocks are clean.
+fn forbid_unsafe_is_unsuppressible_outside_sanctioned_modules() {
+    // The sanctioned shm module may hold unsafe blocks…
     let good =
         fired("crates/net/src/shm.rs", include_str!("fixtures/unsafe_sanctioned_good.rs"));
     assert!(good.is_empty(), "{good:?}");
-    // Bare blocks, reason-less pragmas, and allow-file blankets all fire.
-    let d = check_source(
-        "crates/net/src/shm.rs",
-        include_str!("fixtures/unsafe_sanctioned_bad.rs"),
-    );
-    let hits: Vec<_> = d.iter().filter(|d| d.rule == "forbid-unsafe").collect();
-    assert!(hits.len() >= 3, "bare + reasonless + file-wide: {hits:?}");
-}
-
-#[test]
-fn forbid_unsafe_is_unsuppressible_outside_sanctioned_modules() {
-    // The same pragma'd code in any other file still fires: the pragma
-    // escape hatch only exists inside the sanctioned module list.
+    // …and the same code in any other file fires, comments or not.
     let d = check_source(
         "crates/graph/src/csr.rs",
         include_str!("fixtures/unsafe_sanctioned_good.rs"),
@@ -172,25 +89,6 @@ fn forbid_unsafe_sanctioned_crate_root_denies_instead_of_forbidding() {
     let d = check_source("crates/graph/src/lib.rs", deny);
     assert_eq!(d.len(), 1);
     assert!(d[0].message.contains("forbid"), "{:?}", d[0]);
-}
-
-#[test]
-fn print_macro_fires_on_bad_fixture() {
-    let rules = fired_content("crates/nn/src/fixture.rs", include_str!("fixtures/print_bad.rs"));
-    assert_eq!(rules, vec!["print-macro"]);
-}
-
-#[test]
-fn print_macro_passes_good_fixture_bench_and_binaries() {
-    let good = fired_content("crates/nn/src/fixture.rs", include_str!("fixtures/print_good.rs"));
-    assert!(good.is_empty(), "{good:?}");
-    let bench = fired_content("crates/bench/src/fixture.rs", include_str!("fixtures/print_bad.rs"));
-    assert!(bench.is_empty(), "{bench:?}");
-    let binary =
-        fired_content("crates/lint/src/bin/tool.rs", include_str!("fixtures/print_bad.rs"));
-    assert!(binary.is_empty(), "bin targets may print: {binary:?}");
-    let main = fired_content("crates/lint/src/main.rs", include_str!("fixtures/print_bad.rs"));
-    assert!(main.is_empty(), "main.rs may print: {main:?}");
 }
 
 #[test]
@@ -413,13 +311,13 @@ fn seeded_bad_patterns_fire_in_workspace_hot_paths() {
 fn allow_file_pragma_and_stale_pragma_integration() {
     // allow-file covers every occurrence in the file…
     let src = "#![forbid(unsafe_code)]\n\
-               // splpg-lint: allow-file(hash-iter) — id interner, lookup only\n\
-               use std::collections::HashMap;\n\
-               fn f(m: &HashMap<u32, u32>) -> usize { m.len() }\n";
+               // splpg-lint: allow-file(isa-select) — spin hints only\n\
+               use std::arch::x86_64::_mm_pause;\n\
+               fn f() -> bool { cfg!(target_feature = \"sse2\") }\n";
     assert!(fired("crates/graph/src/lib.rs", src).is_empty());
     // …and a pragma that covers nothing is itself a violation.
     let stale = "#![forbid(unsafe_code)]\n\
-                 // splpg-lint: allow(thread-spawn) — code moved to splpg-par long ago\n\
+                 // splpg-lint: allow(tape-in-loop) — code moved out of the loop long ago\n\
                  fn f() {}\n";
     let d = check_source("crates/graph/src/lib.rs", stale);
     assert_eq!(d.len(), 1, "{d:?}");
@@ -462,7 +360,7 @@ fn cli_exit_codes_and_formats() {
     let dir = std::env::temp_dir().join(format!("splpg_lint_cli_{}", std::process::id()));
     let src = dir.join("crates").join("graph").join("src");
     std::fs::create_dir_all(&src).expect("mkdir");
-    std::fs::write(src.join("lib.rs"), "use std::collections::HashMap;\n").expect("write");
+    std::fs::write(src.join("lib.rs"), "use std::arch::x86_64::_mm_pause;\n").expect("write");
     let root = dir.to_str().expect("utf8 tempdir");
     let out = Command::new(exe)
         .args(["check", "--root", root, "--format=json"])
@@ -470,8 +368,8 @@ fn cli_exit_codes_and_formats() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"violations\": 2"), "hash-iter + forbid-unsafe: {json}");
-    assert!(json.contains("\"rule\":\"hash-iter\""), "{json}");
+    assert!(json.contains("\"violations\": 2"), "isa-select + forbid-unsafe: {json}");
+    assert!(json.contains("\"rule\":\"isa-select\""), "{json}");
 
     // Clean mini-workspace: exit 0, timings print under --timings.
     std::fs::write(src.join("lib.rs"), "#![forbid(unsafe_code)]\n").expect("write");
@@ -493,24 +391,28 @@ fn cli_exit_codes_and_formats() {
 fn pragma_reasons_survive_extra_rules_listed() {
     // One pragma can name several rules.
     let src = "#![forbid(unsafe_code)]\n\
-               // splpg-lint: allow(hash-iter, wallclock) — fixture\n\
-               use std::collections::HashMap; use std::time::Instant;\n";
-    let d = check_source("crates/graph/src/lib.rs", src);
+               // splpg-lint: allow(isa-select, unwrap-expect) — fixture\n\
+               use std::arch::x86_64::_mm_pause; fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+    let d = check_source("crates/linalg/src/lib.rs", src);
     assert!(d.is_empty(), "{d:?}");
+}
+
+/// The workspace root: `CARGO_MANIFEST_DIR` is `crates/lint`, two levels
+/// below it.
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("invariant: crates/lint sits two levels below the workspace root")
+        .to_path_buf()
 }
 
 #[test]
 fn workspace_scan_reports_zero_violations() {
     // The repo itself must stay clean — this is the same check
     // scripts/verify.sh runs, kept here so `cargo test` alone catches
-    // regressions. CARGO_MANIFEST_DIR = crates/lint; the workspace root
-    // is two levels up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("invariant: crates/lint sits two levels below the workspace root")
-        .to_path_buf();
-    let report = splpg_lint::check_workspace(&root).expect("scan");
+    // regressions.
+    let report = splpg_lint::check_workspace(&workspace_root()).expect("scan");
     assert!(
         report.diagnostics.is_empty(),
         "workspace has lint violations:\n{}",
@@ -522,17 +424,65 @@ fn workspace_scan_reports_zero_violations() {
             .join("\n")
     );
     assert!(report.files_scanned > 50, "expected to scan the whole workspace");
-    // The full v2 rule set must be active for the clean bill to mean
-    // anything.
-    assert_eq!(splpg_lint::RULE_NAMES.len(), 14, "v2 ships 14 rules");
-    for rule in [
-        "float-accum-in-par",
-        "rng-not-derived",
-        "net-call-no-timeout",
-        "as-cast-truncation",
-        "isa-select",
-        "stale-pragma",
+    // The full rule set must be active for the clean bill to mean
+    // anything; clippy carries the rest (see the next test).
+    assert_eq!(
+        splpg_lint::RULE_NAMES,
+        [
+            "unwrap-expect",
+            "forbid-unsafe",
+            "tape-in-loop",
+            "alloc-in-hot-loop",
+            "float-accum-in-par",
+            "rng-not-derived",
+            "net-call-no-timeout",
+            "as-cast-truncation",
+            "isa-select",
+            "stale-pragma",
+        ]
+    );
+}
+
+#[test]
+fn clippy_config_carries_the_bans_splpg_lint_left_to_it() {
+    // Hash containers, ad-hoc threads, clock reads, prints and
+    // undocumented unsafe blocks are rejected by `cargo clippy -D warnings`
+    // (scripts/verify.sh), not by this crate. Pin the configuration that
+    // does it, so a dropped entry fails `cargo test`, not only the gate.
+    let root = workspace_root();
+    let clippy_toml = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
+    let listed = |entry: &str| {
+        clippy_toml.lines().any(|l| !l.trim_start().starts_with('#') && l.contains(entry))
+    };
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
+        "std::thread::Builder::spawn_scoped",
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
     ] {
-        assert!(splpg_lint::RULE_NAMES.contains(&rule), "missing v2 rule {rule}");
+        assert!(listed(&format!("path = \"{path}\"")), "clippy.toml no longer bans {path}");
+    }
+    assert!(listed("allow-print-in-tests = true"), "tests may print");
+    let cargo_toml = std::fs::read_to_string(root.join("Cargo.toml")).expect("read Cargo.toml");
+    let clippy_lints = cargo_toml
+        .split("[workspace.lints.clippy]")
+        .nth(1)
+        .and_then(|rest| rest.split("\n[").next())
+        .expect("Cargo.toml has a [workspace.lints.clippy] table");
+    for lint in [
+        "disallowed_types",
+        "disallowed_methods",
+        "print_stdout",
+        "print_stderr",
+        "undocumented_unsafe_blocks",
+    ] {
+        assert!(
+            clippy_lints.lines().any(|l| l.trim() == format!("{lint} = \"deny\"")),
+            "[workspace.lints.clippy] no longer denies {lint}"
+        );
     }
 }

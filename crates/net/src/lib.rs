@@ -36,8 +36,8 @@
 //!
 //! Unsafe code is denied crate-wide and re-allowed for exactly one
 //! module: [`shm`], the sanctioned home of the mmap-backed feature bus
-//! (`splpg-lint`'s `forbid-unsafe` rule pins both the carve-out and the
-//! per-block justification pragmas inside it).
+//! (`splpg-lint`'s `forbid-unsafe` rule pins the carve-out, and clippy's
+//! `undocumented_unsafe_blocks` a `// SAFETY:` comment on each block).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

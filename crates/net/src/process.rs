@@ -150,6 +150,7 @@ impl Drop for ProcessChildren {
 /// [`NetError::Io`] when sockets, the port file, or process spawning
 /// fail, or when the rendezvous window closes before every worker has
 /// dialed in; [`NetError::Codec`] on a malformed hello.
+#[expect(clippy::disallowed_methods, reason = "one inbox reader thread per worker socket is a cluster actor of splpg-net")]
 pub fn spawn_cluster(spec: &ProcessSpec) -> Result<(MasterHub, ProcessChildren), NetError> {
     if spec.workers == 0 {
         return Err(NetError::Io("a cluster needs at least one worker".to_string()));

@@ -24,9 +24,9 @@
 //! Dependency-free by construction: `shm_open(3)` is implemented as
 //! `open(2)` on `/dev/shm/<name>` — exactly what glibc's wrapper does —
 //! which keeps the foreign-function surface to `mmap`/`munmap`. All
-//! unsafe code in the workspace lives in this module, one pragma-carrying
-//! block at a time (`splpg-lint`'s `forbid-unsafe` rule enforces both
-//! the confinement and the pragmas).
+//! unsafe code in the workspace lives in this module, one `// SAFETY:`
+//! comment per block (`splpg-lint`'s `forbid-unsafe` rule enforces the
+//! confinement, clippy's `undocumented_unsafe_blocks` the comments).
 //!
 //! # Segment layout (version 1)
 //!
@@ -218,11 +218,11 @@ struct Mapping {
     len: usize,
 }
 
-// The mapping is plain read-only memory with no thread affinity, and
-// only sealed segments are ever mapped.
-// splpg-lint: allow(forbid-unsafe) — shared mapping is Send: no thread-affine state
+// SAFETY: the mapping is plain read-only memory with no thread-affine
+// state, so it may move to another thread.
 unsafe impl Send for Mapping {}
-// splpg-lint: allow(forbid-unsafe) — shared mapping is Sync: readers see sealed bytes only
+// SAFETY: only sealed segments are ever mapped, so every reader on every
+// thread sees the same immutable bytes.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -232,7 +232,8 @@ impl Mapping {
         if len == 0 {
             return Err(ShmError::Geometry("cannot map an empty segment".to_string()));
         }
-        // splpg-lint: allow(forbid-unsafe) — the one mmap call; fd and length are validated above
+        // SAFETY: the one mmap call; the fd is open and the length is
+        // nonzero (checked above), and a failure is checked below.
         let ptr = unsafe {
             mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, file.as_raw_fd(), 0)
         };
@@ -245,14 +246,15 @@ impl Mapping {
     /// The mapped bytes as a shared slice. Sound for sealed read-only
     /// segments (no writer exists after seal).
     fn bytes(&self) -> &[u8] {
-        // splpg-lint: allow(forbid-unsafe) — ptr/len come from a successful mmap of exactly len bytes
+        // SAFETY: ptr/len come from a successful mmap of exactly len bytes,
+        // which stays mapped until `self` drops.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
 impl Drop for Mapping {
     fn drop(&mut self) {
-        // splpg-lint: allow(forbid-unsafe) — unmapping the exact region mmap returned
+        // SAFETY: unmapping the exact region mmap returned, once.
         unsafe {
             munmap(self.ptr.cast::<c_void>(), self.len);
         }
@@ -488,9 +490,9 @@ impl ShmSegment {
         assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
         let start = HEADER_LEN + i * self.dim * 4;
         let bytes = &self.map.bytes()[start..start + self.dim * 4];
-        // The payload starts 64 bytes into a page-aligned mapping, so
-        // every row is 4-byte aligned.
-        // splpg-lint: allow(forbid-unsafe) — reinterpreting validated, aligned, sealed bytes as f32
+        // SAFETY: reinterpreting validated, sealed bytes as f32. The
+        // payload starts 64 bytes into a page-aligned mapping, so every row
+        // is 4-byte aligned, and `bytes` holds exactly `dim` floats.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f32>(), self.dim) }
     }
 }

@@ -136,6 +136,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// [`NetError::Io`] when socket options or the thread spawn fail.
+    #[expect(clippy::disallowed_methods, reason = "a socket reader thread is a cluster actor of splpg-net")]
     pub fn from_stream(stream: TcpStream, config: &TcpConfig, stats: WireStats) -> Result<Self, NetError> {
         stream.set_nodelay(true).map_err(|e| io_err("set_nodelay failed", e))?;
         stream
@@ -231,6 +232,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// [`NetError::Io`] when loopback sockets are unavailable.
+    #[expect(clippy::disallowed_methods, reason = "the loopback accept blocks, so it runs on its own thread")]
     pub fn pair(config: &TcpConfig, stats: WireStats) -> Result<(Self, Self), NetError> {
         let listener =
             TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_err("loopback bind failed", e))?;
@@ -457,6 +459,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the peer runs on its own thread so connect can retry")]
     fn connect_and_hello_handshake() {
         let stats = WireStats::new();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -493,6 +496,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the dialer runs on its own thread so the accept can block")]
     fn bad_hello_magic_is_rejected() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();

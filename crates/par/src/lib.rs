@@ -153,6 +153,7 @@ pub fn partition_items(items: usize, parts: usize) -> Vec<Range<usize>> {
 /// );
 /// assert_eq!(sum, 6);
 /// ```
+#[expect(clippy::disallowed_methods, reason = "the actor runtime itself: cluster actors are routed here")]
 pub fn actor_scope<R>(actors: usize, actor: impl Fn(usize) + Sync, master: impl FnOnce() -> R) -> R {
     thread::scope(|s| {
         let actor = &actor;
@@ -192,6 +193,7 @@ impl Pool {
     /// Falls back to a single inline call when the pool has one thread or
     /// `items < min_per_thread * 2` (not enough work to pay for a spawn).
     /// `f` observes each item index exactly once across all invocations.
+    #[expect(clippy::disallowed_methods, reason = "the fork-join pool itself: parallel work is routed here")]
     pub fn parallel_for<F>(&self, items: usize, min_per_thread: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -220,6 +222,7 @@ impl Pool {
 
     /// Order-preserving parallel map: returns `items.iter().map(f)` with
     /// the work chunked across the pool.
+    #[expect(clippy::disallowed_methods, reason = "the fork-join pool itself: parallel work is routed here")]
     pub fn parallel_map_chunks<T, U, F>(&self, items: &[T], min_per_thread: usize, f: F) -> Vec<U>
     where
         T: Sync,
@@ -262,6 +265,7 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if `data.len()` is not a multiple of `item_len`.
+    #[expect(clippy::disallowed_methods, reason = "the fork-join pool itself: parallel work is routed here")]
     pub fn parallel_for_mut<T, F>(&self, data: &mut [T], item_len: usize, min_per_thread: usize, f: F)
     where
         T: Send,

@@ -41,7 +41,7 @@ impl Default for MetisOptions {
 
 /// Multilevel recursive-bisection partitioner (METIS-like).
 ///
-/// See the [module documentation](self) for the algorithm outline.
+/// See the [crate documentation](crate) for the algorithm outline.
 #[derive(Debug, Clone, Default)]
 pub struct MetisLike {
     options: MetisOptions,

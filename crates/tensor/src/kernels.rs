@@ -92,7 +92,7 @@ pub fn par_dispatch(rows: usize, k: usize, m: usize) -> bool {
 /// `a[n,k] @ b[k,m]`, row-major, into a fresh `[n,m]` buffer.
 ///
 /// Row-partitioned over `pool`; register-tiled and k-blocked (see
-/// [`nn_tn_chunk`]). Accumulation per output element runs over `k`
+/// `nn_tn_chunk`). Accumulation per output element runs over `k`
 /// ascending, so the result is bit-identical to
 /// [`Tensor::matmul_scalar`](crate::Tensor::matmul_scalar), skip-on-zero
 /// and all.

@@ -10,7 +10,7 @@
 //! accumulator runs over its contributions in ascending input order, so
 //! outputs are **bit-identical** to the scalar reference at any thread
 //! count. Kernels follow the matmul scalar-fallback policy: below
-//! [`PAR_FLOP_THRESHOLD`](crate::kernels::PAR_FLOP_THRESHOLD) estimated
+//! [`crate::kernels::PAR_FLOP_THRESHOLD`] estimated
 //! flops (or on a one-thread pool) the scalar loop runs inline.
 //!
 //! Scratch buffers (`segment_softmax`'s max/denominator, the backward

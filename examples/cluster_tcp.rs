@@ -12,6 +12,8 @@
 //! cargo run -p splpg-examples --bin cluster_tcp --release
 //! ```
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a binary prints what the libraries return")]
+
 use splpg::prelude::*;
 
 const SEED: u64 = 29;

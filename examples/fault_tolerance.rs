@@ -10,6 +10,8 @@
 //! cargo run -p splpg-examples --bin fault_tolerance --release
 //! ```
 
+#![expect(clippy::print_stdout, reason = "a binary prints what the libraries return")]
+
 use splpg::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

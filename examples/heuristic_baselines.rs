@@ -11,6 +11,8 @@
 //! cargo run -p splpg-examples --bin heuristic_baselines --release
 //! ```
 
+#![expect(clippy::print_stdout, reason = "a binary prints what the libraries return")]
+
 use splpg::gnn::heuristics::Heuristic;
 use splpg::gnn::metrics;
 use splpg::gnn::trainer::train_centralized;

@@ -10,6 +10,8 @@
 //! cargo run -p splpg-examples --bin negative_sampling_anatomy --release
 //! ```
 
+#![expect(clippy::print_stdout, reason = "a binary prints what the libraries return")]
+
 use splpg_rng::SeedableRng;
 use splpg::partition::{PartitionedGraph, RandomTma, SuperTma};
 use splpg::prelude::*;

@@ -5,6 +5,8 @@
 //! cargo run -p splpg-examples --bin quickstart --release
 //! ```
 
+#![expect(clippy::print_stdout, reason = "a binary prints what the libraries return")]
+
 use splpg::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,6 +9,8 @@
 //! cargo run -p splpg-examples --bin sparsifier_lab --release
 //! ```
 
+#![expect(clippy::print_stdout, reason = "a binary prints what the libraries return")]
+
 use splpg_rng::{Rng, SeedableRng};
 use splpg::linalg::{
     effective_resistance, lambda2_normalized, quadratic_form, CgOptions, PowerIterOptions,

@@ -13,6 +13,8 @@
 //! cargo run -p splpg-examples --bin wire_chaos --release
 //! ```
 
+#![expect(clippy::print_stdout, clippy::print_stderr, reason = "a binary prints what the libraries return")]
+
 use splpg::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

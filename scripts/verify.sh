@@ -91,7 +91,13 @@ if [ "${SPLPG_BENCH_ASSERT:-0}" = "1" ]; then
 fi
 
 echo "== cargo clippy (deny warnings) =="
+# Besides the usual lints, this carries the bans in clippy.toml (hash
+# containers, ad-hoc threads, clock reads) and the print and
+# undocumented-unsafe lints of [workspace.lints.clippy].
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [ "$in_git" = 1 ]; then
     echo "== work tree unchanged =="
