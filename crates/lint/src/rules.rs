@@ -1080,4 +1080,15 @@ mod tests {
         // And the useless tape-in-loop pragma is itself flagged.
         assert!(rules.contains(&RULE_STALE_PRAGMA), "{d:?}");
     }
+
+    #[test]
+    fn hash_iter_covers_net() {
+        // The hash-container ban is clippy's `disallowed_types`; it reaches
+        // net because net opts into the workspace table that denies it.
+        assert!(include_str!("../../net/Cargo.toml").contains("[lints]\nworkspace = true"));
+        assert!(include_str!("../../../Cargo.toml").contains("\ndisallowed_types = \"deny\""));
+        let clippy_toml = include_str!("../../../clippy.toml");
+        assert!(clippy_toml.contains("path = \"std::collections::HashMap\""));
+        assert!(clippy_toml.contains("path = \"std::collections::HashSet\""));
+    }
 }

@@ -425,7 +425,7 @@ fn workspace_scan_reports_zero_violations() {
     );
     assert!(report.files_scanned > 50, "expected to scan the whole workspace");
     // The full rule set must be active for the clean bill to mean
-    // anything; clippy carries the rest (see the next test).
+    // anything; clippy carries the rest (see the tests below).
     assert_eq!(
         splpg_lint::RULE_NAMES,
         [
@@ -443,46 +443,119 @@ fn workspace_scan_reports_zero_violations() {
     );
 }
 
+fn workspace_file(rel: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(rel)).expect("read a workspace file")
+}
+
+/// Whether `[workspace.lints.clippy]` in the workspace Cargo.toml denies `lint`.
+fn clippy_denies(lint: &str) -> bool {
+    let cargo = workspace_file("Cargo.toml");
+    let table = cargo.split("[workspace.lints.clippy]").nth(1).and_then(|t| t.split("\n[").next());
+    let table = table.expect("Cargo.toml has a [workspace.lints.clippy] table");
+    table.lines().any(|l| l.trim() == format!("{lint} = \"deny\""))
+}
+
+/// Asserts that clippy rejects each `bad` line of a retired rule's fixture:
+/// `lint` is denied, clippy.toml's `key` list bans each of `paths`, and
+/// each line names a ban by its last `segments` path segments (a type by
+/// its name, a method by `Type::method` or `module::fn`). Returns those
+/// short names.
+fn assert_banned(
+    lint: &str,
+    key: &str,
+    paths: &[&str],
+    segments: usize,
+    bad: &[&str],
+) -> Vec<String> {
+    assert!(clippy_denies(lint), "[workspace.lints.clippy] no longer denies {lint}");
+    let toml = workspace_file("clippy.toml");
+    let list = toml.split(&format!("\n{key} = [")).nth(1).and_then(|l| l.split("\n]").next());
+    let bans: Vec<&str> = list
+        .unwrap_or("")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .filter_map(|l| l.split("path = \"").nth(1)?.split('"').next())
+        .collect();
+    for path in paths {
+        assert!(bans.contains(path), "clippy.toml no longer bans {path}");
+    }
+    let short: Vec<String> = bans
+        .iter()
+        .map(|b| {
+            let tail: Vec<&str> = b.rsplit("::").take(segments).collect();
+            tail.into_iter().rev().collect::<Vec<_>>().join("::")
+        })
+        .collect();
+    for line in bad {
+        assert!(short.iter().any(|s| line.contains(s.as_str())), "clippy passes {line}");
+    }
+    short
+}
+
+// Hash containers, ad-hoc threads, clock reads, prints and undocumented
+// unsafe blocks are rejected by `cargo clippy -D warnings`
+// (scripts/verify.sh), not by this crate. The tests below replay the bad
+// fixtures of the rules it handed over against the workspace's clippy
+// configuration, so a dropped entry fails `cargo test`, not only the gate.
+
 #[test]
-fn clippy_config_carries_the_bans_splpg_lint_left_to_it() {
-    // Hash containers, ad-hoc threads, clock reads, prints and
-    // undocumented unsafe blocks are rejected by `cargo clippy -D warnings`
-    // (scripts/verify.sh), not by this crate. Pin the configuration that
-    // does it, so a dropped entry fails `cargo test`, not only the gate.
-    let root = workspace_root();
-    let clippy_toml = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
-    let listed = |entry: &str| {
-        clippy_toml.lines().any(|l| !l.trim_start().starts_with('#') && l.contains(entry))
-    };
-    for path in [
-        "std::collections::HashMap",
-        "std::collections::HashSet",
+fn hash_iter_fires_on_bad_fixture() {
+    let paths = ["std::collections::HashMap", "std::collections::HashSet"];
+    let bad = [
+        "use std::collections::HashMap;",
+        "use std::collections::HashSet;",
+        "let mut hist: HashMap<usize, usize> = HashMap::new();",
+        "let set: HashSet<u32> = values.iter().copied().collect();",
+    ];
+    let short = assert_banned("disallowed_types", "disallowed-types", &paths, 1, &bad);
+    assert!(!short.iter().any(|s| "let hist: BTreeMap<usize, usize>".contains(s.as_str())));
+}
+
+#[test]
+fn thread_spawn_fires_on_bad_fixture() {
+    let paths = [
         "std::thread::spawn",
         "std::thread::scope",
         "std::thread::Builder::spawn",
         "std::thread::Builder::spawn_scoped",
-        "std::time::Instant::now",
-        "std::time::SystemTime::now",
-    ] {
-        assert!(listed(&format!("path = \"{path}\"")), "clippy.toml no longer bans {path}");
-    }
-    assert!(listed("allow-print-in-tests = true"), "tests may print");
-    let cargo_toml = std::fs::read_to_string(root.join("Cargo.toml")).expect("read Cargo.toml");
-    let clippy_lints = cargo_toml
-        .split("[workspace.lints.clippy]")
-        .nth(1)
-        .and_then(|rest| rest.split("\n[").next())
-        .expect("Cargo.toml has a [workspace.lints.clippy] table");
-    for lint in [
-        "disallowed_types",
-        "disallowed_methods",
-        "print_stdout",
-        "print_stderr",
-        "undocumented_unsafe_blocks",
-    ] {
-        assert!(
-            clippy_lints.lines().any(|l| l.trim() == format!("{lint} = \"deny\"")),
-            "[workspace.lints.clippy] no longer denies {lint}"
-        );
+    ];
+    let bad = ["std::thread::scope(|scope| {", "std::thread::spawn(|| {});"];
+    assert_banned("disallowed_methods", "disallowed-methods", &paths, 2, &bad);
+}
+
+#[test]
+fn wallclock_fires_on_bad_fixture() {
+    let paths = ["std::time::Instant::now", "std::time::SystemTime::now"];
+    let bad = ["let t0 = Instant::now();", "std::time::SystemTime::now()"];
+    let short = assert_banned("disallowed_methods", "disallowed-methods", &paths, 2, &bad);
+    // Clippy bans the read, not the import: an `Instant` only comes from one.
+    assert!(!short.iter().any(|s| "use std::time::Instant;".contains(s.as_str())));
+}
+
+#[test]
+fn print_macro_fires_on_bad_fixture() {
+    // The bad fixture's `println!` and `eprintln!` are clippy's `print_stdout`
+    // and `print_stderr`; tests may print.
+    assert!(clippy_denies("print_stdout") && clippy_denies("print_stderr"));
+    let toml = workspace_file("clippy.toml");
+    assert!(toml.lines().any(|l| l.trim() == "allow-print-in-tests = true"));
+}
+
+#[test]
+fn forbid_unsafe_sanctioned_module_needs_reasoned_pragma_per_block() {
+    // In the sanctioned module the reason is the `// SAFETY:` comment that
+    // clippy's `undocumented_unsafe_blocks` demands above each unsafe block
+    // and impl; check the module as it stands.
+    assert!(clippy_denies("undocumented_unsafe_blocks"));
+    let shm = workspace_file("crates/net/src/shm.rs");
+    let lines: Vec<&str> = shm.lines().map(str::trim_start).collect();
+    let unsafe_at: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].starts_with("//"))
+        .filter(|&i| lines[i].contains("unsafe {") || lines[i].contains("unsafe impl"))
+        .collect();
+    assert!(!unsafe_at.is_empty(), "shm.rs holds the workspace's unsafe blocks");
+    for i in unsafe_at {
+        let mut above = lines[..i].iter().rev().take_while(|l| l.starts_with("//"));
+        assert!(above.any(|l| l.starts_with("// SAFETY:")), "shm.rs:{} lacks // SAFETY:", i + 1);
     }
 }
