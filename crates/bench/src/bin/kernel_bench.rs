@@ -4,8 +4,10 @@
 //! neighbor sampling, and exact effective-resistance sparsification —
 //! at 1/2/4/8 threads (via [`splpg_par::set_num_threads`]) plus the
 //! scalar matmul reference, then the `nn`/`tn`/`nt` products of one
-//! GraphSAGE layer at the `ma-seq` workload's shape at 1 and 2 threads
-//! against their own scalar references, prints a table, and writes
+//! GraphSAGE layer at the `ma-seq` workload's shape and the concat
+//! matmul `[self ‖ mean] · W` of its layer 0, forward and backward, at 1
+//! and 2 threads against their own scalar references, prints a table,
+//! and writes
 //! `BENCH_kernels.json` to the repo root (except under
 //! `--assert-speedup`, below). Each row carries the thread
 //! count, ns/iter, speedup vs the single-threaded scalar baseline, a
@@ -32,6 +34,7 @@ use splpg_rng::{Rng, SeedableRng};
 use splpg_datasets::{generate_community_graph, CommunityGraphParams};
 use splpg_gnn::{FullGraphAccess, NeighborSampler, SamplerScratch};
 use splpg_sparsify::ExactSparsifier;
+use splpg_tensor::kernels::{self, ConcatDims};
 use splpg_tensor::Tensor;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -144,6 +147,50 @@ fn bench_layer_matmuls(records: &mut Vec<Record>) {
     let shape = format!("[{rows},{d_out}]x[{d_in},{d_out}]^T");
     let ops = ("matmul_nt", "matmul_nt_scalar");
     bench_layout(records, ops, shape, macs, || g.matmul_nt(&w), || g.matmul_nt_scalar(&w));
+}
+
+/// GraphSAGE's `[self ‖ mean] · W` at `ma-seq`'s layer 0
+/// (`[2704,128] ‖ [2704,128]` times `[256,64]`) through the concat
+/// kernels, which never build the `[2704,256]` concatenation: the
+/// forward product, and the backward pass's `dW` (two `tn` halves) with
+/// the `nt` input gradients of both operands. The scalar references run
+/// on the materialized concatenation.
+fn bench_concat_matmul(records: &mut Vec<Record>) {
+    let (rows, half, d_out) = (2704usize, 128usize, 64usize);
+    let d = ConcatDims { n: rows, ka: half, kb: half, m: d_out };
+    let macs = rows * 2 * half * d_out;
+    let (own, mean) = (rand_tensor(rows, half, 10), rand_tensor(rows, half, 11));
+    let w = rand_tensor(2 * half, d_out, 12);
+    let g = rand_tensor(rows, d_out, 13);
+    let cat = Tensor::from_fn(rows, 2 * half, |r, c| {
+        if c < half {
+            own.get(r, c)
+        } else {
+            mean.get(r, c - half)
+        }
+    });
+    let forward = || {
+        let mut out = vec![0.0f32; rows * d_out];
+        kernels::concat_matmul_into(own.data(), mean.data(), w.data(), None, d, &mut out);
+        Tensor::from_vec(rows, d_out, out).expect("output shape")
+    };
+    let shape = format!("[{rows},{half}]|[{rows},{half}]x[{},{d_out}]", 2 * half);
+    let ops = ("concat_matmul", "concat_matmul_scalar");
+    bench_layout(records, ops, shape.clone(), macs, forward, || cat.matmul_scalar(&w));
+    let backward = || {
+        let mut dw = vec![0.0f32; 2 * half * d_out];
+        kernels::concat_matmul_tn_into(own.data(), mean.data(), g.data(), d, &mut dw);
+        let (mut d_own, mut d_mean) = (vec![0.0f32; rows * half], vec![0.0f32; rows * half]);
+        kernels::concat_matmul_nt_into(g.data(), w.data(), d, &mut d_own, &mut d_mean);
+        std::hint::black_box((d_own, d_mean));
+        Tensor::from_vec(2 * half, d_out, dw).expect("gradient shape")
+    };
+    let backward_scalar = || {
+        std::hint::black_box(g.matmul_nt_scalar(&w));
+        cat.matmul_tn_scalar(&g)
+    };
+    let ops = ("concat_matmul_backward", "concat_matmul_backward_scalar");
+    bench_layout(records, ops, shape, 2 * macs, backward, backward_scalar);
 }
 
 /// One layout's rows: its scalar reference, then the dispatching entry
@@ -386,6 +433,7 @@ fn main() {
     let mut checks = Vec::new();
     checks.push(bench_matmul(&mut records));
     bench_layer_matmuls(&mut records);
+    bench_concat_matmul(&mut records);
     let (sample_check, dedup) = bench_fanout_sampling(&mut records);
     checks.push(sample_check);
     bench_er_sparsify(&mut records);

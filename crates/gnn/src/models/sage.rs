@@ -46,17 +46,7 @@ impl GraphSage {
     /// Weighted neighbor mean for one block.
     fn aggregate(tape: &mut Tape, h_src: Var, block: &Block) -> Var {
         let (src, dst, weight) = (&block.edge_src, &block.edge_dst, &block.edge_weight);
-        let summed = tape.aggregate(h_src, src, dst, weight, block.num_dst);
-        // Normalize by each destination's received weight.
-        tape.scale_rows_with(summed, |inv| {
-            inv.resize(block.num_dst, 0.0);
-            for (&d, &w) in dst.iter().zip(weight) {
-                inv[d as usize] += w;
-            }
-            for s in inv.iter_mut() {
-                *s = if *s > 0.0 { 1.0 / *s } else { 0.0 };
-            }
-        })
+        tape.aggregate_mean(h_src, src, dst, weight, block.num_dst)
     }
 }
 
@@ -74,10 +64,9 @@ impl GnnModel for GraphSage {
     }
 
     fn layer(&self, i: usize, tape: &mut Tape, binding: &Binding, h: Var, block: &Block) -> Var {
+        // `W · [h_v ‖ mean]`: the destinations are the first rows of `h`.
         let h_neigh = Self::aggregate(tape, h, block);
-        let h_self = tape.row_prefix(h, block.num_dst);
-        let cat = tape.concat_cols(h_self, h_neigh);
-        let out = self.layers[i].forward(tape, binding, cat);
+        let out = self.layers[i].forward_concat(tape, binding, (h, h_neigh));
         activate(tape, out, i, self.layers.len())
     }
 }

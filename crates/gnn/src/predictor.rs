@@ -33,10 +33,7 @@ impl EdgePredictor {
                 let prod = tape.mul(h_u, h_v);
                 tape.row_sum(prod)
             }
-            EdgePredictor::Mlp(mlp) => {
-                let cat = tape.concat_cols(h_u, h_v);
-                mlp.forward(tape, binding, cat)
-            }
+            EdgePredictor::Mlp(mlp) => mlp.forward_concat(tape, binding, (h_u, h_v)),
         }
     }
 }

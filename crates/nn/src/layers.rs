@@ -41,19 +41,21 @@ impl Linear {
     }
 
     /// Parameter index of the weight matrix.
-    pub fn weight_index(&self) -> usize {
+    #[cfg(test)]
+    fn weight_index(&self) -> usize {
         self.weight
     }
 
-    /// Parameter index of the bias row.
-    pub fn bias_index(&self) -> usize {
-        self.bias
+    /// Applies the layer on the tape ([`Tape::linear`]).
+    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
+        tape.linear(x, binding.var(self.weight), binding.var(self.bias))
     }
 
-    /// Applies the layer on the tape.
-    pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
-        let xw = tape.matmul(x, binding.var(self.weight));
-        tape.add_bias(xw, binding.var(self.bias))
+    /// Applies the layer to the pair `(a, b)`: `[a[..n] ‖ b] W + bias`
+    /// with `n = rows(b)`, without building the concatenation (see
+    /// [`Tape::concat_linear`]). `in_dim` must be `cols(a) + cols(b)`.
+    pub fn forward_concat(&self, tape: &mut Tape, binding: &Binding, (a, b): (Var, Var)) -> Var {
+        tape.concat_linear(a, b, binding.var(self.weight), binding.var(self.bias))
     }
 }
 
@@ -97,12 +99,22 @@ impl Mlp {
 
     /// Applies the MLP on the tape.
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
+        let h = self.layers[0].forward(tape, binding, x);
+        self.hidden_layers(tape, binding, h)
+    }
+
+    /// Applies the MLP to the pair `(a, b)`: its first layer reads
+    /// `[a[..rows(b)] ‖ b]` in place ([`Linear::forward_concat`]).
+    pub fn forward_concat(&self, tape: &mut Tape, binding: &Binding, pair: (Var, Var)) -> Var {
+        let h = self.layers[0].forward_concat(tape, binding, pair);
+        self.hidden_layers(tape, binding, h)
+    }
+
+    /// ReLU, then the next layer, for every layer after the first.
+    fn hidden_layers(&self, tape: &mut Tape, binding: &Binding, mut h: Var) -> Var {
+        for layer in &self.layers[1..] {
+            h = tape.relu(h);
             h = layer.forward(tape, binding, h);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-            }
         }
         h
     }

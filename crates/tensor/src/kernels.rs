@@ -23,6 +23,13 @@
 //! bit-equality tests in `tests/parallel_kernels.rs` and the
 //! `#[cfg(test)]` bit-identity harness below pin this down shape by
 //! shape.
+//!
+//! The dispatching entry points take a *concat product* `[a ‖ b] · w`
+//! ([`ConcatDims`]): `a` and `b` are read in place, side by side, and a
+//! plain product is the case of an empty `b`. Forward, weight gradient
+//! and input gradients are each one fork-join whose chunk loop walks both
+//! operand segments, and each stays bit-identical to the same layout over
+//! the materialized concatenation (see [`concat_matmul_into`]).
 
 use std::ops::Range;
 
@@ -89,6 +96,148 @@ pub fn par_dispatch(rows: usize, k: usize, m: usize) -> bool {
     par_parts(rows, k, m) > 1
 }
 
+/// How a product with `rows` output rows, depth `k` and `m` output
+/// columns runs: on the microkernels over `Some(pool)` — as many workers
+/// as [`par_parts`] picks, a one-worker pool running them inline — or,
+/// for a product under [`MICRO_FLOP_THRESHOLD`], on the scalar reference
+/// loops (`None`). Every path gives the same bits.
+fn plan(rows: usize, k: usize, m: usize) -> Option<Pool> {
+    let parts = par_parts(rows, k, m);
+    if parts > 1 || 2 * rows * k * m >= MICRO_FLOP_THRESHOLD {
+        Some(Pool::new(parts))
+    } else {
+        None
+    }
+}
+
+/// Shape of a concat product `[a ‖ b] · w`: `a` and `b` are `[n, ka]`
+/// and `[n, kb]`, `w` is `[ka + kb, m]`. A plain product is the case
+/// `kb = 0` with an empty `b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConcatDims {
+    /// Rows of `a`, `b` and the forward output.
+    pub n: usize,
+    /// Columns of `a` (the first `ka` rows of `w`).
+    pub ka: usize,
+    /// Columns of `b` (the last `kb` rows of `w`).
+    pub kb: usize,
+    /// Columns of `w` and of the forward output.
+    pub m: usize,
+}
+
+impl ConcatDims {
+    /// `[n, k] x [k, m]`: the plain product, with no `b`.
+    pub(crate) fn plain(n: usize, k: usize, m: usize) -> Self {
+        ConcatDims { n, ka: k, kb: 0, m }
+    }
+}
+
+/// `out = [a ‖ b] · w (+ bias)` into a caller-provided **zero-filled**
+/// `[n, m]` buffer, without building the concatenation, on the path
+/// `plan` picks for the whole `[n, ka + kb] x [ka + kb, m]` product.
+///
+/// Bit-identical to the product of the materialized concatenation: each
+/// worker's chunk runs the `k`-blocked tile over `a`'s depths and then
+/// over `b`'s, and since the tile reloads its accumulators from `out`
+/// between k-blocks, every element sees one add chain over `k`
+/// ascending, split at the seam exactly as it is split at a block edge.
+/// The `[m]` bias is then added to each finished row of the chunk: one
+/// rounded add per element, as a separate broadcast add makes it.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with `d`.
+pub fn concat_matmul_into(
+    a: &[f32],
+    b: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    d: ConcatDims,
+    out: &mut [f32],
+) {
+    let ConcatDims { n, ka, kb, m } = d;
+    check_operands(a, b, w, d);
+    assert_eq!(out.len(), n * m, "matmul output shape");
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), m, "bias width");
+    }
+    match plan(n, ka + kb, m) {
+        Some(pool) => concat_nn(a, b, w, bias, d, &pool, out),
+        None => {
+            let (wa, wb) = w.split_at(ka * m);
+            nn_scalar_into(a, wa, n, ka, m, out);
+            nn_scalar_into(b, wb, n, kb, m, out);
+            add_rows(out, bias);
+        }
+    }
+}
+
+/// `row += bias` for every `bias`-wide row of `out`.
+fn add_rows(out: &mut [f32], bias: Option<&[f32]>) {
+    if let Some(bias) = bias.filter(|b| !b.is_empty()) {
+        for row in out.chunks_exact_mut(bias.len()) {
+            for (o, &bv) in row.iter_mut().zip(bias) {
+                *o += bv;
+            }
+        }
+    }
+}
+
+/// `dw = [a ‖ b]ᵀ · g` into a caller-provided **zero-filled**
+/// `[ka + kb, m]` buffer (`g` is `[n, m]`): the weight gradient of
+/// [`concat_matmul_into`]. Output rows `0..ka` come from `a`, the rest
+/// from `b`; one fork-join covers both, a worker's row range split at the
+/// seam. Bit-identical to the `tn` product of the concatenation, whose
+/// output rows are independent.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with `d`.
+pub fn concat_matmul_tn_into(a: &[f32], b: &[f32], g: &[f32], d: ConcatDims, dw: &mut [f32]) {
+    let ConcatDims { n, ka, kb, m } = d;
+    assert_eq!((a.len(), b.len()), (n * ka, n * kb), "concat operand shapes");
+    assert_eq!(g.len(), n * m, "matmul_tn gradient shape");
+    assert_eq!(dw.len(), (ka + kb) * m, "matmul output shape");
+    match plan(ka + kb, n, m) {
+        Some(pool) => concat_tn(a, b, g, d, &pool, dw),
+        None => {
+            let (top, bottom) = dw.split_at_mut(ka * m);
+            tn_scalar_into(a, g, n, ka, m, top);
+            tn_scalar_into(b, g, n, kb, m, bottom);
+        }
+    }
+}
+
+/// `[da ‖ db] = g · wᵀ` (`g` is `[n, m]`) into caller-provided `[n, ka]`
+/// and `[n, kb]` buffers, every element of which is overwritten: the
+/// input gradients of [`concat_matmul_into`]. One fork-join over `g`'s
+/// rows fills both blocks; each element is the same single left-to-right
+/// dot as in the `nt` product of the concatenation, so the bits match.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with `d`.
+pub fn concat_matmul_nt_into(g: &[f32], w: &[f32], d: ConcatDims, da: &mut [f32], db: &mut [f32]) {
+    let ConcatDims { n, ka, kb, m } = d;
+    assert_eq!(g.len(), n * m, "matmul_nt gradient shape");
+    assert_eq!(w.len(), (ka + kb) * m, "concat weight shape");
+    assert_eq!((da.len(), db.len()), (n * ka, n * kb), "matmul output shape");
+    match plan(n, m, ka + kb) {
+        Some(pool) => concat_nt(g, w, d, &pool, da, db),
+        None => {
+            let (wa, wb) = w.split_at(ka * m);
+            nt_scalar_into(g, wa, n, m, ka, da);
+            nt_scalar_into(g, wb, n, m, kb, db);
+        }
+    }
+}
+
+fn check_operands(a: &[f32], b: &[f32], w: &[f32], d: ConcatDims) {
+    let ConcatDims { n, ka, kb, m } = d;
+    assert_eq!((a.len(), b.len()), (n * ka, n * kb), "concat operand shapes");
+    assert_eq!(w.len(), (ka + kb) * m, "concat weight shape");
+}
+
 /// `a[n,k] @ b[k,m]`, row-major, into a fresh `[n,m]` buffer.
 ///
 /// Row-partitioned over `pool`; register-tiled and k-blocked (see
@@ -117,13 +266,32 @@ pub fn matmul_nn_into(
     pool: &Pool,
     out: &mut [f32],
 ) {
+    let d = ConcatDims::plain(n, k, m);
+    check_operands(a, &[], b, d);
     assert_eq!(out.len(), n * m, "matmul output shape");
-    if n == 0 || m == 0 || k == 0 {
+    concat_nn(a, &[], b, None, d, pool, out);
+}
+
+/// The `nn` chunk loop of [`concat_matmul_into`] over `pool`.
+fn concat_nn(
+    a: &[f32],
+    b: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    d: ConcatDims,
+    pool: &Pool,
+    out: &mut [f32],
+) {
+    let ConcatDims { n, ka, kb, m } = d;
+    if n == 0 || m == 0 {
         return;
     }
-    let jm = tiled_cols(b, m);
-    pool.parallel_for_mut(out, m, min_rows_per_chunk(k, m), |row0, chunk| {
-        nn_tn_chunk(a, b, k, m, (k, 1), jm, row0, chunk);
+    let (wa, wb) = w.split_at(ka * m);
+    let (ja, jb) = (tiled_cols(wa, m), tiled_cols(wb, m));
+    pool.parallel_for_mut(out, m, min_rows_per_chunk(ka + kb, m), |row0, chunk| {
+        nn_tn_chunk(a, wa, ka, m, (ka, 1), ja, row0, chunk);
+        nn_tn_chunk(b, wb, kb, m, (kb, 1), jb, row0, chunk);
+        add_rows(chunk, bias);
     });
 }
 
@@ -158,12 +326,26 @@ pub fn matmul_tn_into(
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), n * m, "matmul output shape");
-    if n == 0 || m == 0 || k == 0 {
+    concat_tn(a, &[], b, ConcatDims::plain(k, n, m), pool, out);
+}
+
+/// The `tn` chunk loop of [`concat_matmul_tn_into`] over `pool`: output
+/// rows below `ka` read `a` down its columns, the rest read `b`.
+fn concat_tn(a: &[f32], b: &[f32], g: &[f32], d: ConcatDims, pool: &Pool, dw: &mut [f32]) {
+    let ConcatDims { n, ka, kb, m } = d;
+    if n == 0 || m == 0 || ka + kb == 0 {
         return;
     }
-    let jm = tiled_cols(b, m);
-    pool.parallel_for_mut(out, m, min_rows_per_chunk(k, m), |row0, chunk| {
-        nn_tn_chunk(a, b, k, m, (1, n), jm, row0, chunk);
+    let jm = tiled_cols(g, m);
+    pool.parallel_for_mut(dw, m, min_rows_per_chunk(n, m), |row0, chunk| {
+        let split = ka.saturating_sub(row0).min(chunk.len() / m);
+        let (top, bottom) = chunk.split_at_mut(split * m);
+        if !top.is_empty() {
+            nn_tn_chunk(a, g, n, m, (1, ka), jm, row0, top);
+        }
+        if !bottom.is_empty() {
+            nn_tn_chunk(b, g, n, m, (1, kb), jm, row0 + split - ka, bottom);
+        }
     });
 }
 
@@ -338,16 +520,52 @@ pub fn matmul_nt_into(
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), n * m, "matmul output shape");
-    if n == 0 || m == 0 {
+    concat_nt(a, b, ConcatDims { n, ka: m, kb: 0, m: k }, pool, out, &mut []);
+}
+
+/// The `nt` chunk loop of [`concat_matmul_nt_into`] over `pool`: `g`'s
+/// rows are partitioned as `parallel_for_mut` would partition one
+/// output, and each worker fills its rows of `da` and of `db`.
+fn concat_nt(g: &[f32], w: &[f32], d: ConcatDims, pool: &Pool, da: &mut [f32], db: &mut [f32]) {
+    let ConcatDims { n, ka, kb, m } = d;
+    if n == 0 || ka + kb == 0 {
+        return;
+    }
+    let (wa, wb) = w.split_at(ka * m);
+    let rows = |row0: usize, ca: &mut [f32], cb: &mut [f32]| {
+        nt_block(g, wa, m, ka, row0, ca);
+        nt_block(g, wb, m, kb, row0, cb);
+    };
+    let parts = (n / min_rows_per_chunk(m, ka + kb)).clamp(1, pool.threads());
+    if parts == 1 {
+        return rows(0, da, db);
+    }
+    let (mut rest_a, mut rest_b) = (da, db);
+    let mut pieces = Vec::with_capacity(parts);
+    for r in splpg_par::partition_items(n, parts) {
+        let (ca, ta) = std::mem::take(&mut rest_a).split_at_mut(r.len() * ka);
+        let (cb, tb) = std::mem::take(&mut rest_b).split_at_mut(r.len() * kb);
+        (rest_a, rest_b) = (ta, tb);
+        pieces.push((r.start, ca, cb));
+    }
+    pool.parallel_for_mut(&mut pieces, 1, 1, |_, piece| {
+        for (row0, ca, cb) in piece {
+            rows(*row0, ca, cb);
+        }
+    });
+}
+
+/// Rows `row0..` of `a @ b^T` (`b` is `[width, k]`) into `chunk`, which
+/// holds whole `width`-wide rows.
+fn nt_block(a: &[f32], b: &[f32], k: usize, width: usize, row0: usize, chunk: &mut [f32]) {
+    if width == 0 {
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        chunk.fill(0.0);
         return;
     }
-    pool.parallel_for_mut(out, m, min_rows_per_chunk(k, m), |row0, chunk| {
-        nt_chunk(a, b, k, m, row0, chunk);
-    });
+    nt_chunk(a, b, k, width, row0, chunk);
 }
 
 /// One chunk of `nt` output rows: packed `b` panels, `MR x NR` register
@@ -435,6 +653,60 @@ fn nt_tile<const R: usize>(
     }
 }
 
+/// Scalar ikj matmul into a zero-filled `[n,m]` buffer: the bit-exact
+/// reference the parallel kernel is held to.
+pub(crate) fn nn_scalar_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), n * m, "matmul output shape");
+    for i in 0..n {
+        let a_row = &a[i * k..(i + 1) * k];
+        let o_row = &mut out[i * m..(i + 1) * m];
+        for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = &b[kk * m..(kk + 1) * m];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Scalar `a^T b` into a zero-filled `[n,m]` buffer (`a` is `[k,n]`).
+pub(crate) fn tn_scalar_into(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), n * m, "matmul output shape");
+    for kk in 0..k {
+        let a_row = &a[kk * n..(kk + 1) * n];
+        let b_row = &b[kk * m..(kk + 1) * m];
+        for (i, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let o_row = &mut out[i * m..(i + 1) * m];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Scalar `a b^T` into a `[n,m]` buffer (`b` is `[m,k]`); every element
+/// is overwritten by a single left-to-right dot product.
+pub(crate) fn nt_scalar_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), n * m, "matmul output shape");
+    for i in 0..n {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..m {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row) {
+                acc += av * bv;
+            }
+            out[i * m + j] = acc;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,47 +747,19 @@ mod tests {
 
     fn scalar_nn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n * m];
-        for i in 0..n {
-            for kk in 0..k {
-                let av = a[i * k + kk];
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..m {
-                    out[i * m + j] += av * b[kk * m + j];
-                }
-            }
-        }
+        nn_scalar_into(a, b, n, k, m, &mut out);
         out
     }
 
     fn scalar_tn(a: &[f32], b: &[f32], k: usize, n: usize, m: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n * m];
-        for kk in 0..k {
-            for i in 0..n {
-                let av = a[kk * n + i];
-                if av == 0.0 {
-                    continue;
-                }
-                for j in 0..m {
-                    out[i * m + j] += av * b[kk * m + j];
-                }
-            }
-        }
+        tn_scalar_into(a, b, k, n, m, &mut out);
         out
     }
 
     fn scalar_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n * m];
-        for i in 0..n {
-            for j in 0..m {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[j * k + kk];
-                }
-                out[i * m + j] = acc;
-            }
-        }
+        nt_scalar_into(a, b, n, k, m, &mut out);
         out
     }
 

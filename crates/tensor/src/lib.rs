@@ -20,11 +20,13 @@
 //! * [`segment`] — the deterministic parallel aggregation kernels behind
 //!   the tape's graph ops, bit-identical to their scalar counterparts at
 //!   every thread count;
-//! * graph-specific ops: [`Tape::aggregate`] (weighted neighborhood
-//!   aggregation as one op, no per-edge tensors), and the primitives
-//!   attention layers compose: [`Tape::gather_rows`],
-//!   [`Tape::segment_sum`], [`Tape::segment_softmax`],
-//!   [`Tape::scale_rows_with`];
+//! * graph-specific ops: [`Tape::aggregate`] and [`Tape::aggregate_mean`]
+//!   (weighted neighborhood sum and mean as one op, no per-edge
+//!   tensors), [`Tape::concat_linear`] (an affine map of `[a[..n] ‖ b]`
+//!   that never builds the concatenation: GraphSAGE's `[self ‖ mean]`,
+//!   the scorer's `[h_u ‖ h_v]`), and the primitives attention layers
+//!   compose: [`Tape::gather_rows`], [`Tape::segment_sum`],
+//!   [`Tape::segment_softmax`];
 //! * [`grad_check`] — central-difference gradient verification used
 //!   extensively by the test suite.
 //!

@@ -260,26 +260,31 @@ pub fn segment_sum(a: &[f32], m: usize, seg: &[u32], out: &mut [f32], pool: &Poo
 
 /// Fused weighted aggregation: `out[to[e]] += coeff[e] * x[from[e]]` for
 /// every edge `e` in ascending order — [`gather_rows`], [`row_scale`] and
-/// [`segment_sum`] in one pass that never materializes a per-edge row.
+/// [`segment_sum`] in one pass that never materializes a per-edge row —
+/// then, with `scale`, each output row `d` multiplied by `scale[d]` once
+/// its sum is complete (GraphSAGE's `1/Σw` mean).
 ///
 /// With `(from, to) = (edge_src, edge_dst)` this is the forward
 /// neighborhood sum; with the two swapped and `x` the output gradient it
 /// is the backward scatter into the source rows. Per element the product
-/// is formed, rounded, then added, in edge order, so the result is
-/// bit-identical to the three-kernel composition. `out` (zero-initialized
-/// by the caller) is partitioned by destination row exactly like
-/// [`segment_sum`]: each thread scans the edge list ascending and
-/// accumulates only the rows it owns.
+/// is formed, rounded, then added, in edge order, and the scale is one
+/// rounded multiply of the finished sum, so the result is bit-identical
+/// to the three-kernel composition followed by [`row_scale`]. `out`
+/// (zero-initialized by the caller) is partitioned by destination row
+/// exactly like [`segment_sum`]: each thread scans the edge list
+/// ascending and accumulates only the rows it owns.
 ///
 /// # Panics
 ///
 /// Panics if an index is out of range or buffer lengths disagree.
+#[allow(clippy::too_many_arguments)] // flat kernel params, like the tape op they back
 pub fn aggregate(
     x: &[f32],
     m: usize,
     from: &[u32],
     to: &[u32],
     coeff: &[f32],
+    scale: Option<&[f32]>,
     out: &mut [f32],
     pool: &Pool,
 ) {
@@ -291,6 +296,9 @@ pub fn aggregate(
     assert_eq!(x.len() % m, 0, "input must hold whole rows");
     assert_eq!(out.len() % m, 0, "out must hold whole rows");
     let (n_in, n_out) = (x.len() / m, out.len() / m);
+    if let Some(f) = scale {
+        assert_eq!(f.len(), n_out, "one scale factor per output row");
+    }
     for (&s, &d) in from.iter().zip(to) {
         assert!((s as usize) < n_in, "aggregate source {s} out of range {n_in}");
         assert!((d as usize) < n_out, "aggregate destination {d} out of range {n_out}");
@@ -302,6 +310,9 @@ pub fn aggregate(
             if d >= row0 && d < row0 + rows {
                 row_axpy(&mut chunk[(d - row0) * m..(d - row0 + 1) * m], &x[s * m..(s + 1) * m], c);
             }
+        }
+        if let Some(f) = scale {
+            scale_rows_in_place(chunk, m, &f[row0..row0 + rows]);
         }
     };
     if par_scatter(from.len(), m, pool) {
@@ -526,6 +537,36 @@ pub fn row_scale(a: &[f32], m: usize, factors: &[f32], out: &mut [f32], pool: &P
     }
 }
 
+/// `x` row `r` multiplied by `factors[r]` in place: one rounded multiply
+/// per element, the same bits as [`row_scale`] into a second buffer.
+fn scale_rows_in_place(x: &mut [f32], m: usize, factors: &[f32]) {
+    for (row, &f) in x.chunks_exact_mut(m).zip(factors) {
+        for v in row {
+            *v *= f;
+        }
+    }
+}
+
+/// [`row_scale`] in place: row `r` of `x` (`m` wide) multiplied by
+/// `factors[r]`.
+///
+/// # Panics
+///
+/// Panics if `x` does not hold one `m`-wide row per factor.
+pub(crate) fn row_scale_in_place(x: &mut [f32], m: usize, factors: &[f32], pool: &Pool) {
+    if m == 0 {
+        return;
+    }
+    assert_eq!(x.len(), factors.len() * m, "one factor per row");
+    if par(x.len(), pool) {
+        pool.parallel_for_mut(x, m, min_rows(m), |row0, chunk| {
+            scale_rows_in_place(chunk, m, &factors[row0..row0 + chunk.len() / m]);
+        });
+    } else {
+        scale_rows_in_place(x, m, factors);
+    }
+}
+
 /// Per-row dot products `out[r] = a_row_r . b_row_r` (the attention
 /// column's backward pass).
 ///
@@ -741,7 +782,7 @@ mod tests {
         segment_sum(&weighted, DIM, &to, &mut reference, &one);
         for t in THREADS {
             let mut out = vec![0.0; SEGS * DIM];
-            aggregate(&x, DIM, &from, &to, &coeff, &mut out, &Pool::new(t));
+            aggregate(&x, DIM, &from, &to, &coeff, None, &mut out, &Pool::new(t));
             let same = out.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "aggregate at {t} threads");
         }
@@ -751,7 +792,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn aggregate_checks_bounds() {
         let mut out = vec![0.0; 2];
-        aggregate(&[0.0; 4], 2, &[0], &[1], &[1.0], &mut out, &Pool::new(1));
+        aggregate(&[0.0; 4], 2, &[0], &[1], &[1.0], None, &mut out, &Pool::new(1));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use splpg_rng::Rng;
 
 use crate::arena::{ArenaStats, TapeArena};
+use crate::kernels::{self, ConcatDims};
 use crate::segment;
 use crate::Tensor;
 
@@ -43,6 +44,8 @@ impl Gradients {
 enum Op {
     Leaf,
     MatMul { a: Var, b: Var },
+    /// `[a[..n] ‖ b] · w + bias` with `n = rows(b)`, or `a · w + bias`.
+    Linear { a: Var, b: Option<Var>, w: Var, bias: Var },
     Add { a: Var, b: Var },
     Mul { a: Var, b: Var },
     AddBias { a: Var, bias: Var },
@@ -53,7 +56,8 @@ enum Op {
     RowPrefix { a: Var },
     GatherRows { a: Var, idx: Vec<u32> },
     SegmentSum { a: Var, seg: Vec<u32> },
-    Aggregate { a: Var, src: Vec<u32>, dst: Vec<u32>, coeff: Vec<f32> },
+    /// `scale` holds one factor per output row, or nothing for a plain sum.
+    Aggregate { a: Var, src: Vec<u32>, dst: Vec<u32>, coeff: Vec<f32>, scale: Vec<f32> },
     ScaleRows { a: Var, factors: Vec<f32> },
     MulColBroadcast { a: Var, col: Var },
     SegmentSoftmax { a: Var, seg: Vec<u32> },
@@ -64,15 +68,16 @@ enum Op {
 
 impl Op {
     /// The vars this op reads; a leaf reads none.
-    fn inputs(&self) -> [Option<Var>; 2] {
+    fn inputs(&self) -> [Option<Var>; 4] {
         match self {
-            Op::Leaf => [None, None],
+            Op::Leaf => [None; 4],
+            Op::Linear { a, b, w, bias } => [Some(*a), *b, Some(*w), Some(*bias)],
             Op::MatMul { a, b }
             | Op::Add { a, b }
             | Op::Mul { a, b }
             | Op::ConcatCols { a, b }
             | Op::AddBias { a, bias: b }
-            | Op::MulColBroadcast { a, col: b } => [Some(*a), Some(*b)],
+            | Op::MulColBroadcast { a, col: b } => [Some(*a), Some(*b), None, None],
             Op::Relu { a }
             | Op::LeakyRelu { a, .. }
             | Op::Dropout { a, .. }
@@ -84,7 +89,7 @@ impl Op {
             | Op::SegmentSoftmax { a, .. }
             | Op::RowSum { a }
             | Op::SumAll { a }
-            | Op::BceWithLogits { a, .. } => [Some(*a), None],
+            | Op::BceWithLogits { a, .. } => [Some(*a), None, None, None],
         }
     }
 
@@ -98,10 +103,11 @@ impl Op {
             Op::GatherRows { idx: u, .. }
             | Op::SegmentSum { seg: u, .. }
             | Op::SegmentSoftmax { seg: u, .. } => arena.recycle_u32(std::mem::take(u)),
-            Op::Aggregate { src, dst, coeff, .. } => {
+            Op::Aggregate { src, dst, coeff, scale, .. } => {
                 arena.recycle_u32(std::mem::take(src));
                 arena.recycle_u32(std::mem::take(dst));
                 arena.recycle_f32(std::mem::take(coeff));
+                arena.recycle_f32(std::mem::take(scale));
             }
             _ => {}
         }
@@ -116,8 +122,8 @@ impl Op {
             Op::GatherRows { idx: u, .. }
             | Op::SegmentSum { seg: u, .. }
             | Op::SegmentSoftmax { seg: u, .. } => u.capacity(),
-            Op::Aggregate { src, dst, coeff, .. } => {
-                src.capacity() + dst.capacity() + coeff.capacity()
+            Op::Aggregate { src, dst, coeff, scale, .. } => {
+                src.capacity() + dst.capacity() + coeff.capacity() + scale.capacity()
             }
             _ => 0,
         }
@@ -315,6 +321,59 @@ impl Tape {
         self.push(Tensor::from_raw(n, m, out), Op::MatMul { a, b })
     }
 
+    /// The affine map `x · w + bias` as one op (`bias` is `[1, m]`):
+    /// bit-identical, forward and backward, to `add_bias(matmul(x, w),
+    /// bias)` without the intermediate product on the tape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree.
+    pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
+        self.record_linear(x, None, w, bias)
+    }
+
+    /// `[a[..n] ‖ b] · w + bias` with `n = rows(b)`: the affine map of
+    /// `a`'s first `n` rows with `b` beside them, without building the
+    /// row prefix or the concatenation (`w` is `[cols(a) + cols(b), m]`,
+    /// `bias` is `[1, m]`). A GraphSAGE layer's `W · [h_v ‖ mean] + b`
+    /// (a block's destinations are a prefix of its sources) and the MLP
+    /// scorer's first layer over `[h_u ‖ h_v]` (`n = rows(a)`).
+    ///
+    /// Forward, weight gradient and input gradients are each one
+    /// fork-join over both operands, and bit-identical to
+    /// `add_bias(matmul(concat_cols(row_prefix(a, n), b), w), bias)` (see
+    /// [`kernels::concat_matmul_into`]). `a`'s gradient is zero below the
+    /// prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has fewer rows than `b` or the shapes disagree.
+    pub fn concat_linear(&mut self, a: Var, b: Var, w: Var, bias: Var) -> Var {
+        self.record_linear(a, Some(b), w, bias)
+    }
+
+    /// `[a[..n] ‖ b] · w + bias` with `n = rows(b)`, or `rows(a)` without
+    /// `b`.
+    fn record_linear(&mut self, a: Var, b: Option<Var>, w: Var, bias: Var) -> Var {
+        let (na, ka) = self.value(a).shape();
+        let (n, kb) = b.map_or((na, 0), |b| self.value(b).shape());
+        let (kw, m) = self.value(w).shape();
+        assert!(n <= na, "linear prefix of {n} rows from {na}");
+        assert_eq!(kw, ka + kb, "linear weight must have {ka} + {kb} rows, got {kw}");
+        let bshape = self.value(bias).shape();
+        assert_eq!(bshape, (1, m), "bias must be [1, {m}], got {bshape:?}");
+        let mut out = self.arena.zeroed_f32(n * m);
+        kernels::concat_matmul_into(
+            &self.value(a).data()[..n * ka],
+            b.map_or(&[][..], |b| self.value(b).data()),
+            self.value(w).data(),
+            Some(self.value(bias).data()),
+            ConcatDims { n, ka, kb, m },
+            &mut out,
+        );
+        self.push(Tensor::from_raw(n, m, out), Op::Linear { a, b, w, bias })
+    }
+
     /// Records `f` applied element-wise to `a`.
     fn map(&mut self, a: Var, f: impl Fn(f32) -> f32 + Sync, op: Op) -> Var {
         let (n, m) = self.value(a).shape();
@@ -410,7 +469,8 @@ impl Tape {
     }
 
     /// Column-wise concatenation `[n, m1] ++ [n, m2] -> [n, m1 + m2]`
-    /// (GraphSAGE's `concat(h_v, h_N(v))`).
+    /// (GAT's attention heads). A concatenation that only feeds an affine
+    /// map is [`Tape::concat_linear`].
     ///
     /// # Panics
     ///
@@ -433,7 +493,7 @@ impl Tape {
 
     /// The first `rows` rows of `a` — a block's destination nodes are a
     /// prefix of its sources, so this reads the previous layer's
-    /// self-embeddings without an index list.
+    /// self-embeddings without an index list (GIN's self term).
     ///
     /// # Panics
     ///
@@ -523,6 +583,43 @@ impl Tape {
         })
     }
 
+    /// Weighted neighborhood mean: [`Tape::aggregate`] with output row
+    /// `d` divided by `d`'s received weight, the sum of `weight[e]` over
+    /// its edges (ascending edge order); a destination with no positive
+    /// weight gets a zero row.
+    ///
+    /// Each row is scaled in place once its sum is complete, so values
+    /// and gradients are bit-identical to `scale_rows_with(aggregate(h,
+    /// edge_src, edge_dst, weight, num_dst), 1/Σw)` without the second
+    /// `[num_dst, dim]` tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge arrays differ in length or an index is out of
+    /// range.
+    pub fn aggregate_mean(
+        &mut self,
+        h: Var,
+        edge_src: &[u32],
+        edge_dst: &[u32],
+        weight: &[f32],
+        num_dst: usize,
+    ) -> Var {
+        let mut scale = self.arena.take_f32(num_dst);
+        scale.resize(num_dst, 0.0);
+        for (&d, &w) in edge_dst.iter().zip(weight) {
+            scale[d as usize] += w;
+        }
+        for s in scale.iter_mut() {
+            *s = if *s > 0.0 { 1.0 / *s } else { 0.0 };
+        }
+        self.record_aggregate(h, edge_src.len(), num_dst, scale, |src, dst, c| {
+            src.extend_from_slice(edge_src);
+            dst.extend_from_slice(edge_dst);
+            c.extend_from_slice(weight);
+        })
+    }
+
     /// [`Tape::aggregate`] with the edge list written by `fill(edge_src,
     /// edge_dst, coeff)` straight into cleared pooled buffers with room
     /// for `num_edges` entries each (e.g. GCN appending its self-loops
@@ -539,6 +636,19 @@ impl Tape {
         num_dst: usize,
         fill: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<f32>),
     ) -> Var {
+        self.record_aggregate(h, num_edges, num_dst, Vec::new(), fill)
+    }
+
+    /// Records an `Aggregate` whose output rows are scaled by `scale`, or
+    /// left as sums when `scale` is empty.
+    fn record_aggregate(
+        &mut self,
+        h: Var,
+        num_edges: usize,
+        num_dst: usize,
+        scale: Vec<f32>,
+        fill: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Vec<f32>),
+    ) -> Var {
         let (_, m) = self.value(h).shape();
         let mut src = self.arena.take_u32(num_edges);
         let mut dst = self.arena.take_u32(num_edges);
@@ -551,16 +661,19 @@ impl Tape {
             &src,
             &dst,
             &coeff,
+            (!scale.is_empty()).then_some(&scale[..]),
             &mut out,
             &splpg_par::global(),
         );
-        self.push(Tensor::from_raw(num_dst, m, out), Op::Aggregate { a: h, src, dst, coeff })
+        let op = Op::Aggregate { a: h, src, dst, coeff, scale };
+        self.push(Tensor::from_raw(num_dst, m, out), op)
     }
 
     /// Multiplies row `i` by the constant factor `fill` writes for it into
     /// a cleared pooled buffer with room for one factor per row (no
     /// gradient flows to the factors — they encode normalization
-    /// coefficients).
+    /// coefficients). No model records it: it is the oracle
+    /// [`Tape::aggregate_mean`] is tested against.
     ///
     /// # Panics
     ///
@@ -745,12 +858,70 @@ impl Backward<'_> {
         self.add(to, Tensor::from_raw(n, m, d));
     }
 
+    /// The `[1, m]` gradient of a broadcast bias: `grad`'s column sums,
+    /// rows in ascending order.
+    fn bias_grad(&mut self, grad: &Tensor) -> Tensor {
+        let (gn, gm) = grad.shape();
+        let mut dbias = self.arena.zeroed_f32(gm);
+        for r in 0..gn {
+            for (o, &g) in dbias.iter_mut().zip(grad.row(r)) {
+                *o += g;
+            }
+        }
+        Tensor::from_raw(1, gm, dbias)
+    }
+
+    /// The gradients of `[a[..n] ‖ b] · w` (or `a · w`) for those of `a`,
+    /// `b`, `w` that need one: `dw` as the two `tn` halves of one buffer,
+    /// `da`'s prefix rows and `db` as the two `nt` blocks of one pass.
+    ///
+    /// `da` matches what `row_prefix`'s backward makes, `0.0 + g` on the
+    /// prefix rows and zero below: the `nt` dot starts at `+0.0`, and an
+    /// accumulator that starts at `+0.0` never becomes `-0.0`, so writing
+    /// it straight into the prefix rows already is `0.0 + g`.
+    fn linear_grads(&mut self, a: Var, b: Option<Var>, w: Var, grad: &Tensor) {
+        let nodes = self.nodes;
+        let (va, vw) = (&nodes[a.0].value, &nodes[w.0].value);
+        let vb = b.map_or(&[][..], |b| nodes[b.0].value.data());
+        let (na, ka) = va.shape();
+        let (n, m) = grad.shape();
+        let kb = vw.rows() - ka;
+        let a_prefix = &va.data()[..n * ka];
+        if self.needs(w) {
+            let mut dw = self.arena.zeroed_f32((ka + kb) * m);
+            let d = ConcatDims { n, ka, kb, m };
+            kernels::concat_matmul_tn_into(a_prefix, vb, grad.data(), d, &mut dw);
+            self.add(w, Tensor::from_raw(ka + kb, m, dw));
+        }
+        let need_a = self.needs(a);
+        let need_b = b.is_some_and(|b| self.needs(b));
+        if !need_a && !need_b {
+            return;
+        }
+        // A block whose gradient nobody reads is computed zero wide,
+        // against the rows of `w` that remain.
+        let (ka_out, kb_out) = (if need_a { ka } else { 0 }, if need_b { kb } else { 0 });
+        let w_out = &vw.data()[(ka - ka_out) * m..(ka + kb_out) * m];
+        let mut da = if need_a { self.arena.stale_f32(na * ka) } else { Vec::new() };
+        let mut db = if need_b { self.arena.stale_f32(n * kb) } else { Vec::new() };
+        let (prefix, rest) = da.split_at_mut(n * ka_out);
+        rest.fill(0.0);
+        let d = ConcatDims { n, ka: ka_out, kb: kb_out, m };
+        kernels::concat_matmul_nt_into(grad.data(), w_out, d, prefix, &mut db);
+        if need_a {
+            self.add(a, Tensor::from_raw(na, ka, da));
+        }
+        if let Some(b) = b.filter(|_| need_b) {
+            self.add(b, Tensor::from_raw(n, kb, db));
+        }
+    }
+
     /// Propagates `grad`, the finished gradient of node `id`, to the
     /// inputs of its op that need one, then releases it (a leaf keeps
     /// it). Every node that reaches here has `needs_grad` set, so at
     /// least one input of an op does too.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, id: usize, grad: Tensor) {
+    fn step(&mut self, id: usize, mut grad: Tensor) {
         let pool = splpg_par::global();
         let nodes = self.nodes;
         let val = |v: &Var| &nodes[v.0].value;
@@ -787,14 +958,8 @@ impl Backward<'_> {
             }
             Op::AddBias { a, bias } => {
                 if self.needs(*bias) {
-                    let (gn, gm) = grad.shape();
-                    let mut dbias = self.arena.zeroed_f32(gm);
-                    for r in 0..gn {
-                        for (o, &g) in dbias.iter_mut().zip(grad.row(r)) {
-                            *o += g;
-                        }
-                    }
-                    self.add(*bias, Tensor::from_raw(1, gm, dbias));
+                    let dbias = self.bias_grad(&grad);
+                    self.add(*bias, dbias);
                 }
                 return self.pass_on(*a, grad);
             }
@@ -824,6 +989,13 @@ impl Backward<'_> {
                     self.add(*b, Tensor::from_raw(n, mb, db));
                 }
             }
+            Op::Linear { a, b, w, bias } => {
+                if self.needs(*bias) {
+                    let dbias = self.bias_grad(&grad);
+                    self.add(*bias, dbias);
+                }
+                self.linear_grads(*a, *b, *w, &grad);
+            }
             Op::RowPrefix { a } => {
                 // `0.0 + g` on the prefix rows, exactly what scattering
                 // them through `gather_rows(a, 0..rows)` produces.
@@ -846,12 +1018,16 @@ impl Backward<'_> {
                 segment::segment_sum_grad(grad.data(), m, seg, &mut da, &pool);
                 self.add(*a, Tensor::from_raw(n, m, da));
             }
-            Op::Aggregate { a, src, dst, coeff } => {
-                // dh[src_e] += coeff_e * g[dst_e]: the forward kernel with
-                // the edge direction reversed.
+            Op::Aggregate { a, src, dst, coeff, scale } => {
+                // dh[src_e] += coeff_e * (scale ⊙ g)[dst_e]: the forward
+                // kernel with the edge direction reversed, after the
+                // row scaling's own backward.
                 let (n, m) = val(a).shape();
+                if !scale.is_empty() {
+                    segment::row_scale_in_place(grad.data_mut(), m, scale, &pool);
+                }
                 let mut da = self.arena.zeroed_f32(n * m);
-                segment::aggregate(grad.data(), m, dst, src, coeff, &mut da, &pool);
+                segment::aggregate(grad.data(), m, dst, src, coeff, None, &mut da, &pool);
                 self.add(*a, Tensor::from_raw(n, m, da));
             }
             Op::ScaleRows { a, factors } => {
@@ -1069,8 +1245,9 @@ mod tests {
     }
 
     /// A two-layer aggregate/linear chain over the input `x`, recorded as
-    /// a constant (`leaf_with`) or as a gradient-carrying leaf. Returns
-    /// the input var, the loss, and the two weight vars.
+    /// a constant (`leaf_with`) or as a gradient-carrying leaf: a
+    /// GraphSAGE-style `[x_v ‖ mean] · w0 + b0`, then a weighted sum and
+    /// `· w1`. Returns the input var, the loss, and the two weight vars.
     fn two_layer(tape: &mut Tape, x: &Tensor, ws: [&Tensor; 2], constant: bool) -> [Var; 4] {
         let xv = if constant {
             tape.leaf_with(x.rows(), x.cols(), |buf| buf.extend_from_slice(x.data()))
@@ -1078,11 +1255,10 @@ mod tests {
             tape.leaf_copy(x)
         };
         let (w0, w1) = (tape.leaf_copy(ws[0]), tape.leaf_copy(ws[1]));
+        let b0 = tape.leaf_with(1, ws[0].cols(), |buf| buf.resize(ws[0].cols(), 0.25));
         let (src, dst) = ([3u32, 1, 4, 1, 5, 2], [0u32, 0, 1, 2, 2, 2]);
-        let agg = tape.aggregate(xv, &src, &dst, &[0.5, -1.0, 2.0, 1.0, 0.25, 3.0], 4);
-        let own = tape.row_prefix(xv, 4);
-        let cat = tape.concat_cols(own, agg);
-        let h = tape.matmul(cat, w0);
+        let mean = tape.aggregate_mean(xv, &src, &dst, &[0.5, 0.0, 2.0, 1.0, 0.25, 3.0], 4);
+        let h = tape.concat_linear(xv, mean, w0, b0);
         let h = tape.relu(h);
         let agg = tape.aggregate(h, &[1, 3, 0], &[0, 0, 1], &[1.0, 2.0, -0.5], 2);
         let out = tape.matmul(agg, w1);

@@ -1,3 +1,4 @@
+use crate::kernels::{self, ConcatDims};
 use crate::TensorError;
 
 /// A dense 2-D row-major `f32` matrix.
@@ -185,15 +186,8 @@ impl Tensor {
             "matmul inner dims: [{},{}] x [{},{}]",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let parts = crate::kernels::par_parts(n, k, m);
-        if parts > 1 {
-            crate::kernels::matmul_nn_into(&self.data, &other.data, n, k, m, &splpg_par::Pool::new(parts), out);
-        } else if 2 * n * k * m >= crate::kernels::MICRO_FLOP_THRESHOLD {
-            crate::kernels::matmul_nn_into(&self.data, &other.data, n, k, m, &splpg_par::Pool::new(1), out);
-        } else {
-            nn_scalar_into(&self.data, &other.data, n, k, m, out);
-        }
+        let d = ConcatDims::plain(self.rows, self.cols, other.cols);
+        kernels::concat_matmul_into(&self.data, &[], &other.data, None, d, out);
     }
 
     /// Scalar reference for [`Tensor::matmul`]: ikj loop order for
@@ -211,7 +205,7 @@ impl Tensor {
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; n * m];
-        nn_scalar_into(&self.data, &other.data, n, k, m, &mut out);
+        kernels::nn_scalar_into(&self.data, &other.data, n, k, m, &mut out);
         Tensor { rows: n, cols: m, data: out }
     }
 
@@ -235,15 +229,8 @@ impl Tensor {
     /// buffer.
     pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut [f32]) {
         assert_eq!(self.rows, other.rows, "matmul_tn row dims");
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        let parts = crate::kernels::par_parts(n, k, m);
-        if parts > 1 {
-            crate::kernels::matmul_tn_into(&self.data, &other.data, k, n, m, &splpg_par::Pool::new(parts), out);
-        } else if 2 * n * k * m >= crate::kernels::MICRO_FLOP_THRESHOLD {
-            crate::kernels::matmul_tn_into(&self.data, &other.data, k, n, m, &splpg_par::Pool::new(1), out);
-        } else {
-            tn_scalar_into(&self.data, &other.data, k, n, m, out);
-        }
+        let d = ConcatDims::plain(self.rows, self.cols, other.cols);
+        kernels::concat_matmul_tn_into(&self.data, &[], &other.data, d, out);
     }
 
     /// Scalar reference for [`Tensor::matmul_tn`].
@@ -255,7 +242,7 @@ impl Tensor {
         assert_eq!(self.rows, other.rows, "matmul_tn row dims");
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; n * m];
-        tn_scalar_into(&self.data, &other.data, k, n, m, &mut out);
+        kernels::tn_scalar_into(&self.data, &other.data, k, n, m, &mut out);
         Tensor { rows: n, cols: m, data: out }
     }
 
@@ -279,15 +266,8 @@ impl Tensor {
     /// element of which is overwritten (it need not be zero-filled).
     pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut [f32]) {
         assert_eq!(self.cols, other.cols, "matmul_nt col dims");
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        let parts = crate::kernels::par_parts(n, k, m);
-        if parts > 1 {
-            crate::kernels::matmul_nt_into(&self.data, &other.data, n, k, m, &splpg_par::Pool::new(parts), out);
-        } else if 2 * n * k * m >= crate::kernels::MICRO_FLOP_THRESHOLD {
-            crate::kernels::matmul_nt_into(&self.data, &other.data, n, k, m, &splpg_par::Pool::new(1), out);
-        } else {
-            nt_scalar_into(&self.data, &other.data, n, k, m, out);
-        }
+        let d = ConcatDims { n: self.rows, ka: other.rows, kb: 0, m: self.cols };
+        kernels::concat_matmul_nt_into(&self.data, &other.data, d, out, &mut []);
     }
 
     /// Scalar reference for [`Tensor::matmul_nt`].
@@ -299,7 +279,7 @@ impl Tensor {
         assert_eq!(self.cols, other.cols, "matmul_nt col dims");
         let (n, k, m) = (self.rows, self.cols, other.rows);
         let mut out = vec![0.0f32; n * m];
-        nt_scalar_into(&self.data, &other.data, n, k, m, &mut out);
+        kernels::nt_scalar_into(&self.data, &other.data, n, k, m, &mut out);
         Tensor { rows: n, cols: m, data: out }
     }
 
@@ -397,60 +377,6 @@ impl Tensor {
             out.data[r] = self.row(r).iter().sum();
         }
         out
-    }
-}
-
-/// Scalar ikj matmul into a zero-filled `[n,m]` buffer: the bit-exact
-/// reference the parallel kernel is held to.
-fn nn_scalar_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), n * m, "matmul output shape");
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * m..(i + 1) * m];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * m..(kk + 1) * m];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Scalar `a^T b` into a zero-filled `[n,m]` buffer (`a` is `[k,n]`).
-fn tn_scalar_into(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), n * m, "matmul output shape");
-    for kk in 0..k {
-        let a_row = &a[kk * n..(kk + 1) * n];
-        let b_row = &b[kk * m..(kk + 1) * m];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let o_row = &mut out[i * m..(i + 1) * m];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Scalar `a b^T` into a `[n,m]` buffer (`b` is `[m,k]`); every element
-/// is overwritten by a single left-to-right dot product.
-fn nt_scalar_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), n * m, "matmul output shape");
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..m {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            out[i * m + j] = acc;
-        }
     }
 }
 

@@ -1,5 +1,7 @@
 //! Bit-for-bit equality of the cache-blocked parallel matmul kernels
-//! against the scalar references, across odd shapes and thread counts.
+//! against the scalar references, across odd shapes and thread counts,
+//! and of the tape's affine ops (`concat_linear`, `linear`) and mean
+//! aggregation against the unfused op chains they replace.
 //!
 //! Equal raw bits of the f32 buffers — not `==`, which lets `-0.0` pass
 //! for `+0.0`, and not approximate comparison — is the contract:
@@ -8,7 +10,7 @@
 
 use splpg_par::Pool;
 use splpg_rng::{Rng, SeedableRng};
-use splpg_tensor::{kernels, Tensor};
+use splpg_tensor::{kernels, Tape, Tensor, Var};
 
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
 
@@ -215,4 +217,231 @@ fn transposed_kernels_agree_with_explicit_transpose() {
         assert!((x - y).abs() < 1e-3, "nn vs tn: {x} vs {y}");
         assert!((x - z).abs() < 1e-3, "nn vs nt: {x} vs {z}");
     }
+}
+
+// ---- the affine ops and mean aggregation on the tape, against the
+// unfused chains they replace ----
+
+/// Pool sizes the tape-level batteries run at (the global pool).
+const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
+
+/// Bits of one recorded product and of its input gradients.
+#[derive(Debug, PartialEq)]
+struct Recorded {
+    value: Vec<u32>,
+    grads: Vec<Vec<u32>>,
+}
+
+/// Records `product(tape, leaves)` over parameter leaves holding
+/// `inputs`, backpropagates the upstream gradient `upstream` into it
+/// (`loss = Σ product ⊙ upstream`, so the product's gradient is
+/// `upstream` bit for bit), and returns the bits of the product and of
+/// every leaf's gradient. The step runs twice on one tape and the second
+/// is returned; the first also records two NaN-filled constants shaped
+/// like each input, so a buffer an op takes un-zeroed in the second step
+/// may hold NaN.
+fn record(
+    inputs: &[&Tensor],
+    upstream: &Tensor,
+    product: impl Fn(&mut Tape, &[Var]) -> Var,
+) -> Recorded {
+    let mut tape = Tape::new();
+    let mut step = |poison: bool| {
+        tape.reset();
+        for x in inputs.iter().filter(|_| poison).flat_map(|x| [x, x]) {
+            tape.leaf_with(x.rows(), x.cols(), |buf| buf.resize(x.len(), f32::NAN));
+        }
+        let leaves: Vec<Var> = inputs.iter().map(|x| tape.leaf_copy(x)).collect();
+        let y = product(&mut tape, &leaves);
+        assert_eq!(tape.value(y).shape(), upstream.shape(), "upstream gradient shape");
+        let g = tape.leaf_with(upstream.rows(), upstream.cols(), |buf| {
+            buf.extend_from_slice(upstream.data());
+        });
+        let weighted = tape.mul(y, g);
+        let loss = tape.sum_all(weighted);
+        let value = bits(tape.value(y).data());
+        let grads = tape.backward(loss);
+        let bits_of = |v: Var| bits(grads.get(v).expect("leaf gradient").data());
+        let recorded = Recorded { value, grads: leaves.iter().map(|&v| bits_of(v)).collect() };
+        tape.recycle_gradients(grads);
+        recorded
+    };
+    step(true);
+    step(false)
+}
+
+/// `[rows, cols]` upstream gradient whose rows `0, 3, 6, …` are all
+/// `-0.0`, with further `-0.0` entries sprinkled over the rest.
+fn upstream_with_negative_zeros(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let g = rand_matrix(rows, cols, seed);
+    Tensor::from_fn(rows, cols, |r, c| if r % 3 == 0 { -0.0 } else { g.get(r, c) })
+}
+
+/// One concat-linear case: `a` is `[rows_a, ka]`, `b` is `[n, kb]`, `w`
+/// is `[ka + kb, m]`, the bias `[1, m]`. `inf[0]` puts `±inf` in a row
+/// of `w`'s `a` half, `inf[1]` `NaN`s in a row of its `b` half, each
+/// facing a column of exact zeros of its operand.
+struct ConcatCase {
+    rows_a: usize,
+    n: usize,
+    ka: usize,
+    kb: usize,
+    m: usize,
+    inf: [bool; 2],
+}
+
+impl ConcatCase {
+    fn operands(&self, seed: u64) -> [Tensor; 5] {
+        let ConcatCase { rows_a, n, ka, kb, m, inf } = *self;
+        let mut a = rand_matrix(rows_a, ka, seed);
+        let mut b = rand_matrix(n, kb, seed + 1);
+        let mut w = rand_matrix(ka + kb, m, seed + 2);
+        if inf[0] {
+            a = with_col(&a, ka / 2, signed_zero);
+            w = with_row(&w, ka / 2, signed_inf);
+        }
+        if inf[1] {
+            b = with_col(&b, kb / 2, signed_zero);
+            w = with_row(&w, ka + kb / 2, |j| if j % 2 == 0 { f32::NAN } else { 1.0 });
+        }
+        let bias = rand_matrix(1, m, seed + 4);
+        [a, b, w, bias, upstream_with_negative_zeros(n, m, seed + 3)]
+    }
+}
+
+/// Which dispatch path a `[n, k] x [k, m]` product takes at two or more
+/// effective workers: 0 scalar, 1 the inline microkernel, 2 parallel.
+fn path(n: usize, k: usize, m: usize) -> usize {
+    let flops = 2 * n * k * m;
+    usize::from(flops >= 16_384) + usize::from(flops >= kernels::PAR_FLOP_THRESHOLD)
+}
+
+/// `add_bias(matmul(x, w), bias)` over leaves `[x, w, bias]`.
+fn unfused_affine(tape: &mut Tape, x: Var, v: &[Var]) -> Var {
+    let xw = tape.matmul(x, v[v.len() - 2]);
+    tape.add_bias(xw, v[v.len() - 1])
+}
+
+#[test]
+fn concat_linear_bit_identical_to_prefix_concat_matmul_bias() {
+    let (finite, both) = ([false; 2], [true; 2]);
+    let cases = [
+        // Scalar path; a prefix of 3 rows out of 5.
+        ConcatCase { rows_a: 5, n: 3, ka: 2, kb: 3, m: 4, inf: finite },
+        // Microkernel path; ka, kb and m off every NR/TK multiple.
+        ConcatCase { rows_a: 41, n: 30, ka: 19, kb: 17, m: 35, inf: finite },
+        ConcatCase { rows_a: 41, n: 30, ka: 19, kb: 17, m: 35, inf: [true, false] },
+        ConcatCase { rows_a: 41, n: 30, ka: 19, kb: 17, m: 35, inf: [false, true] },
+        // Parallel path; ka over one TK block, kb under, m with a tail.
+        ConcatCase { rows_a: 310, n: 260, ka: 130, kb: 70, m: 33, inf: finite },
+        ConcatCase { rows_a: 310, n: 260, ka: 130, kb: 70, m: 33, inf: [false, true] },
+        ConcatCase { rows_a: 310, n: 260, ka: 130, kb: 70, m: 33, inf: both },
+        // The prefix is all of `a`.
+        ConcatCase { rows_a: 200, n: 200, ka: 64, kb: 64, m: 48, inf: finite },
+        ConcatCase { rows_a: 7, n: 7, ka: 5, kb: 9, m: 3, inf: both },
+    ];
+    let mut paths = [false; 3];
+    for (i, case) in cases.iter().enumerate() {
+        let ConcatCase { rows_a, n, ka, kb, m, inf } = *case;
+        paths[path(n, ka + kb, m)] = true;
+        let [a, b, w, bias, g] = case.operands(800 + 10 * i as u64);
+        let what = format!("[{rows_a}x{ka}][..{n}] ‖ [{n}x{kb}] x [{}x{m}] inf={inf:?}", ka + kb);
+        let leaves = [&a, &b, &w, &bias];
+        let reference = record(&leaves, &g, |tape, v| {
+            let prefix = tape.row_prefix(v[0], n);
+            let cat = tape.concat_cols(prefix, v[1]);
+            unfused_affine(tape, cat, v)
+        });
+        // The cases bite: `-0.0` upstream rows give `+0.0` input
+        // gradients, and rows of `a` below the prefix get `+0.0`.
+        let da = &reference.grads[0];
+        assert!(inf[0] || da[..ka].iter().all(|&x| x == 0), "{what}: -0.0 row of g");
+        assert!(da[n * ka..].iter().all(|&x| x == 0), "{what}: rows below the prefix");
+        // Skip-on-zero keeps the non-finite rows of `w` out of the
+        // product; the `nt` input gradients have no skip and turn NaN.
+        let all_finite = |v: &[u32]| v.iter().all(|&x| f32::from_bits(x).is_finite());
+        assert!(all_finite(&reference.value), "{what}: the skips must bite");
+        for (grad, nonfinite) in reference.grads[..2].iter().zip(inf) {
+            assert_eq!(all_finite(grad), !nonfinite, "{what}: the non-finite w must bite");
+        }
+        for threads in POOL_SIZES {
+            splpg_par::set_num_threads(threads);
+            let fused = record(&leaves, &g, |tape, v| tape.concat_linear(v[0], v[1], v[2], v[3]));
+            assert_eq!(fused, reference, "{what} at {threads} threads");
+        }
+    }
+    splpg_par::set_num_threads(0);
+    assert_eq!(paths, [true; 3], "every dispatch path covered");
+}
+
+#[test]
+fn concat_linear_bit_identical_to_the_scorer_concat() {
+    // The MLP scorer's `[h_u ‖ h_v] · W + b`: no prefix, `rows(a) ==
+    // rows(b)`. The plain `linear` of `a` alone rides along.
+    for (i, &(n, k, m, inf)) in
+        [(6, 4, 5, false), (64, 32, 32, true), (512, 64, 64, false), (512, 64, 64, true)]
+            .iter()
+            .enumerate()
+    {
+        let inf = [inf; 2];
+        let case = ConcatCase { rows_a: n, n, ka: k, kb: k, m, inf };
+        let [a, b, w, bias, g] = case.operands(900 + 10 * i as u64);
+        let leaves = [&a, &b, &w, &bias];
+        let reference = record(&leaves, &g, |tape, v| {
+            let cat = tape.concat_cols(v[0], v[1]);
+            unfused_affine(tape, cat, v)
+        });
+        let w_a = Tensor::from_fn(k, m, |r, c| w.get(r, c));
+        let plain_leaves = [&a, &w_a, &bias];
+        let plain_reference = record(&plain_leaves, &g, |tape, v| unfused_affine(tape, v[0], v));
+        for threads in POOL_SIZES {
+            splpg_par::set_num_threads(threads);
+            let what = format!("[{n}x{k}] pair x [{}x{m}] at {threads} threads", 2 * k);
+            let fused = record(&leaves, &g, |tape, v| tape.concat_linear(v[0], v[1], v[2], v[3]));
+            assert_eq!(fused, reference, "scorer {what}");
+            let fused = record(&plain_leaves, &g, |tape, v| tape.linear(v[0], v[1], v[2]));
+            assert_eq!(fused, plain_reference, "plain linear {what}");
+        }
+    }
+    splpg_par::set_num_threads(0);
+}
+
+#[test]
+fn aggregate_mean_bit_identical_to_scaled_aggregate() {
+    // Sizes on the inline and on the fan-out side of the scatter gate;
+    // destination 1 never receives an edge, destination 2 only zero
+    // weight, so both hit the `1/Σw = 0` branch.
+    for (i, &(num_src, num_dst, edges, dim)) in
+        [(9, 5, 20, 3), (5_000, 3_000, 40_000, 64)].iter().enumerate()
+    {
+        let seed = 1_000 + 10 * i as u64;
+        let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(seed);
+        let mut src: Vec<u32> = (0..edges).map(|_| rng.gen_range(0..num_src as u32)).collect();
+        let mut dst: Vec<u32> = (0..edges).map(|_| rng.gen_range(3..num_dst as u32)).collect();
+        let mut weight: Vec<f32> = (0..edges).map(|_| rng.gen_range(0.0f32..2.0)).collect();
+        (src[0], dst[0], weight[0]) = (0, 2, 0.0);
+        (src[1], dst[1], weight[1]) = (1, 0, 1.0);
+        let h = rand_matrix(num_src, dim, seed + 1);
+        let g = upstream_with_negative_zeros(num_dst, dim, seed + 2);
+        let reference = record(&[&h], &g, |tape, v| {
+            let summed = tape.aggregate(v[0], &src, &dst, &weight, num_dst);
+            tape.scale_rows_with(summed, |inv| {
+                inv.resize(num_dst, 0.0);
+                for (&d, &w) in dst.iter().zip(&weight) {
+                    inv[d as usize] += w;
+                }
+                for s in inv.iter_mut() {
+                    *s = if *s > 0.0 { 1.0 / *s } else { 0.0 };
+                }
+            })
+        });
+        for threads in POOL_SIZES {
+            splpg_par::set_num_threads(threads);
+            let fused = record(&[&h], &g, |tape, v| {
+                tape.aggregate_mean(v[0], &src, &dst, &weight, num_dst)
+            });
+            assert_eq!(fused, reference, "{num_dst} destinations x {dim} at {threads} threads");
+        }
+    }
+    splpg_par::set_num_threads(0);
 }

@@ -112,31 +112,79 @@ fn graph_io_round_trips_generated_dataset() {
     assert_eq!(data.features, f2);
 }
 
-#[test]
-fn train_step_tape_is_under_half_the_unfused_footprint() {
-    // GCN 2x32 on 3000 nodes / 12000 edges, fanouts 10/5, one fixed
-    // batch of 256 resampled identically every step, Adam between steps.
-    // With per-edge gather/scale tensors on the tape and every interior
-    // gradient held until `backward` returned, the warmed-up tape backed
-    // 13 927 168 bytes on this shape (before the fused `aggregate` op).
-    // At every pool size the tape must back at most half of that, and
-    // after two warm-up steps (the first grows the arena to its
-    // high-water mark, the second proves it stays there) three more
-    // steps must create or grow no arena buffer.
-    use splpg::datasets::{generate_community_graph, CommunityGraphParams};
+/// Warmed-up training tape of `kind` at `threads` pool workers: one
+/// fixed batch of `config.batch_size` edges of the community graph
+/// `shape`, resampled identically every step, Adam between steps. Returns the arena allocations of three steps after
+/// two warm-up steps (the first grows the arena to its high-water mark,
+/// the second proves it stays there) and the bytes the tape backs at the
+/// end.
+fn warmed_train_tape(
+    kind: ModelKind,
+    config: &TrainConfig,
+    shape: &splpg::datasets::CommunityGraphParams,
+    threads: usize,
+) -> (u64, usize) {
+    use splpg::datasets::generate_community_graph;
     use splpg::gnn::trainer::batch_grads;
     use splpg::gnn::{
         FullFeatureAccess, FullGraphAccess, PerSourceNegativeSampler, SamplerScratch,
     };
     use splpg::nn::{Adam, Optimizer, ParamSet};
     use splpg::tensor::Tape;
-    const UNFUSED_TAPE_BYTES: usize = 13_927_168;
     const WARMUP_STEPS: usize = 2;
     const STEADY_STEPS: usize = 3;
 
-    let shape = CommunityGraphParams { nodes: 3_000, edges: 12_000, ..Default::default() };
     let mut r = splpg_rng::rngs::StdRng::seed_from_u64(7);
-    let (graph, features, _) = generate_community_graph(&shape, &mut r).expect("valid params");
+    let (graph, features, _) = generate_community_graph(shape, &mut r).expect("valid params");
+    let batch = &graph.edges()[..config.batch_size];
+    let negatives = PerSourceNegativeSampler::global(graph.num_nodes());
+    at_pool_size(threads, || {
+        let mut params = ParamSet::new();
+        let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
+        let model = config.build_model(kind, features.dim(), &mut params, &mut init);
+        let mut opt = Adam::new(config.learning_rate);
+        let mut tape = Tape::new();
+        let mut scratch = SamplerScratch::new();
+        let mut warm = 0;
+        for step in 0..WARMUP_STEPS + STEADY_STEPS {
+            if step == WARMUP_STEPS {
+                warm = tape.arena_stats().allocations();
+            }
+            let mut step_rng = splpg_rng::rngs::StdRng::seed_from_u64(1_000);
+            let (_, grads) = batch_grads(
+                &model,
+                &params,
+                &FullGraphAccess::new(&graph),
+                &mut FullFeatureAccess::new(&features),
+                &config.sampler(),
+                &negatives,
+                batch,
+                &mut step_rng,
+                &mut tape,
+                &mut scratch,
+            )
+            .expect("training step");
+            opt.step(&mut params, &grads);
+            grads.into_iter().for_each(|g| tape.recycle(g));
+        }
+        (tape.arena_stats().allocations() - warm, tape.backing_bytes())
+    })
+}
+
+#[test]
+fn train_step_tape_is_under_half_the_unfused_footprint() {
+    // GCN 2x32 on 3000 nodes / 12000 edges, fanouts 10/5. With per-edge
+    // gather/scale tensors on the tape and every interior gradient held
+    // until `backward` returned, the warmed-up tape backed 13 927 168
+    // bytes on this shape (before the fused `aggregate` op). At every
+    // pool size the tape must back at most half of that, and the steady
+    // steps must create or grow no arena buffer.
+    const UNFUSED_TAPE_BYTES: usize = 13_927_168;
+    let shape = splpg::datasets::CommunityGraphParams {
+        nodes: 3_000,
+        edges: 12_000,
+        ..Default::default()
+    };
     let config = TrainConfig {
         layers: 2,
         hidden: 32,
@@ -144,41 +192,40 @@ fn train_step_tape_is_under_half_the_unfused_footprint() {
         seed: 17,
         ..TrainConfig::default()
     };
-    let batch = &graph.edges()[..config.batch_size];
-    let negatives = PerSourceNegativeSampler::global(graph.num_nodes());
     for threads in [1, 2, 4, 8] {
-        let (allocs, bytes) = at_pool_size(threads, || {
-            let mut params = ParamSet::new();
-            let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
-            let model = config.build_model(ModelKind::Gcn, features.dim(), &mut params, &mut init);
-            let mut opt = Adam::new(config.learning_rate);
-            let mut tape = Tape::new();
-            let mut scratch = SamplerScratch::new();
-            let mut warm = 0;
-            for step in 0..WARMUP_STEPS + STEADY_STEPS {
-                if step == WARMUP_STEPS {
-                    warm = tape.arena_stats().allocations();
-                }
-                let mut step_rng = splpg_rng::rngs::StdRng::seed_from_u64(1_000);
-                let (_, grads) = batch_grads(
-                    &model,
-                    &params,
-                    &FullGraphAccess::new(&graph),
-                    &mut FullFeatureAccess::new(&features),
-                    &config.sampler(),
-                    &negatives,
-                    batch,
-                    &mut step_rng,
-                    &mut tape,
-                    &mut scratch,
-                )
-                .expect("training step");
-                opt.step(&mut params, &grads);
-                grads.into_iter().for_each(|g| tape.recycle(g));
-            }
-            (tape.arena_stats().allocations() - warm, tape.backing_bytes())
-        });
+        let (allocs, bytes) = warmed_train_tape(ModelKind::Gcn, &config, &shape, threads);
         assert_eq!(allocs, 0, "{threads} threads: steady-state steps allocated arena buffers");
         assert!(2 * bytes <= UNFUSED_TAPE_BYTES, "{threads} threads: tape backs {bytes} B");
+    }
+}
+
+#[test]
+fn sage_train_step_tape_is_under_six_tenths_of_the_unconcatenated_footprint() {
+    // GraphSAGE 2x64 with the paper's MLP scorer over 128-wide features
+    // on 3000 nodes / 12000 edges, fanouts 10/5 (`ma-seq`'s model on a
+    // smaller graph). Recorded as `aggregate → scale_rows_with` for the
+    // mean, `row_prefix → concat_cols → matmul → add_bias` per layer and
+    // `concat_cols` before the scorer's `matmul → add_bias` layers, the
+    // warmed-up tape backed 9 388 264 bytes on this shape at every pool
+    // size. `aggregate_mean` and the affine ops reading `[self ‖ mean]`
+    // and `[h_u ‖ h_v]` in place must bring it to at most 0.6 of that.
+    const UNFUSED_TAPE_BYTES: usize = 9_388_264;
+    let shape = splpg::datasets::CommunityGraphParams {
+        nodes: 3_000,
+        edges: 12_000,
+        feature_dim: 128,
+        ..Default::default()
+    };
+    let config = TrainConfig {
+        layers: 2,
+        hidden: 64,
+        fanouts: vec![Some(10), Some(5)],
+        seed: 17,
+        ..TrainConfig::default()
+    };
+    for threads in [1, 2, 4, 8] {
+        let (allocs, bytes) = warmed_train_tape(ModelKind::GraphSage, &config, &shape, threads);
+        assert_eq!(allocs, 0, "{threads} threads: steady-state steps allocated arena buffers");
+        assert!(10 * bytes <= 6 * UNFUSED_TAPE_BYTES, "{threads} threads: tape backs {bytes} B");
     }
 }
