@@ -3,7 +3,9 @@
 //! Times the three kernels the pool accelerates — dense matmul, fan-out
 //! neighbor sampling, and exact effective-resistance sparsification —
 //! at 1/2/4/8 threads (via [`splpg_par::set_num_threads`]) plus the
-//! scalar matmul reference, then the `nn`/`tn`/`nt` products of one
+//! scalar matmul reference, the JL resistance sketch of a
+//! partition-local graph at its derived tolerance and at 1e-8 (1 and 2
+//! threads), then the `nn`/`tn`/`nt` products of one
 //! GraphSAGE layer at the `ma-seq` workload's shape and the concat
 //! matmul `[self ‖ mean] · W` of its layer 0, forward and backward, at 1
 //! and 2 threads against their own scalar references, prints a table,
@@ -32,7 +34,9 @@ use std::fmt::Write as _;
 use splpg_bench::timing;
 use splpg_rng::{Rng, SeedableRng};
 use splpg_datasets::{generate_community_graph, CommunityGraphParams};
+use splpg::linalg::{CgOptions, ResistanceEstimator};
 use splpg_gnn::{FullGraphAccess, NeighborSampler, SamplerScratch};
+use splpg_partition::{MetisLike, Partitioner};
 use splpg_sparsify::ExactSparsifier;
 use splpg_tensor::kernels::{self, ConcatDims};
 use splpg_tensor::Tensor;
@@ -324,6 +328,58 @@ fn bench_er_sparsify(records: &mut Vec<Record>) {
     splpg_par::set_num_threads(0);
 }
 
+/// The JL resistance sketch the `Jl` sparsifier builds at setup: 64
+/// projections on partition 0's halo graph of a p = 4 partition of a
+/// community graph (global ids, so most nodes are isolated), at the
+/// tolerance derived from `k` and at the 1e-8 default, on 1 and 2
+/// threads. Speedups are against the 1-thread 1e-8 row.
+fn bench_jl_sketch(records: &mut Vec<Record>) {
+    const K: usize = 64;
+    let g = community(10_000, 40_000, 8);
+    let partition = MetisLike::default()
+        .partition(&g, 4, &mut splpg_rng::rngs::StdRng::seed_from_u64(17))
+        .expect("partition");
+    let halo: Vec<(u32, u32)> = g
+        .edges()
+        .iter()
+        .filter(|e| partition.part_of(e.src) == 0 || partition.part_of(e.dst) == 0)
+        .map(|e| (e.src, e.dst))
+        .collect();
+    let local = splpg_graph::Graph::from_edges(g.num_nodes(), &halo).expect("halo graph");
+    let edges = local.num_edges();
+    let mut baseline_ns = f64::NAN;
+    for (label, options) in
+        [("1e-8", CgOptions::default()), ("derived", ResistanceEstimator::sketch_options(K))]
+    {
+        let shape = format!(
+            "{}n/{edges}e partition-local, k={K}, tol {:e} ({label})",
+            local.num_nodes(),
+            options.tolerance
+        );
+        timing::section(&format!("JL sketch {shape}"));
+        for threads in [1usize, 2] {
+            splpg_par::set_num_threads(threads);
+            let rec = timing::bench(&format!("jl_sketch_{label}_t{threads}"), || {
+                let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(3);
+                ResistanceEstimator::build(&local, K, options, &mut rng).expect("sketch")
+            });
+            if baseline_ns.is_nan() {
+                baseline_ns = rec.ns_per_iter;
+            }
+            records.push(Record {
+                op: "jl_sketch",
+                shape: shape.clone(),
+                threads,
+                ns_per_iter: rec.ns_per_iter,
+                speedup_vs_scalar: baseline_ns / rec.ns_per_iter,
+                throughput: edges as f64 / rec.ns_per_iter * 1e9,
+                throughput_unit: "edges/s",
+            });
+        }
+    }
+    splpg_par::set_num_threads(0);
+}
+
 /// Repo root: two levels above the bench crate when run via cargo,
 /// else the current directory.
 fn repo_root() -> std::path::PathBuf {
@@ -437,6 +493,7 @@ fn main() {
     let (sample_check, dedup) = bench_fanout_sampling(&mut records);
     checks.push(sample_check);
     bench_er_sparsify(&mut records);
+    bench_jl_sketch(&mut records);
     if !assert_speedup {
         write_json(&records, &dedup, hardware_threads);
     } else if !assert_speedups(&checks, &dedup, hardware_threads) {

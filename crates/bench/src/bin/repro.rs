@@ -17,12 +17,13 @@ use std::error::Error;
 use std::sync::Arc;
 
 use splpg::dist::ClusterSetup;
+use splpg::linalg::quadratic_form;
 use splpg::prelude::*;
 use splpg::sparsify::DegreeSparsifier;
 use splpg_bench::{pct_improvement, pct_saving, print_header, print_row, ExpOptions};
 use splpg_gnn::trainer::train_centralized;
 use splpg_partition::{RandomTma, SuperTma};
-use splpg_rng::SeedableRng;
+use splpg_rng::{Rng, SeedableRng};
 
 type Res<T> = Result<T, Box<dyn Error>>;
 
@@ -508,6 +509,20 @@ fn table3(o: &ExpOptions) -> Res<()> {
     Ok(())
 }
 
+/// Worst relative quadratic-form error `|x^T L~ x / x^T L x - 1|` of
+/// `sparse` against `graph`, over 16 random vectors with entries uniform
+/// in `[-1, 1)` from a fixed seed.
+fn quadratic_form_error(graph: &Graph, sparse: &Graph) -> Res<f64> {
+    let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(16);
+    let mut worst = 0.0f64;
+    for _ in 0..16 {
+        let x: Vec<f64> = (0..graph.num_nodes()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let exact = quadratic_form(graph, &x)?;
+        worst = worst.max((quadratic_form(sparse, &x)? / exact - 1.0).abs());
+    }
+    Ok(worst)
+}
+
 /// Beyond the paper: SpLPG's remote copies built by other sparsifiers at
 /// the same edge budget, against effective-resistance sampling.
 fn ablation_sparsifier(o: &ExpOptions) -> Res<()> {
@@ -517,8 +532,10 @@ fn ablation_sparsifier(o: &ExpOptions) -> Res<()> {
             "Ablation — sparsifier choice inside SpLPG ({}, GraphSAGE, p = 4, alpha = 0.15)",
             data.name
         ),
-        &["sparsifier", &o.hits_label(), "comm MB/epoch"],
+        &["sparsifier", &o.hits_label(), "comm MB/epoch", "quad-form err, part 0"],
     );
+    let train_graph = Arc::new(data.split.train_graph(data.graph.num_nodes())?);
+    let features = Arc::new(data.features.clone());
     for (label, kind) in [
         ("effective-resistance (paper)", SparsifierKind::Degree),
         ("uniform", SparsifierKind::Uniform),
@@ -526,7 +543,7 @@ fn ablation_sparsifier(o: &ExpOptions) -> Res<()> {
         ("exact ER (per-node engine)", SparsifierKind::Exact),
         ("JL sketch (64 proj)", SparsifierKind::Jl),
     ] {
-        let out = SpLpg::builder()
+        let splpg = SpLpg::builder()
             .workers(4)
             .strategy(Strategy::SpLpg)
             .sparsifier(kind)
@@ -538,13 +555,37 @@ fn ablation_sparsifier(o: &ExpOptions) -> Res<()> {
             .hits_k(o.hits_for(&data))
             .eval_every(3)
             .seed(o.seed)
-            .build()
-            .run(ModelKind::GraphSage, &data)?;
-        print_row(&[label.into(), format!("{:.3}", out.test_hits), format!("{:.3}", mb(&out))]);
+            .build();
+        let out = splpg.run(ModelKind::GraphSage, &data)?;
+        // The run's own setup, rebuilt: partition 0's local graph and the
+        // sparsified copy of it that remote fetches read.
+        let dist = splpg.dist_config();
+        let setup = ClusterSetup::build_with_sparsifier(
+            &train_graph,
+            &features,
+            dist.strategy.spec(),
+            dist.num_workers,
+            dist.alpha,
+            dist.setup_seed,
+            kind,
+        )?;
+        let local_edges: Vec<(NodeId, NodeId)> =
+            setup.workers[0].positives.iter().map(|e| (e.src, e.dst)).collect();
+        let local = Graph::from_edges(train_graph.num_nodes(), &local_edges)?;
+        let copies = setup.sparsified.ok_or("SpLPG shares sparsified copies")?;
+        print_row(&[
+            label.into(),
+            format!("{:.3}", out.test_hits),
+            format!("{:.3}", mb(&out)),
+            format!("{:.3}", quadratic_form_error(&local, &copies[0])?),
+        ]);
     }
     println!(
         "\nshape check: effective-resistance sampling should match or beat the\n\
-         baselines at equal budget (it keeps structurally important edges)."
+         baselines at equal budget (it keeps structurally important edges).\n\
+         quad-form err is max |x'L~x / x'Lx - 1| over 16 fixed-seed random\n\
+         vectors on partition 0 (Theorem 1's epsilon, measured on one draw of\n\
+         each copy; the JL sketch is solved to its derived tolerance)."
     );
     Ok(())
 }

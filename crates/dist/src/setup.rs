@@ -80,6 +80,10 @@ pub struct ClusterSetup {
     /// Wall-clock time of the effective-resistance sparsification of all
     /// partitions (zero when the strategy doesn't sparsify).
     pub sparsify_time: Duration,
+    /// The sparsified copy of every partition's local graph, in the
+    /// global id space, that remote fetches read (`None` when the
+    /// strategy doesn't sparsify).
+    pub sparsified: Option<Arc<Vec<Graph>>>,
 }
 
 impl ClusterSetup {
@@ -279,7 +283,7 @@ impl ClusterSetup {
             Ok(WorkerData { worker_id: w, view, positives, negative_space })
         });
         let workers = workers.into_iter().collect::<Result<Vec<_>, DistError>>()?;
-        Ok(ClusterSetup { workers, tracker, partition, partition_time, sparsify_time })
+        Ok(ClusterSetup { workers, tracker, partition, partition_time, sparsify_time, sparsified })
     }
 }
 
@@ -412,44 +416,58 @@ mod tests {
         // Partition-local graphs keep all global node ids, so they are
         // disconnected by construction — the exact and JL kinds must
         // sparsify them via per-component solves, deterministically
-        // across thread counts.
+        // across thread counts: every edge and weight bit of every
+        // partition's copy is the same at every pool size.
         let (g, f) = fixture();
+        let copies = |kind: SparsifierKind, threads: usize| {
+            splpg_par::set_num_threads(threads);
+            let s = ClusterSetup::build_with_sparsifier(
+                &g,
+                &f,
+                Strategy::SpLpg.spec(),
+                2,
+                0.3,
+                11,
+                kind,
+            )
+            .unwrap();
+            splpg_par::set_num_threads(0);
+            let parts = s.sparsified.expect("SpLPG shares sparsified copies");
+            let bits: Vec<Vec<(NodeId, NodeId, u32)>> = parts
+                .iter()
+                .map(|p| {
+                    p.edges()
+                        .iter()
+                        .map(|e| (e.src, e.dst, p.edge_weight(e.src, e.dst).unwrap().to_bits()))
+                        .collect()
+                })
+                .collect();
+            (s.partition, bits)
+        };
         for kind in [SparsifierKind::Exact, SparsifierKind::Jl] {
-            let run = |threads: usize| {
-                splpg_par::set_num_threads(threads);
-                let s = ClusterSetup::build_with_sparsifier(
-                    &g,
-                    &f,
-                    Strategy::SpLpg.spec(),
-                    2,
-                    0.3,
-                    11,
-                    kind,
-                )
-                .unwrap();
-                splpg_par::set_num_threads(0);
-                s
-            };
-            let one = run(1);
-            let four = run(4);
+            let (partition, one) = copies(kind, 1);
             // Remote sparsified copies exist and lost edges.
-            let w0 = one.workers[0].view.clone();
-            let remote_node = one.partition.part_nodes(1)[2];
-            assert!(
-                w0.neighbors(remote_node).len() <= g.degree(remote_node),
-                "{kind:?}: sparsified copy grew a node's degree"
-            );
-            // Thread-count invariance through the solver paths.
-            for (wa, wb) in one.workers.iter().zip(&four.workers) {
-                let other = (wa.worker_id + 1) % one.workers.len();
-                let remote = one.partition.part_nodes(other as u32)[0];
-                let va = wa.view.clone();
-                let vb = wb.view.clone();
+            for (p, edges) in one.iter().enumerate() {
+                let local = g
+                    .edges()
+                    .iter()
+                    .filter(|e| {
+                        partition.part_of(e.src) as usize == p
+                            || partition.part_of(e.dst) as usize == p
+                    })
+                    .count();
+                assert!(!edges.is_empty(), "{kind:?}: partition {p} copy is empty");
+                assert!(
+                    edges.iter().all(|&(u, v, _)| g.has_edge(u, v)),
+                    "{kind:?}: partition {p} copy grew an edge"
+                );
+                assert!(edges.len() < local, "{kind:?}: partition {p} copy kept every edge");
+            }
+            for threads in [2usize, 4, 8] {
                 assert_eq!(
-                    va.neighbors(remote),
-                    vb.neighbors(remote),
-                    "{kind:?}: worker {} diverged across thread counts",
-                    wa.worker_id
+                    copies(kind, threads).1,
+                    one,
+                    "{kind:?}: sparsified copies diverged at {threads} threads"
                 );
             }
         }

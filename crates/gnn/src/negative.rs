@@ -36,11 +36,6 @@ impl PerSourceNegativeSampler {
         Self::new((0..num_nodes as NodeId).collect())
     }
 
-    /// Size of the sample space.
-    pub fn space_size(&self) -> usize {
-        self.space.len()
-    }
-
     /// Draws one negative destination for `source`, rejecting self-pairs
     /// and existing edges in `access`.
     ///

@@ -16,11 +16,13 @@
 //!    *shared* matvec sweeps
 //!    ([`LaplacianOperator::apply_block_into`]): one pass over the CSR
 //!    adjacency updates all `k` vectors, with per-column step sizes and
-//!    convergence (converged columns are masked out of later sweeps).
-//!    The sweep fans out over the `splpg-par` pool under the same
-//!    deterministic contiguous-range partitioning and scalar-fallback
-//!    rules as `splpg-tensor`'s kernels, so results are bit-identical
-//!    at every thread count.
+//!    convergence. A converged column is written out and compacted
+//!    away, so every later pass runs over a dense block of the columns
+//!    still iterating, with no per-column branch. The sweep fans out
+//!    over the `splpg-par` pool under the same deterministic
+//!    contiguous-range partitioning and scalar-fallback rules as
+//!    `splpg-tensor`'s kernels, so results are bit-identical at every
+//!    thread count.
 //! 3. **Per-node solve reuse.** For a batch of edges, the engine solves
 //!    for the pseudo-inverse potential vector of each *distinct
 //!    endpoint* (`<= n` solves) instead of one solve per edge (`m`
@@ -123,6 +125,9 @@ impl SolveStats {
 #[derive(Debug, Default)]
 pub struct CgWorkspace {
     x: Vec<f64>,
+    /// The right-hand-side block; once the first residual is formed it
+    /// is dead, and collects the solution in the caller's `n x k` layout
+    /// as columns converge (it swaps into `x` at the end).
     b: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
@@ -136,7 +141,10 @@ pub struct CgWorkspace {
     alpha: Vec<f64>,
     beta: Vec<f64>,
     rr: Vec<f64>,
+    /// Per slot of the compacted block: still iterating.
     active: Vec<bool>,
+    /// Per slot of the compacted block: the caller's column.
+    cols: Vec<usize>,
     col_iters: Vec<usize>,
     distinct: Vec<NodeId>,
     partner_offsets: Vec<usize>,
@@ -199,6 +207,7 @@ impl CgWorkspace {
         grow_f64(&mut self.beta, k, ev);
         grow_f64(&mut self.rr, k, ev);
         grow_with(&mut self.active, k, true, ev);
+        grow_with(&mut self.cols, k, 0usize, ev);
         grow_with(&mut self.col_iters, k, 0usize, ev);
     }
 }
@@ -306,34 +315,31 @@ impl<'g> SolverContext<'g> {
         Ok(())
     }
 
-    /// Projects each active column of `buf` onto the complement of the
-    /// Laplacian null space: subtracts the per-component mean within
-    /// every component. For a connected graph this is plain mean
-    /// removal; per-component it keeps disconnected solves consistent
-    /// (`L x = b` is solvable iff `b` sums to zero on each component).
-    fn project_block(&self, buf: &mut [f64], sums: &mut [f64], k: usize, active: &[bool]) {
-        let n = self.dim();
+    /// Projects each column of the `k`-wide block `buf` onto the
+    /// complement of the Laplacian null space: subtracts the
+    /// per-component mean within every component. For a connected graph
+    /// this is plain mean removal; per-component it keeps disconnected
+    /// solves consistent (`L x = b` is solvable iff `b` sums to zero on
+    /// each component).
+    fn project_block(&self, buf: &mut [f64], sums: &mut [f64], k: usize) {
         let nc = self.comp_sizes.len();
-        sums[..nc * k].fill(0.0);
-        for v in 0..n {
-            let c = self.comp_of[v];
-            for j in 0..k {
-                if active[j] {
-                    sums[c * k + j] += buf[v * k + j];
-                }
+        let sums = &mut sums[..nc * k];
+        let rows = buf[..self.dim() * k].chunks_exact_mut(k);
+        sums.fill(0.0);
+        for (row, &c) in rows.zip(&self.comp_of) {
+            for (s, &x) in sums[c * k..(c + 1) * k].iter_mut().zip(row.iter()) {
+                *s += x;
             }
         }
-        for c in 0..nc {
-            for j in 0..k {
-                sums[c * k + j] /= self.comp_sizes[c];
+        for (sc, &size) in sums.chunks_exact_mut(k).zip(&self.comp_sizes) {
+            for s in sc {
+                *s /= size;
             }
         }
-        for v in 0..n {
-            let c = self.comp_of[v];
-            for j in 0..k {
-                if active[j] {
-                    buf[v * k + j] -= sums[c * k + j];
-                }
+        let rows = buf[..self.dim() * k].chunks_exact_mut(k);
+        for (row, &c) in rows.zip(&self.comp_of) {
+            for (x, &s) in row.iter_mut().zip(&sums[c * k..(c + 1) * k]) {
+                *x -= s;
             }
         }
     }
@@ -355,6 +361,14 @@ impl<'g> SolverContext<'g> {
     /// `ws.b`, starting from `ws.x` (zeroed unless warm-started); the
     /// solution block replaces `ws.x`. Per-column iteration counts land
     /// in `ws.col_iters`.
+    ///
+    /// The iteration runs on a compacted block: its `ka` slots hold the
+    /// columns still iterating, in ascending column order, node-major at
+    /// stride `ka`. When a column converges its solution is copied out to
+    /// its column of `ws.b` (dead after the first residual) and the block
+    /// closes up, so every pass is a dense loop over `ka` slots. Each column's operation sequence is that of a
+    /// masked `k`-wide block: no pass mixes columns, and dropping a slot
+    /// only moves values.
     ///
     /// # Errors
     ///
@@ -387,131 +401,131 @@ impl<'g> SolverContext<'g> {
             beta,
             rr,
             active,
+            cols,
             col_iters,
             ..
         } = ws;
         active[..k].fill(true);
+        for (c, col) in cols[..k].iter_mut().enumerate() {
+            *col = c;
+        }
         col_iters[..k].fill(0);
 
-        self.project_block(b, comp_sums, k, active);
-        col_dots(b, b, n, k, active, bnorm);
+        self.project_block(b, comp_sums, k);
+        col_dots(b, b, n, k, bnorm);
         for bj in bnorm[..k].iter_mut() {
             *bj = bj.sqrt().max(f64::MIN_POSITIVE);
         }
         if warm {
-            self.project_block(x, comp_sums, k, active);
+            self.project_block(x, comp_sums, k);
             self.op
-                .apply_block_into(x, k, active, ap, &self.matvec_pool(k))
+                .apply_block_into(&x[..n * k], k, &mut ap[..n * k], &self.matvec_pool(k))
                 .expect("invariant: workspace buffers sized n*k above");
             stats.matvec_rows += (n * k) as u64;
-            for i in 0..n * k {
-                r[i] = b[i] - ap[i];
+            for ((ri, &bi), &ai) in r[..n * k].iter_mut().zip(&b[..n * k]).zip(&ap[..n * k]) {
+                *ri = bi - ai;
             }
         } else {
-            r.copy_from_slice(b);
+            r[..n * k].copy_from_slice(&b[..n * k]);
         }
-        self.project_block(r, comp_sums, k, active);
-        for v in 0..n {
-            let s = self.inv_diag[v];
-            for j in 0..k {
-                z[v * k + j] = s * r[v * k + j];
-            }
-        }
-        self.project_block(z, comp_sums, k, active);
-        p.copy_from_slice(z);
-        col_dots(r, z, n, k, active, rz);
+        self.project_block(r, comp_sums, k);
+        self.precondition(r, z, k);
+        self.project_block(z, comp_sums, k);
+        p[..n * k].copy_from_slice(&z[..n * k]);
+        col_dots(r, z, n, k, rz);
 
+        let mut ka = k;
         for _ in 0..=max_iterations {
-            // Deactivate converged columns, then sweep only the rest.
-            col_dots(r, r, n, k, active, rr);
-            let mut k_active = 0usize;
-            for j in 0..k {
-                if active[j] {
-                    if rr[j].sqrt() <= tolerance * bnorm[j] {
-                        active[j] = false;
-                    } else {
-                        k_active += 1;
-                    }
+            // Retire converged columns, then sweep only the rest.
+            col_dots(r, r, n, ka, rr);
+            for c in 0..ka {
+                if rr[c].sqrt() <= tolerance * bnorm[c] {
+                    active[c] = false;
                 }
             }
-            if k_active == 0 {
+            if active[..ka].contains(&false) {
+                ka = retire_columns(n, ka, k, active, cols, x, b, [r, z, p], [bnorm, rz]);
+            }
+            if ka == 0 {
+                std::mem::swap(x, b);
                 return Ok(());
             }
-            if col_iters[..k]
-                .iter()
-                .zip(active[..k].iter())
-                .any(|(&it, &a)| a && it >= max_iterations)
-            {
+            if cols[..ka].iter().any(|&j| col_iters[j] >= max_iterations) {
                 break;
             }
+            let m = n * ka;
             self.op
-                .apply_block_into(p, k, active, ap, &self.matvec_pool(k_active))
+                .apply_block_into(&p[..m], ka, &mut ap[..m], &self.matvec_pool(ka))
                 .expect("invariant: workspace buffers sized n*k above");
-            stats.matvec_rows += (n * k_active) as u64;
-            col_dots(p, ap, n, k, active, pap);
-            for j in 0..k {
-                if !active[j] {
-                    continue;
-                }
-                if pap[j] <= 0.0 {
+            stats.matvec_rows += m as u64;
+            col_dots(p, ap, n, ka, pap);
+            for c in 0..ka {
+                if pap[c] <= 0.0 {
                     return Err(LinalgError::Breakdown {
-                        iteration: col_iters[j],
-                        curvature: pap[j],
+                        iteration: col_iters[cols[c]],
+                        curvature: pap[c],
                     });
                 }
-                alpha[j] = rz[j] / pap[j];
-                col_iters[j] += 1;
-                stats.iterations += 1;
+                alpha[c] = rz[c] / pap[c];
+                col_iters[cols[c]] += 1;
             }
-            for v in 0..n {
-                for j in 0..k {
-                    if active[j] {
-                        x[v * k + j] += alpha[j] * p[v * k + j];
-                        r[v * k + j] -= alpha[j] * ap[v * k + j];
-                    }
+            stats.iterations += ka as u64;
+            let alpha = &alpha[..ka];
+            for (((xv, rv), pv), apv) in x[..m]
+                .chunks_exact_mut(ka)
+                .zip(r[..m].chunks_exact_mut(ka))
+                .zip(p[..m].chunks_exact(ka))
+                .zip(ap[..m].chunks_exact(ka))
+            {
+                for (((xj, rj), (&pj, &apj)), &aj) in
+                    xv.iter_mut().zip(rv.iter_mut()).zip(pv.iter().zip(apv)).zip(alpha)
+                {
+                    *xj += aj * pj;
+                    *rj -= aj * apj;
                 }
             }
             // Numerical drift can reintroduce component-constant mass.
-            self.project_block(r, comp_sums, k, active);
-            for v in 0..n {
-                let s = self.inv_diag[v];
-                for j in 0..k {
-                    if active[j] {
-                        z[v * k + j] = s * r[v * k + j];
-                    }
-                }
-            }
-            self.project_block(z, comp_sums, k, active);
-            col_dots(r, z, n, k, active, rz_next);
-            for j in 0..k {
-                if !active[j] {
+            self.project_block(r, comp_sums, ka);
+            self.precondition(r, z, ka);
+            self.project_block(z, comp_sums, ka);
+            col_dots(r, z, n, ka, rz_next);
+            for c in 0..ka {
+                if rz_next[c] <= 0.0 {
+                    // r·D^{-1}r = 0 only at an exactly-zero residual: the
+                    // column converged between checks. Its iterate is
+                    // final; the slot retires at the next check.
+                    active[c] = false;
+                    beta[c] = 0.0;
                     continue;
                 }
-                if rz_next[j] <= 0.0 {
-                    // r·D^{-1}r = 0 only at an exactly-zero residual:
-                    // the column converged between checks.
-                    active[j] = false;
-                    continue;
-                }
-                beta[j] = rz_next[j] / rz[j];
-                rz[j] = rz_next[j];
+                beta[c] = rz_next[c] / rz[c];
+                rz[c] = rz_next[c];
             }
-            for v in 0..n {
-                for j in 0..k {
-                    if active[j] {
-                        p[v * k + j] = z[v * k + j] + beta[j] * p[v * k + j];
-                    }
+            let beta = &beta[..ka];
+            for (pv, zv) in p[..m].chunks_exact_mut(ka).zip(z[..m].chunks_exact(ka)) {
+                for ((pj, &zj), &bj) in pv.iter_mut().zip(zv).zip(beta) {
+                    *pj = zj + bj * *pj;
                 }
             }
         }
-        col_dots(r, r, n, k, active, rr);
-        let mut worst = 0.0f64;
-        for j in 0..k {
-            if active[j] {
-                worst = worst.max(rr[j].sqrt() / bnorm[j]);
-            }
-        }
+        col_dots(r, r, n, ka, rr);
+        let worst = rr[..ka]
+            .iter()
+            .zip(&bnorm[..ka])
+            .fold(0.0f64, |worst, (&rj, &bj)| worst.max(rj.sqrt() / bj));
         Err(LinalgError::NoConvergence { iterations: max_iterations, residual: worst })
+    }
+
+    /// `z = D^{-1} r` over a `k`-wide node-major block.
+    fn precondition(&self, r: &[f64], z: &mut [f64], k: usize) {
+        let m = self.dim() * k;
+        for ((zv, rv), &s) in
+            z[..m].chunks_exact_mut(k).zip(r[..m].chunks_exact(k)).zip(&self.inv_diag)
+        {
+            for (zj, &rj) in zv.iter_mut().zip(rv) {
+                *zj = s * rj;
+            }
+        }
     }
 
     /// One pair solve `L x = e_u - e_v`, returning `(resistance,
@@ -538,18 +552,69 @@ impl<'g> SolverContext<'g> {
     }
 }
 
-/// Per-column dot products of node-major blocks, accumulated over nodes
-/// in ascending order (deterministic at any thread count because it
-/// never fans out).
-fn col_dots(a: &[f64], b: &[f64], n: usize, k: usize, active: &[bool], out: &mut [f64]) {
-    out[..k].fill(0.0);
-    for v in 0..n {
-        for j in 0..k {
-            if active[j] {
-                out[j] += a[v * k + j] * b[v * k + j];
+/// Per-column dot products of `k`-wide node-major blocks, accumulated
+/// over nodes in ascending order (deterministic at any thread count
+/// because it never fans out).
+fn col_dots(a: &[f64], b: &[f64], n: usize, k: usize, out: &mut [f64]) {
+    let out = &mut out[..k];
+    out.fill(0.0);
+    for (av, bv) in a[..n * k].chunks_exact(k).zip(b[..n * k].chunks_exact(k)) {
+        for ((o, &x), &y) in out.iter_mut().zip(av).zip(bv) {
+            *o += x * y;
+        }
+    }
+}
+
+/// Retires the slots with `active[c] == false` from a `ka`-wide
+/// compacted block and returns the new width: each retired slot's
+/// iterate is copied into column `cols[c]` of the `k`-wide solution
+/// block `sol`, then every block and per-slot value closes up in place,
+/// keeping slot order (so slots stay in ascending column order).
+#[expect(clippy::too_many_arguments, reason = "the split borrows of one CgWorkspace")]
+fn retire_columns(
+    n: usize,
+    ka: usize,
+    k: usize,
+    active: &mut [bool],
+    cols: &mut [usize],
+    x: &mut [f64],
+    sol: &mut [f64],
+    blocks: [&mut [f64]; 3],
+    scalars: [&mut [f64]; 2],
+) -> usize {
+    let keep = &active[..ka];
+    for c in (0..ka).filter(|&c| !keep[c]) {
+        let j = cols[c];
+        for v in 0..n {
+            sol[v * k + j] = x[v * ka + c];
+        }
+    }
+    close_up(&mut x[..n * ka], keep);
+    for block in blocks {
+        close_up(&mut block[..n * ka], keep);
+    }
+    for vals in scalars {
+        close_up(&mut vals[..ka], keep);
+    }
+    let kept = close_up(&mut cols[..ka], keep);
+    active[..kept].fill(true);
+    kept
+}
+
+/// Closes up the rows of a node-major block of `keep.len()`-wide rows
+/// in place, keeping the entries whose slot is kept, and returns the
+/// number kept. A destination never passes the source it reads.
+fn close_up<T: Copy>(vals: &mut [T], keep: &[bool]) -> usize {
+    let mut dst = 0usize;
+    for row in (0..vals.len()).step_by(keep.len()) {
+        for (c, &kept) in keep.iter().enumerate() {
+            if kept {
+                vals[dst] = vals[row + c];
+                dst += 1;
             }
         }
     }
+    dst
 }
 
 /// Fast effective-resistance engine: Jacobi-preconditioned, blocked
@@ -1064,6 +1129,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn compacted_block_columns_match_single_rhs_solves_bitwise() {
+        // Columns of very different difficulty retire at different
+        // sweeps (the zero column at the first check), so the block
+        // closes up several times; every column must still come out with
+        // the bits and the iteration count of its own single solve.
+        let g = padded(&weighted_ring(30));
+        let (n, k) = (g.num_nodes(), 5usize);
+        let mut rhs = vec![0.0; n * k];
+        for (j, &(u, v)) in [(1usize, 4usize), (1, 46), (10, 13)].iter().enumerate() {
+            rhs[u * k + j] = 1.0;
+            rhs[v * k + j] = -1.0;
+        }
+        for v in 0..n {
+            rhs[v * k + 3] = ((v * 37) % 11) as f64 - 5.0;
+        }
+        let mut block = vec![0.0; n * k];
+        let mut engine = SolverEngine::new(&g, EngineOptions::default());
+        engine.solve_block_into(&rhs, k, &mut block).unwrap();
+        let mut single_iters = 0u64;
+        for j in 0..k {
+            let col_b: Vec<f64> = (0..n).map(|v| rhs[v * k + j]).collect();
+            let mut col_x = vec![0.0; n];
+            let mut single = SolverEngine::new(&g, EngineOptions::default());
+            single_iters += single.solve_into(&col_b, &mut col_x).unwrap() as u64;
+            for v in 0..n {
+                assert_eq!(block[v * k + j].to_bits(), col_x[v].to_bits(), "column {j} node {v}");
+            }
+        }
+        assert_eq!(engine.stats().iterations, single_iters);
     }
 
     #[test]

@@ -113,6 +113,23 @@ impl ResistanceEstimator {
         Ok(ResistanceEstimator { k, sketch, row_of })
     }
 
+    /// CG options that solve a `k`-projection sketch only as precisely as
+    /// the sketch itself: relative residual `1 / (20 sqrt(k))`.
+    ///
+    /// Each estimate is a mean of `k` squared projections, so the
+    /// sketch's own relative error is of order `1 / sqrt(k)`; a solver
+    /// error far below it is paid for and then drowned. One twentieth of
+    /// it keeps the solver's effect on the edge-sampling distribution
+    /// under a tenth of the sketch's noise: on the p = 4 partition-local
+    /// graphs of Cora x1.0 at k = 64 (tolerance 6.25e-3), the total
+    /// variation from the 1e-8 distribution is ~0.0015, against ~0.043
+    /// between the k = 64 and k = 256 sketches
+    /// (`tests/it_setup_pins.rs::jl_sketch_tolerance_stays_under_a_tenth_of_the_sketch_noise`).
+    /// The iteration cap is [`CgOptions::default`]'s.
+    pub fn sketch_options(k: usize) -> CgOptions {
+        CgOptions { tolerance: 1.0 / (20.0 * (k as f64).sqrt()), ..CgOptions::default() }
+    }
+
     /// Number of projections in the sketch.
     pub fn dimensions(&self) -> usize {
         self.k

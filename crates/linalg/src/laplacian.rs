@@ -121,25 +121,26 @@ impl<'g> LaplacianOperator<'g> {
     /// Multi-RHS matvec: computes `Y = L X` for a block of `k`
     /// right-hand sides stored node-major (`x[v*k + j]` is column `j`'s
     /// entry at node `v`), so one sweep over the CSR adjacency advances
-    /// all `k` vectors.
+    /// all `k` vectors. Every column is computed: the solver engine
+    /// compacts converged columns out of the block instead of masking
+    /// them, so the inner loops over `j` carry no branch and vectorize.
     ///
-    /// Only columns with `active[j] == true` are computed; inactive
-    /// columns of `y` are zeroed. Output *rows* (nodes) are partitioned
-    /// into contiguous ranges across `pool` — the same deterministic
-    /// partitioning rule as `splpg-tensor`'s kernels — and each row's
-    /// accumulation runs over the node's neighbor list in CSR order
-    /// regardless of which thread owns it, so results are
-    /// **bit-identical** at every thread count.
+    /// Output *rows* (nodes) are partitioned into contiguous ranges
+    /// across `pool` — the same deterministic partitioning rule as
+    /// `splpg-tensor`'s kernels — and each row's accumulation runs over
+    /// the node's neighbor list in CSR order regardless of which thread
+    /// owns it, so results are **bit-identical** at every thread count
+    /// and every `k`: column `j`'s operation sequence does not depend on
+    /// the other columns.
     ///
     /// # Errors
     ///
     /// [`LinalgError::DimensionMismatch`] if `x`/`y` are not `dim() * k`
-    /// long or `active.len() != k`.
+    /// long.
     pub fn apply_block_into(
         &self,
         x: &[f64],
         k: usize,
-        active: &[bool],
         y: &mut [f64],
         pool: &Pool,
     ) -> Result<(), LinalgError> {
@@ -149,9 +150,6 @@ impl<'g> LaplacianOperator<'g> {
                 expected: n * k,
                 actual: if x.len() != n * k { x.len() } else { y.len() },
             });
-        }
-        if active.len() != k {
-            return Err(LinalgError::DimensionMismatch { expected: k, actual: active.len() });
         }
         if k == 0 {
             return Ok(());
@@ -163,33 +161,30 @@ impl<'g> LaplacianOperator<'g> {
         let graph = &*self.graph;
         let degrees = &self.degrees;
         pool.parallel_for_mut(y, k, min_rows, |row0, chunk| {
-            for (r, y_row) in chunk.chunks_mut(k).enumerate() {
+            for (r, y_row) in chunk.chunks_exact_mut(k).enumerate() {
                 let v = row0 + r;
-                let x_row = &x[v * k..(v + 1) * k];
-                for j in 0..k {
-                    y_row[j] = if active[j] { degrees[v] * x_row[j] } else { 0.0 };
+                let d = degrees[v];
+                for (yj, &xj) in y_row.iter_mut().zip(&x[v * k..(v + 1) * k]) {
+                    *yj = d * xj;
                 }
                 let nbrs = graph.neighbors(v as NodeId);
                 match graph.neighbor_weights(v as NodeId) {
                     Some(ws) => {
                         for (&u, &w) in nbrs.iter().zip(ws) {
+                            let w = w as f64;
                             let xu = &x[u as usize * k..(u as usize + 1) * k];
-                            for j in 0..k {
-                                if active[j] {
-                                    // splpg-lint: allow(float-accum-in-par) — y_row is chunk-owned (rows are range-partitioned) and neighbors accumulate in fixed CSR order; pinned bit-identical by the it_solver thread-sweep tests
-                                    y_row[j] -= w as f64 * xu[j];
-                                }
+                            for (yj, &xj) in y_row.iter_mut().zip(xu) {
+                                // splpg-lint: allow(float-accum-in-par) — y_row is chunk-owned (rows are range-partitioned) and neighbors accumulate in fixed CSR order; pinned bit-identical by the it_solver thread-sweep tests
+                                *yj -= w * xj;
                             }
                         }
                     }
                     None => {
                         for &u in nbrs {
                             let xu = &x[u as usize * k..(u as usize + 1) * k];
-                            for j in 0..k {
-                                if active[j] {
-                                    // splpg-lint: allow(float-accum-in-par) — same chunk-owned row, fixed CSR neighbor order as the weighted branch above
-                                    y_row[j] -= xu[j];
-                                }
+                            for (yj, &xj) in y_row.iter_mut().zip(xu) {
+                                // splpg-lint: allow(float-accum-in-par) — same chunk-owned row, fixed CSR neighbor order as the weighted branch above
+                                *yj -= xj;
                             }
                         }
                     }
@@ -336,11 +331,10 @@ mod tests {
         let (n, k) = (5usize, 3usize);
         // Node-major block whose columns are distinct test vectors.
         let x: Vec<f64> = (0..n * k).map(|i| (i as f64) * 0.37 - 1.0).collect();
-        let active = vec![true; k];
         let mut y1 = vec![0.0; n * k];
         let mut y4 = vec![0.0; n * k];
-        lap.apply_block_into(&x, k, &active, &mut y1, &Pool::new(1)).unwrap();
-        lap.apply_block_into(&x, k, &active, &mut y4, &Pool::new(4)).unwrap();
+        lap.apply_block_into(&x, k, &mut y1, &Pool::new(1)).unwrap();
+        lap.apply_block_into(&x, k, &mut y4, &Pool::new(4)).unwrap();
         assert_eq!(y1, y4, "block matvec must be thread-invariant bitwise");
         for j in 0..k {
             let col: Vec<f64> = (0..n).map(|v| x[v * k + j]).collect();
@@ -352,17 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn block_matvec_masks_inactive_columns() {
+    fn block_matvec_rejects_wrong_lengths() {
         let g = path3();
         let lap = LaplacianOperator::new(&g);
-        let k = 2usize;
-        let x = vec![1.0; 3 * k];
-        let mut y = vec![f64::NAN; 3 * k];
-        lap.apply_block_into(&x, k, &[false, true], &mut y, &Pool::new(1)).unwrap();
-        for v in 0..3 {
-            assert_eq!(y[v * k], 0.0, "inactive column zeroed");
-        }
-        assert!(lap.apply_block_into(&x, 3, &[true; 2], &mut y, &Pool::new(1)).is_err());
+        let x = vec![1.0; 3 * 2];
+        let mut y = vec![f64::NAN; 3 * 2];
+        assert!(lap.apply_block_into(&x, 3, &mut y, &Pool::new(1)).is_err());
+        assert!(lap.apply_block_into(&x, 2, &mut y[..5], &Pool::new(1)).is_err());
+        lap.apply_block_into(&x, 2, &mut y, &Pool::new(1)).unwrap();
+        assert_eq!(y, vec![0.0; 6], "L annihilates the constant columns");
     }
 
     #[test]

@@ -31,14 +31,13 @@ use crate::lexer::SourceFile;
 /// `parallel_for`/`parallel_for_mut`/`parallel_map_chunks` are the
 /// fork-join pool's methods, `actor_scope` hosts the cluster actors,
 /// `scope`/`spawn` cover `std::thread` use inside `splpg-par`/`splpg-net`
-/// themselves, and `par_dispatch`/`par_parts` are the kernel dispatch
-/// helpers in `splpg-tensor`.
+/// themselves, and `par_parts` is the kernel dispatch helper in
+/// `splpg-tensor`.
 pub const PAR_ENTRY_POINTS: &[&str] = &[
     "parallel_for",
     "parallel_for_mut",
     "parallel_map_chunks",
     "actor_scope",
-    "par_dispatch",
     "par_parts",
     "scope",
     "spawn",

@@ -514,11 +514,6 @@ impl ShmLane {
         Ok(ShmLane { segment: Arc::new(ShmSegment::attach(name, spec)?) })
     }
 
-    /// Wraps an already-attached segment.
-    pub fn from_segment(segment: ShmSegment) -> ShmLane {
-        ShmLane { segment: Arc::new(segment) }
-    }
-
     /// Zero-copy row read; see [`ShmSegment::row`].
     pub fn row(&self, i: usize) -> &[f32] {
         self.segment.row(i)

@@ -112,18 +112,6 @@ pub struct WireSnapshot {
     pub kinds: [KindStat; crate::codec::NUM_KINDS],
 }
 
-impl WireSnapshot {
-    /// Sum of raw bytes across kinds.
-    pub fn raw_kind_bytes(&self) -> u64 {
-        self.kinds.iter().map(|k| k.raw_bytes).sum()
-    }
-
-    /// Sum of on-wire bytes across kinds.
-    pub fn wire_kind_bytes(&self) -> u64 {
-        self.kinds.iter().map(|k| k.wire_bytes).sum()
-    }
-}
-
 impl WireStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {

@@ -1,6 +1,6 @@
 use splpg_rng::Rng;
 use splpg_graph::{Graph, GraphBuilder};
-use splpg_linalg::{CgOptions, ResistanceEstimator};
+use splpg_linalg::ResistanceEstimator;
 
 use crate::sampling::AliasTable;
 use crate::{SparsifyConfig, SparsifyError, Sparsifier};
@@ -12,9 +12,11 @@ use crate::{SparsifyConfig, SparsifyError, Sparsifier};
 /// Sits between [`crate::ExactSparsifier`] (one solve per distinct
 /// endpoint) and [`crate::DegreeSparsifier`] (no solves, the paper's
 /// choice): the `ablation_sparsifiers` bench compares all three. The
-/// `k` solves run through the blocked multi-RHS engine, and
-/// disconnected inputs are supported (per-component solves; edge
-/// estimates are always intra-component).
+/// `k` solves run through the blocked multi-RHS engine, only as
+/// precisely as the sketch itself
+/// ([`ResistanceEstimator::sketch_options`]), and disconnected inputs
+/// are supported (per-component solves; edge estimates are always
+/// intra-component).
 #[derive(Debug, Clone)]
 pub struct JlSparsifier {
     config: SparsifyConfig,
@@ -50,8 +52,9 @@ impl Sparsifier for JlSparsifier {
             return Ok(Graph::empty(graph.num_nodes()));
         }
         let l = self.config.resolve_samples(m)?.max(1);
+        let k = self.projections;
         let estimator =
-            ResistanceEstimator::build(graph, self.projections, CgOptions::default(), rng)
+            ResistanceEstimator::build(graph, k, ResistanceEstimator::sketch_options(k), rng)
                 .map_err(|e| SparsifyError::Resistance(e.to_string()))?;
         let resistances = estimator.edge_resistances(graph);
         let table = AliasTable::new(&resistances).ok_or_else(|| {

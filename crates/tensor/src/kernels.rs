@@ -90,12 +90,6 @@ fn par_parts_with(threads: usize, rows: usize, k: usize, m: usize) -> usize {
     threads.min(by_rows).min(by_flops).max(1)
 }
 
-/// Dispatch gate shared by [`Tensor`](crate::Tensor)'s matmul paths:
-/// true when the cost model picks more than one worker.
-pub fn par_dispatch(rows: usize, k: usize, m: usize) -> bool {
-    par_parts(rows, k, m) > 1
-}
-
 /// How a product with `rows` output rows, depth `k` and `m` output
 /// columns runs: on the microkernels over `Some(pool)` — as many workers
 /// as [`par_parts`] picks, a one-worker pool running them inline — or,
@@ -726,11 +720,6 @@ mod tests {
         assert_eq!(par_parts_with(8, 5, 512, 512), 5);
         // Projected per-chunk work caps the worker count too.
         assert_eq!(par_parts_with(8, 16, 256, 256), 4);
-    }
-
-    #[test]
-    fn dispatch_matches_parts() {
-        assert_eq!(par_dispatch(4096, 256, 256), par_parts(4096, 256, 256) > 1);
     }
 
     // ---- bit-identity harness: microkernels vs the scalar references ----

@@ -3,10 +3,16 @@
 //! partition-local graph (Algorithm 1, lines 1-2). The fingerprints were
 //! recorded before `MetisLike::refine` switched to incremental gain sets
 //! and before the Laplacian engine started solving on the support only;
-//! both changes are required to leave every output bit where it was.
+//! both changes are required to leave every output bit where it was. The
+//! JL fingerprint was re-recorded once, when the sketch's solves moved
+//! from the 1e-8 default to the tolerance derived from `k`
+//! (`ResistanceEstimator::sketch_options`); the column-compacted block
+//! PCG that landed with it reproduced the old fingerprint at 1e-8.
 
 use splpg::prelude::*;
-use splpg::linalg::{effective_resistances_with_stats, CgOptions, SolverEngine};
+use splpg::linalg::{
+    effective_resistances_with_stats, CgOptions, ResistanceEstimator, SolverEngine,
+};
 use splpg::sparsify::{ExactSparsifier, JlSparsifier};
 use splpg_rng::rngs::StdRng;
 use splpg_rng::{Rng, SeedableRng};
@@ -120,9 +126,49 @@ fn jl_sparsified_partition_local_graph_is_pinned() {
     }
     assert_eq!(
         (sparse.num_edges(), fp.0),
-        (592, 9570196650251016894),
+        (597, 3974395358744095163),
         "JL-sparsified edge list and weight bits of a p = 4 partition-local graph"
     );
+}
+
+/// Edge-sampling distribution of a `k`-projection JL sketch solved to
+/// `options`: resistance estimates normalised to sum to one.
+fn sampling_distribution(graph: &Graph, k: usize, options: CgOptions, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let estimator = ResistanceEstimator::build(graph, k, options, &mut rng).expect("sketch");
+    let resistances = estimator.edge_resistances(graph);
+    let total: f64 = resistances.iter().sum();
+    resistances.iter().map(|r| r / total).collect()
+}
+
+fn total_variation(p: &[f64], q: &[f64]) -> f64 {
+    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
+}
+
+#[test]
+fn jl_sketch_tolerance_stays_under_a_tenth_of_the_sketch_noise() {
+    // The sparsifier solves its k = 64 sketch to a tolerance derived from
+    // k. What that costs in the sampling distribution must stay under a
+    // tenth of what the sketch itself leaves: the distance between the
+    // k = 64 and the k = 256 sketch, both solved to 1e-8.
+    let g = cora_full();
+    let (partition, _) = partition_fingerprint(&g, 4, &mut StdRng::seed_from_u64(SETUP_SEED));
+    let local = partition_local(&g, &partition, 0);
+    let k = SparsifierKind::JL_PROJECTIONS;
+    let tight = CgOptions::default();
+    let derived = ResistanceEstimator::sketch_options(k);
+    assert!(derived.tolerance > 1e3 * tight.tolerance, "the derived tolerance is a loose one");
+    for seed in [1u64, 2] {
+        let reference = sampling_distribution(&local, k, tight, seed);
+        let solver_tv =
+            total_variation(&sampling_distribution(&local, k, derived, seed), &reference);
+        let sketch_tv =
+            total_variation(&sampling_distribution(&local, 4 * k, tight, seed), &reference);
+        assert!(
+            solver_tv <= 0.1 * sketch_tv,
+            "seed {seed}: solver TV {solver_tv} vs sketch TV {sketch_tv}"
+        );
+    }
 }
 
 #[test]
