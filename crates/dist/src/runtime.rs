@@ -32,7 +32,7 @@ use splpg_net::codec::NUM_KINDS;
 use splpg_net::{
     FetchLedger, KindStat, MasterHub, MsgId, NetError, Request, Response, RetryPolicy, WorkerPort,
 };
-use splpg_nn::{average_grads, Adam, Optimizer, ParamSet};
+use splpg_nn::{Adam, Optimizer, ParamSet};
 use splpg_rng::rngs::StdRng;
 use splpg_rng::seq::SliceRandom;
 use splpg_tensor::{Tape, Tensor};
@@ -100,25 +100,13 @@ pub(crate) fn flatten_grads(grads: &[Tensor]) -> Vec<f32> {
     out
 }
 
-/// Rebuilds gradient tensors from a flat payload and parameter shapes.
-pub(crate) fn unflatten_grads(
-    flat: &[f32],
-    shapes: &[(usize, usize)],
-) -> Result<Vec<Tensor>, String> {
-    let mut out = Vec::with_capacity(shapes.len());
-    let mut pos = 0usize;
-    for &(r, c) in shapes {
-        let n = r * c;
-        let slice = flat
-            .get(pos..pos + n)
-            .ok_or_else(|| format!("gradient payload too short: {} < {}", flat.len(), pos + n))?;
-        out.push(Tensor::from_vec(r, c, slice.to_vec()).map_err(|e| e.to_string())?);
-        pos += n;
-    }
-    if pos != flat.len() {
-        return Err(format!("gradient payload has {} trailing elements", flat.len() - pos));
-    }
-    Ok(out)
+/// One thread's tape arena and sampler scratch, lent to every batch and
+/// evaluation that thread computes. It only supplies storage, so what it
+/// served before changes no bit, and one per thread keeps memory flat in `p`.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    pub tape: Tape,
+    pub scratch: SamplerScratch,
 }
 
 /// One worker's full training state: model replica, optimizer, RNG
@@ -127,7 +115,7 @@ pub(crate) fn unflatten_grads(
 /// The compute methods are the single source of truth for worker-side
 /// training math — the cluster worker loop and the sequential reference
 /// path both reach them through [`compute_response`], which is what makes
-/// the two bit-identical.
+/// the two bit-identical. They borrow the calling thread's [`Workspace`].
 pub(crate) struct Replica {
     model: LinkPredictor,
     params: ParamSet,
@@ -140,11 +128,6 @@ pub(crate) struct Replica {
     positives: Vec<splpg_graph::Edge>,
     shuffled_epoch: Option<u64>,
     reported: FetchLedger,
-    /// Long-lived autodiff tape: its arena is recycled across every batch
-    /// this replica ever computes, so steady-state steps allocate nothing.
-    tape: Tape,
-    /// Long-lived sampler scratch, reused for the same reason.
-    scratch: SamplerScratch,
 }
 
 impl Replica {
@@ -170,8 +153,6 @@ impl Replica {
             positives: Vec::new(),
             shuffled_epoch: None,
             reported: FetchLedger::default(),
-            tape: Tape::new(),
-            scratch: SamplerScratch::new(),
         }
     }
 
@@ -186,7 +167,12 @@ impl Replica {
     /// One full local epoch from `flat` (model averaging): shuffle the
     /// local positives, step the local optimizer per batch, return
     /// `(trained flat params, loss sum, batch count)`.
-    fn epoch_ma(&mut self, epoch: u64, flat: &[f32]) -> Result<(Vec<f32>, f64, u64), String> {
+    fn epoch_ma(
+        &mut self,
+        ws: &mut Workspace,
+        epoch: u64,
+        flat: &[f32],
+    ) -> Result<(Vec<f32>, f64, u64), String> {
         self.params.load_flat(flat).map_err(|e| e.to_string())?;
         self.data.view.begin_epoch(epoch);
         let mut positives = self.data.positives.clone();
@@ -207,13 +193,13 @@ impl Replica {
                 &self.negative_sampler,
                 chunk,
                 &mut self.rng,
-                &mut self.tape,
-                &mut self.scratch,
+                &mut ws.tape,
+                &mut ws.scratch,
             )
             .map_err(|e| e.to_string())?;
             self.opt.step(&mut self.params, &grads);
             for g in grads {
-                self.tape.recycle(g);
+                ws.tape.recycle(g);
             }
             loss_sum += loss as f64;
             batches += 1;
@@ -237,7 +223,12 @@ impl Replica {
     /// One mini-batch round at `flat` (gradient averaging), after this
     /// epoch's [`Replica::ensure_shuffled`]. `None` when this worker's
     /// positives are exhausted for the epoch.
-    fn round_ga(&mut self, round: u64, flat: &[f32]) -> Result<Option<(f32, Vec<f32>)>, String> {
+    fn round_ga(
+        &mut self,
+        ws: &mut Workspace,
+        round: u64,
+        flat: &[f32],
+    ) -> Result<Option<(f32, Vec<f32>)>, String> {
         self.params.load_flat(flat).map_err(|e| e.to_string())?;
         let start = (round as usize) * self.batch_size;
         if start >= self.positives.len() {
@@ -255,13 +246,13 @@ impl Replica {
             &self.negative_sampler,
             &self.positives[start..end],
             &mut self.rng,
-            &mut self.tape,
-            &mut self.scratch,
+            &mut ws.tape,
+            &mut ws.scratch,
         )
         .map_err(|e| e.to_string())?;
         let flat = flatten_grads(&grads);
         for g in grads {
-            self.tape.recycle(g);
+            ws.tape.recycle(g);
         }
         Ok(Some((loss, flat)))
     }
@@ -280,6 +271,7 @@ pub(crate) fn worker_loop(
     crash_epoch: Option<u64>,
 ) {
     let mut cached: Option<((u64, u64), Response)> = None;
+    let mut ws = Workspace::default();
     loop {
         let req = match port.recv() {
             Ok(r) => r,
@@ -309,7 +301,7 @@ pub(crate) fn worker_loop(
                 continue;
             }
         }
-        let resp = compute_response(&mut rep, &req, faults.as_ref());
+        let resp = compute_response(&mut rep, &mut ws, &req, faults.as_ref());
         let failed = matches!(resp, Response::Failed { .. });
         if port.send(&resp).is_err() || failed {
             return;
@@ -322,7 +314,12 @@ pub(crate) fn worker_loop(
 
 /// One replica's answer to one request: the worker side of the protocol,
 /// shared by the worker actors and the sequential reference.
-fn compute_response(rep: &mut Replica, req: &Request, faults: Option<&FaultConfig>) -> Response {
+fn compute_response(
+    rep: &mut Replica,
+    ws: &mut Workspace,
+    req: &Request,
+    faults: Option<&FaultConfig>,
+) -> Response {
     let id = req.id();
     let down = faults.is_some_and(|f| f.is_down(rep.data.worker_id, id.epoch as usize));
     match req {
@@ -332,7 +329,7 @@ fn compute_response(rep: &mut Replica, req: &Request, faults: Option<&FaultConfi
                 // not wait out a timeout) without touching the RNG.
                 return Response::Unavailable { id };
             }
-            match rep.epoch_ma(id.epoch, params) {
+            match rep.epoch_ma(ws, id.epoch, params) {
                 Ok((flat, loss_sum, batches)) => Response::Epoch {
                     id,
                     params: flat,
@@ -347,7 +344,7 @@ fn compute_response(rep: &mut Replica, req: &Request, faults: Option<&FaultConfi
             // The epoch shuffle happens even for down workers (their RNG
             // stream must match a fault-free run of the same seed).
             rep.ensure_shuffled(id.epoch);
-            let batch = if down { Ok(None) } else { rep.round_ga(id.round, params) };
+            let batch = if down { Ok(None) } else { rep.round_ga(ws, id.round, params) };
             match batch {
                 Ok(batch) => {
                     let active = batch.is_some();
@@ -492,8 +489,9 @@ pub(crate) type RoundSlot = Option<(f32, Vec<f32>)>;
 
 /// How the master reaches its workers: over the message-passing cluster,
 /// or by asking the replicas in-process and in worker order (the
-/// sequential reference that defines bit-exact expected behaviour). Both
-/// answer a request with one response slot per worker.
+/// sequential reference that defines bit-exact expected behaviour), each
+/// on the master thread's [`Workspace`]. Both answer a request with one
+/// response slot per worker.
 pub(crate) enum Backend {
     Net(MasterNet),
     Local { replicas: Vec<Replica>, faults: Option<FaultConfig> },
@@ -507,13 +505,14 @@ impl Backend {
         &mut self,
         req: Request,
         fetched: &mut FetchLedger,
+        ws: &mut Workspace,
     ) -> Result<Vec<Option<Response>>, DistError> {
         let slots = match self {
             Backend::Net(net) => net.gather(req)?,
             Backend::Local { replicas, faults } => replicas
                 .iter_mut()
                 .enumerate()
-                .map(|(w, rep)| match compute_response(rep, &req, faults.as_ref()) {
+                .map(|(w, rep)| match compute_response(rep, ws, &req, faults.as_ref()) {
                     Response::Failed { error, .. } => Err(worker_failed(w, &error)),
                     resp => Ok(Some(resp)),
                 })
@@ -534,9 +533,10 @@ impl Backend {
         epoch: usize,
         flat: &[f32],
         fetched: &mut FetchLedger,
+        ws: &mut Workspace,
     ) -> Result<Vec<EpochSlot>, DistError> {
         let id = MsgId { worker: 0, epoch: epoch as u64, round: 0, attempt: 0 };
-        let slots = self.gather(Request::Epoch { id, params: flat.to_vec() }, fetched)?;
+        let slots = self.gather(Request::Epoch { id, params: flat.to_vec() }, fetched, ws)?;
         Ok(slots
             .into_iter()
             .map(|slot| match slot {
@@ -556,9 +556,10 @@ impl Backend {
         round: u64,
         flat: &[f32],
         fetched: &mut FetchLedger,
+        ws: &mut Workspace,
     ) -> Result<Vec<RoundSlot>, DistError> {
         let id = MsgId { worker: 0, epoch: epoch as u64, round, attempt: 0 };
-        let slots = self.gather(Request::Round { id, params: flat.to_vec() }, fetched)?;
+        let slots = self.gather(Request::Round { id, params: flat.to_vec() }, fetched, ws)?;
         Ok(slots
             .into_iter()
             .map(|slot| match slot {
@@ -625,35 +626,44 @@ pub(crate) fn ma_aggregate(
     Ok((loss_sum / batch_count.max(1) as f64) as f32)
 }
 
-/// Applies one gradient-averaging round to the master parameters.
-/// Non-contributing workers enter as zero gradients so the averaging
-/// divisor stays at `p` (unbiased towards still-active workers).
+/// Applies one gradient-averaging round to the master parameters in place:
+/// `avg` gets `g₀·s`, then `+= s·g_w` in worker order (`s = 1/p`, as in
+/// [`average_grads`](splpg_nn::average_grads)). Non-contributing workers
+/// enter as zeros, not skipped, so the divisor stays at `p` and `-0.0 + 0.0`
+/// is `+0.0`. `master_params` must hold `global_flat`, before and after.
 pub(crate) fn ga_apply_round(
-    contribs: Vec<Option<(f32, Vec<f32>)>>,
+    contribs: Vec<RoundSlot>,
     master_params: &mut ParamSet,
     master_opt: &mut Adam,
-    global_flat: &mut Vec<f32>,
+    avg: &mut Vec<Tensor>,
+    global_flat: &mut [f32],
     loss_acc: &mut (f64, u64),
 ) -> Result<(), DistError> {
-    let shapes: Vec<(usize, usize)> =
-        (0..master_params.len()).map(|i| master_params.value(i).shape()).collect();
-    let mut worker_grads = Vec::with_capacity(contribs.len());
-    for contrib in contribs {
-        match contrib {
-            Some((loss, flat)) => {
-                loss_acc.0 += loss as f64;
-                loss_acc.1 += 1;
-                worker_grads.push(unflatten_grads(&flat, &shapes).map_err(DistError::Worker)?);
+    debug_assert_eq!(master_params.to_flat(), global_flat, "master params out of sync");
+    if avg.is_empty() {
+        let shapes = (0..master_params.len()).map(|i| master_params.value(i).shape());
+        *avg = shapes.map(|(r, c)| Tensor::zeros(r, c)).collect();
+    }
+    let s = 1.0 / contribs.len() as f32;
+    for (w, contrib) in contribs.iter().enumerate() {
+        if let Some((loss, flat)) = contrib {
+            if flat.len() != global_flat.len() {
+                let sizes = format!("{} gradients, {} parameters", flat.len(), global_flat.len());
+                return Err(worker_failed(w, &sizes));
             }
-            None => {
-                worker_grads.push(shapes.iter().map(|&(r, c)| Tensor::zeros(r, c)).collect());
-            }
+            loss_acc.0 += *loss as f64;
+            loss_acc.1 += 1;
+        }
+        let grads = contrib.iter().flat_map(|(_, flat)| flat).chain(std::iter::repeat(&0.0));
+        for (o, &g) in avg.iter_mut().flat_map(|t| t.data_mut().iter_mut()).zip(grads) {
+            *o = if w == 0 { g * s } else { *o + s * g };
         }
     }
-    let avg = average_grads(&worker_grads).map_err(|e| DistError::Worker(e.to_string()))?;
-    master_params.load_flat(global_flat).map_err(|e| DistError::Worker(e.to_string()))?;
-    master_opt.step(master_params, &avg);
-    *global_flat = master_params.to_flat();
+    master_opt.step(master_params, avg);
+    let stepped = (0..master_params.len()).flat_map(|i| master_params.value(i).data());
+    for (dst, &v) in global_flat.iter_mut().zip(stepped) {
+        *dst = v;
+    }
     Ok(())
 }
 
@@ -661,26 +671,75 @@ pub(crate) fn ga_apply_round(
 mod tests {
     use super::*;
 
+    fn two_params() -> ParamSet {
+        let mut set = ParamSet::new();
+        set.register("w", Tensor::from_fn(2, 3, |r, c| (r * 3 + c) as f32 * 0.1));
+        set.register("b", Tensor::from_fn(1, 4, |_, c| -(c as f32)));
+        set
+    }
+
     #[test]
     fn grads_flatten_round_trip() {
+        // The wire layout of a gradient is the parameters' flat layout:
+        // the in-place GA round adds it straight onto the parameter shapes.
         let grads = vec![
             Tensor::from_fn(2, 3, |r, c| (r * 3 + c) as f32),
             Tensor::from_fn(1, 4, |_, c| -(c as f32)),
         ];
         let flat = flatten_grads(&grads);
         assert_eq!(flat.len(), 10);
-        let back = unflatten_grads(&flat, &[(2, 3), (1, 4)]).unwrap();
-        for (a, b) in grads.iter().zip(&back) {
-            assert_eq!(a.data(), b.data());
-            assert_eq!(a.shape(), b.shape());
+        let mut back = two_params();
+        back.load_flat(&flat).unwrap();
+        for (i, g) in grads.iter().enumerate() {
+            assert_eq!(back.value(i).data(), g.data());
+            assert_eq!(back.value(i).shape(), g.shape());
         }
     }
 
     #[test]
-    fn unflatten_rejects_wrong_sizes() {
-        assert!(unflatten_grads(&[1.0; 5], &[(2, 3)]).is_err(), "too short");
-        assert!(unflatten_grads(&[1.0; 7], &[(2, 3)]).is_err(), "trailing");
-        assert!(unflatten_grads(&[], &[]).unwrap().is_empty());
+    fn ga_round_rejects_wrong_sized_gradients() {
+        let mut params = two_params();
+        let mut flat = params.to_flat();
+        for len in [5usize, 11, 0] {
+            let contribs = vec![Some((1.0, vec![1.0; 10])), Some((1.0, vec![1.0; len]))];
+            let (mut opt, mut avg, mut acc) = (Adam::new(0.1), Vec::new(), (0.0, 0));
+            let out =
+                ga_apply_round(contribs, &mut params, &mut opt, &mut avg, &mut flat, &mut acc);
+            assert!(matches!(out, Err(DistError::Worker(_))), "{len} elements accepted");
+            assert_eq!(params.to_flat(), flat, "a rejected round steps nothing");
+        }
+    }
+
+    #[test]
+    fn ga_round_in_place_matches_average_grads_bitwise() {
+        // Worker 1 is inactive and enters as zeros; the `-0.0` entries
+        // check that it is added, not skipped (`-0.0 + 0.0` is `+0.0`).
+        let grad = |f: fn(f32) -> f32| -> Vec<f32> {
+            (0..10).map(|i| if i % 3 == 0 { -0.0 } else { f(i as f32) }).collect()
+        };
+        let (g0, g2) = (grad(|x| x * 0.37 - 1.1), grad(|x| 0.5 - x * 0.21));
+        let mut params = two_params();
+        let mut flat = params.to_flat();
+        let (mut opt, mut avg, mut acc) = (Adam::new(0.01), Vec::new(), (0.0, 0));
+        let mut expect = two_params();
+        let mut expect_opt = Adam::new(0.01);
+        for round in 0..3 {
+            let contribs = vec![Some((0.5, g0.clone())), None, Some((1.5, g2.clone()))];
+            ga_apply_round(contribs, &mut params, &mut opt, &mut avg, &mut flat, &mut acc).unwrap();
+            let split = |g: &[f32]| {
+                let (a, b) = g.split_at(6);
+                let tensor = |r, c, v: &[f32]| Tensor::from_vec(r, c, v.to_vec()).unwrap();
+                vec![tensor(2, 3, a), tensor(1, 4, b)]
+            };
+            let zeros = vec![Tensor::zeros(2, 3), Tensor::zeros(1, 4)];
+            let mean = splpg_nn::average_grads(&[split(&g0), zeros, split(&g2)]).unwrap();
+            assert!(mean[0].data()[0].is_sign_positive(), "-0.0 + 0.0 rounds to +0.0");
+            expect_opt.step(&mut expect, &mean);
+            let want: Vec<u32> = expect.to_flat().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(flat.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want, "round {round}");
+            assert_eq!(params.to_flat(), flat, "round {round}");
+        }
+        assert_eq!(acc, (6.0, 6));
     }
 
     #[test]

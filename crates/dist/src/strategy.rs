@@ -176,11 +176,6 @@ impl Strategy {
             Strategy::SpLpgMinusMinus => base,
         }
     }
-
-    /// Whether this strategy needs the effective-resistance sparsifier.
-    pub fn needs_sparsification(&self) -> bool {
-        !matches!(self, Strategy::Centralized) && self.spec().remote == RemoteKind::Sparsified
-    }
 }
 
 impl std::fmt::Display for Strategy {
@@ -209,8 +204,7 @@ mod tests {
         assert!(spec.halo, "SpLPG retains full neighbors");
         assert_eq!(spec.remote, RemoteKind::Sparsified);
         assert_eq!(spec.negatives, NegativeSpace::Global);
-        assert!(Strategy::SpLpg.needs_sparsification());
-        assert!(!Strategy::SpLpgPlus.needs_sparsification());
+        assert_eq!(Strategy::SpLpgPlus.spec().remote, RemoteKind::Full);
     }
 
     #[test]

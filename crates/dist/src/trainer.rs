@@ -9,9 +9,7 @@ use splpg_gnn::trainer::{
     batch_grads, evaluate_hits, train_centralized, ModelKind, TrainConfig,
 };
 use splpg_graph::Graph;
-use splpg_gnn::{
-    FullFeatureAccess, FullGraphAccess, NeighborSampler, PerSourceNegativeSampler, SamplerScratch,
-};
+use splpg_gnn::{FullFeatureAccess, FullGraphAccess, NeighborSampler, PerSourceNegativeSampler};
 use splpg_net::process::{spawn_cluster, worker_from_env, ProcessSpec, WorkerEnv};
 use splpg_net::shm::{identity_hash, segment_name};
 use splpg_net::{
@@ -19,10 +17,9 @@ use splpg_net::{
     ShmOwner, TcpConfig,
 };
 use splpg_nn::{Adam, Optimizer, ParamSet};
-use splpg_tensor::Tape;
 
 use crate::runtime::{
-    ga_apply_round, ma_aggregate, worker_loop, Backend, MasterNet, NetReport, Replica,
+    ga_apply_round, ma_aggregate, worker_loop, Backend, MasterNet, NetReport, Replica, Workspace,
 };
 use crate::comm::{raw_bytes, wire_bytes};
 use crate::setup::{ClusterSetup, WorkerData};
@@ -613,12 +610,10 @@ impl DistTrainer {
         let mut master_opt = Adam::new(self.train.learning_rate);
         let mut correction_opt = Adam::new(self.train.learning_rate);
         let mut correction_rng = splpg_rng::derive_stream(self.train.seed, 0xC0FFEE);
-        // Master-side tapes, reset per use: the LLCG correction step and
-        // the periodic evaluations reuse one arena each across epochs.
-        let mut correction_tape = Tape::new();
-        let mut eval_tape = Tape::new();
-        let mut correction_scratch = SamplerScratch::new();
-        let mut eval_scratch = SamplerScratch::new();
+        // The master thread's one workspace: the sequential backend's
+        // replicas (in worker order), the LLCG correction step and every
+        // evaluation borrow it in turn.
+        let mut ws = Workspace::default();
 
         let mut global_flat = master_params.to_flat();
         let mut epochs = Vec::with_capacity(self.train.epochs);
@@ -649,22 +644,25 @@ impl DistTrainer {
                 let mean_loss = match self.dist.sync {
                     SyncMethod::ModelAveraging => {
                         let contribs =
-                            backend.epoch_ma(epoch, &global_flat, &mut epoch_fetched)?;
+                            backend.epoch_ma(epoch, &global_flat, &mut epoch_fetched, &mut ws)?;
                         ma_aggregate(contribs, &mut global_flat)?
                     }
                     SyncMethod::GradientAveraging => {
-                        let mut loss_acc = (0.0f64, 0u64);
+                        // Per epoch, so the evaluation's peak does not carry it.
+                        let (mut loss_acc, mut ga_avg) = ((0.0f64, 0u64), Vec::new());
                         for round in 0..rounds_per_epoch {
                             let contribs = backend.round_ga(
                                 epoch,
                                 round as u64,
                                 &global_flat,
                                 &mut epoch_fetched,
+                                &mut ws,
                             )?;
                             ga_apply_round(
                                 contribs,
                                 &mut master_params,
                                 &mut master_opt,
+                                &mut ga_avg,
                                 &mut global_flat,
                                 &mut loss_acc,
                             )?;
@@ -695,13 +693,13 @@ impl DistTrainer {
                         &negative_sampler,
                         &batch,
                         &mut correction_rng,
-                        &mut correction_tape,
-                        &mut correction_scratch,
+                        &mut ws.tape,
+                        &mut ws.scratch,
                     )
                     .map_err(|e| DistError::Worker(e.to_string()))?;
                     correction_opt.step(&mut master_params, &grads);
                     for g in grads {
-                        correction_tape.recycle(g);
+                        ws.tape.recycle(g);
                     }
                     global_flat = master_params.to_flat();
                 }
@@ -726,8 +724,8 @@ impl DistTrainer {
                         &data.split.valid_neg,
                         self.train.hits_k,
                         &mut master_rng,
-                        &mut eval_tape,
-                        &mut eval_scratch,
+                        &mut ws.tape,
+                        &mut ws.scratch,
                     )
                     .map_err(|e| DistError::Eval(e.to_string()))?;
                     if hits > best.0 {
@@ -763,8 +761,8 @@ impl DistTrainer {
             &data.split.test_neg,
             self.train.hits_k,
             &mut master_rng,
-            &mut eval_tape,
-            &mut eval_scratch,
+            &mut ws.tape,
+            &mut ws.scratch,
         )
         .map_err(|e| DistError::Eval(e.to_string()))?;
 
@@ -1148,6 +1146,23 @@ mod tests {
             assert_eq!(cluster.test_hits.to_bits(), reference.test_hits.to_bits());
             assert_eq!(cluster.comm, reference.comm);
             assert_eq!(cluster.failures, reference.failures);
+        }
+        // The reference lends the master's one workspace to every replica
+        // and to the LLCG correction step; the cluster gives each worker
+        // its own. Any op that reads stale arena storage breaks these.
+        for (strategy, kind, p) in
+            [(Strategy::Llcg, ModelKind::GraphSage, 2), (Strategy::SpLpg, ModelKind::Gat, 4)]
+        {
+            for sync in [SyncMethod::ModelAveraging, SyncMethod::GradientAveraging] {
+                let dist = DistConfig { num_workers: p, strategy, sync, ..Default::default() };
+                let trainer = DistTrainer::new(dist, quick_train());
+                let cluster = trainer.run(kind, &data).unwrap();
+                let reference = trainer.run_reference(kind, &data).unwrap();
+                let label = format!("{strategy:?} {kind:?} p={p} {sync:?}");
+                assert_eq!(cluster.epochs, reference.epochs, "{label}");
+                assert_eq!(cluster.test_hits.to_bits(), reference.test_hits.to_bits(), "{label}");
+                assert_eq!(cluster.comm, reference.comm, "{label}");
+            }
         }
         // Epoch-granular faults: down workers answer without computing on
         // the cluster and are skipped by the reference, which must agree.

@@ -91,6 +91,8 @@ pub struct WorkerView {
     /// Shared across clones of this view (replicas clone the view per
     /// batch), so cached rows stay free for the whole epoch.
     feature_cache: Arc<Mutex<RowCache>>,
+    /// Row capacity of that cache (`0` disables it: every remote row is
+    /// metered on every fetch).
     feature_cache_rows: usize,
     /// Wire codec the data plane prices transfers under; quantized
     /// feature codecs also round-trip remote rows through the quantizer
@@ -159,15 +161,6 @@ impl WorkerView {
         assert_eq!(lane.rows(), self.features.num_rows(), "bus segment row count");
         assert_eq!(lane.dim(), self.features.dim(), "bus segment feature dim");
         self.bus = Some(lane);
-        self
-    }
-
-    /// Overrides the feature-row cache capacity (`0` disables caching:
-    /// every remote row is metered on every fetch, the pre-cache
-    /// behaviour).
-    #[must_use]
-    pub fn with_feature_cache_rows(mut self, rows: usize) -> Self {
-        self.feature_cache_rows = rows;
         self
     }
 
@@ -458,8 +451,8 @@ mod tests {
 
     #[test]
     fn interleaved_epochs_meter_each_first_fetch_once() {
-        let (v, t) = fixture(RemoteMode::None);
-        let mut v = v.with_feature_cache_rows(1);
+        let (mut v, t) = fixture(RemoteMode::None);
+        v.feature_cache_rows = 1;
         let row = 2 * crate::BYTES_PER_FEATURE;
         let _ = v.gather(&[3, 4, 3]); // 3 priced and cached, 4 priced (cache full), 3 free
         assert_eq!(t.feature_bytes(), 2 * row);
@@ -479,8 +472,8 @@ mod tests {
 
     #[test]
     fn cache_capacity_bounds_membership() {
-        let (v, t) = fixture(RemoteMode::None);
-        let mut v = v.with_feature_cache_rows(1);
+        let (mut v, t) = fixture(RemoteMode::None);
+        v.feature_cache_rows = 1;
         let _ = v.gather(&[3, 4]); // 3 cached; 4 over capacity
         let _ = v.gather(&[3, 4]); // 3 free, 4 re-metered
         assert_eq!(t.feature_bytes(), 3 * 2 * crate::BYTES_PER_FEATURE);
@@ -488,8 +481,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let (v, t) = fixture(RemoteMode::None);
-        let mut v = v.with_feature_cache_rows(0);
+        let (mut v, t) = fixture(RemoteMode::None);
+        v.feature_cache_rows = 0;
         let _ = v.gather(&[3]);
         let _ = v.gather(&[3]);
         assert_eq!(t.feature_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);

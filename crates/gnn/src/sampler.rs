@@ -31,8 +31,11 @@ pub struct SampleStats {
 
 /// Reusable scratch for [`NeighborSampler::sample_with`]: per-worker
 /// neighbor buffers and the dense first-touch index map. Hold one per
-/// trainer (next to the tape arena) so steady-state sampling performs no
-/// allocations beyond the output blocks themselves.
+/// thread of execution, next to its tape arena, and lend it to every
+/// sampler that runs there, so steady-state sampling performs no
+/// allocations beyond the output blocks themselves. Nothing it keeps is
+/// read before it is written (stamps are checked against a fresh epoch),
+/// so the graphs and batches it served before change no output.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
     /// One scratch per sampling worker; grown to the worker count in use.

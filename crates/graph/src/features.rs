@@ -123,12 +123,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// Bytes occupied by `count` feature rows (the communication price of
-    /// transferring that many rows).
-    pub fn row_bytes(&self) -> u64 {
-        (self.dim * std::mem::size_of::<f32>()) as u64
-    }
-
     /// Total bytes of the matrix.
     pub fn total_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<f32>()) as u64
@@ -182,7 +176,6 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let x = FeatureMatrix::zeros(5, 8);
-        assert_eq!(x.row_bytes(), 32);
         assert_eq!(x.total_bytes(), 5 * 32);
     }
 }

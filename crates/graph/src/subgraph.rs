@@ -152,16 +152,6 @@ impl InducedSubgraph {
         let core = (0..core_len as NodeId).collect();
         InducedSubgraph { graph: b.build(), mapping, core }
     }
-
-    /// Number of core (owned) nodes.
-    pub fn num_core(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Whether local node `v` is a core (owned) node rather than halo.
-    pub fn is_core(&self, v: NodeId) -> bool {
-        (v as usize) < self.core.len()
-    }
 }
 
 #[cfg(test)]
@@ -202,14 +192,14 @@ mod tests {
         let g = parent();
         let sub = InducedSubgraph::extract_with_halo(&g, &[2, 3]);
         // Core {2,3}; halo must include 0, 1 (nbrs of 2) and 4 (nbr of 3).
-        assert_eq!(sub.num_core(), 2);
+        assert_eq!(sub.core.len(), 2);
         assert_eq!(sub.graph.num_nodes(), 5);
         // Full degree of core nodes is preserved.
         let local2 = sub.mapping.to_local(2).unwrap();
         let local3 = sub.mapping.to_local(3).unwrap();
         assert_eq!(sub.graph.degree(local2), g.degree(2));
         assert_eq!(sub.graph.degree(local3), g.degree(3));
-        assert!(sub.is_core(local2));
+        assert!(sub.core.contains(&local2));
     }
 
     #[test]

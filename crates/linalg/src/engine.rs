@@ -151,7 +151,6 @@ pub struct CgWorkspace {
     partners: Vec<NodeId>,
     entries: Vec<f64>,
     incidence: Vec<(NodeId, NodeId)>,
-    order: Vec<u32>,
     grow_events: u64,
 }
 
@@ -679,19 +678,6 @@ impl<'g> SolverEngine<'g> {
         self.ws.grow_events = 0;
     }
 
-    /// Solves `L x = b` (Jacobi-PCG, per-component projection), writing
-    /// the solution into `x`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] on wrong lengths, else the
-    /// block PCG solve's [`LinalgError::Breakdown`] /
-    /// [`LinalgError::NoConvergence`].
-    pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<usize, LinalgError> {
-        self.solve_block_into(b, 1, x)?;
-        Ok(self.ws.col_iters[0])
-    }
-
     /// Solves `L X = B` for `k` node-major columns through the blocked
     /// multi-RHS path, writing the solution block into `solutions`.
     /// Rows of isolated nodes come back `0.0` (their right-hand-side
@@ -913,62 +899,6 @@ impl<'g> SolverEngine<'g> {
         Ok(())
     }
 
-    /// Effective resistances for a pair batch via **warm-started**
-    /// sequential solves: pairs are processed sorted, and consecutive
-    /// right-hand sides sharing a first endpoint seed CG with the
-    /// previous solution. Results are in input order. Prefer
-    /// [`SolverEngine::edge_resistances`] for edge batches (fewer
-    /// solves); this path exists for arbitrary pair streams and for the
-    /// warm-start accounting in [`SolveStats`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SolverEngine::edge_resistances`].
-    pub fn pair_resistances_into(
-        &mut self,
-        pairs: &[(NodeId, NodeId)],
-        out: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        out.clear();
-        for &(u, v) in pairs {
-            self.ctx.check_pair(u, v)?;
-        }
-        let order = &mut self.ws.order;
-        grow_with(order, pairs.len(), 0u32, &mut self.ws.grow_events);
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i as u32;
-        }
-        order.sort_unstable_by_key(|&i| pairs[i as usize]);
-        grow_f64(&mut self.ws.entries, pairs.len(), &mut self.ws.grow_events);
-
-        let mut group_u: Option<NodeId> = None;
-        let mut group_cold_iters = 0usize;
-        for oi in 0..pairs.len() {
-            let idx = self.ws.order[oi] as usize;
-            let (u, v) = pairs[idx];
-            if u == v {
-                // Zero without a solve; the warm chain survives (the
-                // workspace's last solution is untouched).
-                self.ws.entries[idx] = 0.0;
-                continue;
-            }
-            let warm = group_u == Some(u);
-            let (resistance, iters) =
-                self.ctx.solve_pair(&mut self.ws, u, v, warm, &mut self.stats)?;
-            if warm {
-                self.stats.warm_start_hits += 1;
-                self.stats.warm_start_saved_iterations +=
-                    group_cold_iters.saturating_sub(iters) as u64;
-            } else {
-                group_cold_iters = iters;
-                group_u = Some(u);
-            }
-            self.ws.entries[idx] = resistance;
-        }
-        out.extend_from_slice(&self.ws.entries[..pairs.len()]);
-        Ok(())
-    }
-
     /// Stored potential entry `x_node[at]` (support ids), via binary
     /// search over the sorted distinct/partner index built by the last
     /// edge batch.
@@ -1088,23 +1018,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_pairs_match_and_record_savings() {
-        let g = dense_ring(18);
-        let mut pairs: Vec<(NodeId, NodeId)> =
-            g.edges().iter().map(|e| (e.src, e.dst)).collect();
-        pairs.push((2, 2)); // self pair mid-stream
-        let mut engine = SolverEngine::new(&g, EngineOptions::default());
-        let mut out = Vec::new();
-        engine.pair_resistances_into(&pairs, &mut out).unwrap();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let reference = effective_resistance(&g, u, v, CgOptions::default()).unwrap();
-            let err = (out[i] - reference).abs() / reference.max(1e-12);
-            assert!(err < 1e-6, "pair ({u},{v})");
-        }
-        assert!(engine.stats().warm_start_hits > 0, "shared endpoints must warm start");
-    }
-
-    #[test]
     fn block_solve_matches_single_rhs_solves() {
         let g = dense_ring(12);
         let n = g.num_nodes();
@@ -1121,7 +1034,7 @@ mod tests {
             let col_b: Vec<f64> = (0..n).map(|v| rhs[v * k + j]).collect();
             let mut col_x = vec![0.0; n];
             let mut single = SolverEngine::new(&g, EngineOptions::default());
-            single.solve_into(&col_b, &mut col_x).unwrap();
+            single.solve_block_into(&col_b, 1, &mut col_x).unwrap();
             for v in 0..n {
                 assert!(
                     (block[v * k + j] - col_x[v]).abs() < 1e-7,
@@ -1155,7 +1068,8 @@ mod tests {
             let col_b: Vec<f64> = (0..n).map(|v| rhs[v * k + j]).collect();
             let mut col_x = vec![0.0; n];
             let mut single = SolverEngine::new(&g, EngineOptions::default());
-            single_iters += single.solve_into(&col_b, &mut col_x).unwrap() as u64;
+            single.solve_block_into(&col_b, 1, &mut col_x).unwrap();
+            single_iters += single.stats().iterations;
             for v in 0..n {
                 assert_eq!(block[v * k + j].to_bits(), col_x[v].to_bits(), "column {j} node {v}");
             }

@@ -481,13 +481,6 @@ pub fn quantize_row(row: &[f32], out: &mut Vec<u8>) -> RowQuant {
     q
 }
 
-/// Reconstructs a row from codes into `out` (same length as `codes`).
-pub fn dequantize_row(q: &RowQuant, codes: &[u8], out: &mut [f32]) {
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = dequantize_value(c, q);
-    }
-}
-
 /// In-place int8 quantize→dequantize round trip — what the data plane
 /// applies to remote feature rows so training sees exactly the values a
 /// real wire transfer would deliver.
@@ -691,8 +684,7 @@ mod tests {
             let mut codes = Vec::new();
             let q2 = quantize_row(&row, &mut codes);
             assert_eq!(q, q2);
-            let mut back = vec![0.0; n];
-            dequantize_row(&q, &codes, &mut back);
+            let back: Vec<f32> = codes.iter().map(|&c| dequantize_value(c, &q)).collect();
             for (&x, &y) in row.iter().zip(&back) {
                 let bound = q.scale * 0.5 + q.scale * 1e-3 + 1e-6;
                 assert!((x - y).abs() <= bound, "|{x} - {y}| > {bound} (scale {})", q.scale);

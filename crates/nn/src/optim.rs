@@ -69,11 +69,6 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Creates Adam with custom moment coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        Adam { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
@@ -186,7 +181,7 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.set_learning_rate(0.5);
         assert_eq!(opt.learning_rate(), 0.5);
-        let mut adam = Adam::with_betas(0.1, 0.8, 0.9);
+        let mut adam = Adam::new(0.1);
         adam.set_learning_rate(0.2);
         assert_eq!(adam.learning_rate(), 0.2);
     }

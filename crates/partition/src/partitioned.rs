@@ -1,4 +1,4 @@
-use splpg_graph::{Graph, InducedSubgraph, NodeId};
+use splpg_graph::{Graph, InducedSubgraph};
 
 use crate::Partition;
 
@@ -88,15 +88,6 @@ impl PartitionedGraph {
     pub fn total_edges(&self) -> usize {
         self.parts.iter().map(|p| p.graph.num_edges()).sum()
     }
-
-    /// Owner part of a global node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global` is out of range.
-    pub fn owner_of(&self, global: NodeId) -> u32 {
-        self.partition.part_of(global)
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +95,7 @@ mod tests {
     use super::*;
     use crate::{MetisLike, Partitioner};
     use splpg_rng::SeedableRng;
-    use splpg_graph::GraphBuilder;
+    use splpg_graph::{GraphBuilder, NodeId};
 
     fn grid(w: usize, h: usize) -> Graph {
         let mut b = GraphBuilder::new(w * h);
@@ -165,8 +156,13 @@ mod tests {
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(14);
         let p = MetisLike::default().partition(&g, 2, &mut rng).unwrap();
         let pg = PartitionedGraph::build(&g, &p, true);
-        for v in 0..16 as NodeId {
-            assert_eq!(pg.owner_of(v), p.part_of(v));
+        // Every part's core nodes are exactly the nodes the partition
+        // assigns to it.
+        for (w, part) in pg.parts().iter().enumerate() {
+            let mut owned: Vec<NodeId> =
+                part.core.iter().map(|&l| part.mapping.to_global(l)).collect();
+            owned.sort_unstable();
+            assert_eq!(owned, p.part_nodes(w as u32), "part {w}");
         }
         assert!(pg.with_halo());
         assert_eq!(pg.num_parts(), 2);

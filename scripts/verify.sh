@@ -64,8 +64,9 @@ fi
 echo "$chaos1"
 
 echo "== multi-process cluster smoke (real TCP sockets) =="
-# Spawns worker child processes over loopback TCP and demands the
-# outcome be bit-identical to the sequential reference (the binary
+# Spawns worker child processes over loopback TCP, once under model
+# averaging and once under per-batch gradient averaging, and demands
+# each outcome be bit-identical to the sequential reference (the binary
 # exits nonzero otherwise). Bounded: ports come from the kernel
 # (bind 127.0.0.1:0), rendezvous waits are attempt-counted, and the
 # whole run is capped by `timeout` where available. Skips cleanly in

@@ -229,3 +229,100 @@ fn sage_train_step_tape_is_under_six_tenths_of_the_unconcatenated_footprint() {
         assert!(10 * bytes <= 6 * UNFUSED_TAPE_BYTES, "{threads} threads: tape backs {bytes} B");
     }
 }
+
+#[test]
+fn batch_grads_bits_do_not_depend_on_arena_history() {
+    // The sequential reference lends one tape arena and sampler scratch
+    // to every replica and to the master's evaluation in turn, so a step
+    // must read nothing its workspace kept from earlier work. One batch's
+    // loss and gradients on a fresh workspace must equal, bit for bit,
+    // the same batch on a workspace that has just served another model,
+    // a larger batch and an evaluation — for each model in either role.
+    use splpg::datasets::{generate_community_graph, CommunityGraphParams};
+    use splpg::gnn::trainer::{batch_grads, evaluate_hits};
+    use splpg::gnn::{
+        FullFeatureAccess, FullGraphAccess, LinkPredictor, NeighborSampler,
+        PerSourceNegativeSampler, SamplerScratch,
+    };
+    use splpg::nn::ParamSet;
+    use splpg::tensor::{Tape, Tensor};
+
+    let shape =
+        CommunityGraphParams { nodes: 600, edges: 2_400, feature_dim: 32, ..Default::default() };
+    let (graph, features, _) = generate_community_graph(&shape, &mut rng()).expect("valid params");
+    let config = TrainConfig {
+        layers: 2,
+        hidden: 16,
+        fanouts: vec![Some(10), Some(5)],
+        seed: 17,
+        ..TrainConfig::default()
+    };
+    let negatives = PerSourceNegativeSampler::global(graph.num_nodes());
+    let n = graph.num_nodes() as NodeId;
+    let edges = graph.edges();
+    let (small, large, eval_pos) = (&edges[..64], &edges[100..292], &edges[300..400]);
+    let eval_neg: Vec<Edge> =
+        eval_pos.iter().map(|e| Edge::new(e.src, (e.dst + 7) % n)).collect();
+    let build = |kind| {
+        let mut params = ParamSet::new();
+        let mut init = splpg_rng::rngs::StdRng::seed_from_u64(config.seed);
+        let model = config.build_model(kind, features.dim(), &mut params, &mut init);
+        (model, params)
+    };
+    let step = |model: &LinkPredictor,
+                params: &ParamSet,
+                batch: &[Edge],
+                tape: &mut Tape,
+                scratch: &mut SamplerScratch| {
+        batch_grads(
+            model,
+            params,
+            &FullGraphAccess::new(&graph),
+            &mut FullFeatureAccess::new(&features),
+            &config.sampler(),
+            &negatives,
+            batch,
+            &mut splpg_rng::rngs::StdRng::seed_from_u64(1_000),
+            tape,
+            scratch,
+        )
+        .expect("training step")
+    };
+    let bits = |(loss, grads): (f32, Vec<Tensor>)| {
+        let grads = grads.iter().map(|g| g.data().iter().map(|x| x.to_bits()).collect());
+        (loss.to_bits(), grads.collect::<Vec<Vec<u32>>>())
+    };
+    let roles = [(ModelKind::GraphSage, ModelKind::Gat), (ModelKind::Gat, ModelKind::GraphSage)];
+    for threads in [1, 2, 4, 8] {
+        at_pool_size(threads, || {
+            for (kind, other) in roles {
+                let (model, params) = build(kind);
+                let (other_model, other_params) = build(other);
+                let (mut tape, mut scratch) = (Tape::new(), SamplerScratch::new());
+                let fresh = bits(step(&model, &params, small, &mut tape, &mut scratch));
+
+                let (mut tape, mut scratch) = (Tape::new(), SamplerScratch::new());
+                let (_, grads) = step(&other_model, &other_params, large, &mut tape, &mut scratch);
+                grads.into_iter().for_each(|g| tape.recycle(g));
+                let hits = evaluate_hits(
+                    &other_model,
+                    &other_params,
+                    &FullGraphAccess::new(&graph),
+                    &mut FullFeatureAccess::new(&features),
+                    &NeighborSampler::full(config.layers),
+                    eval_pos,
+                    &eval_neg,
+                    20,
+                    &mut splpg_rng::rngs::StdRng::seed_from_u64(5),
+                    &mut tape,
+                    &mut scratch,
+                )
+                .expect("evaluation");
+                assert!(hits.is_finite());
+                let reused = bits(step(&model, &params, small, &mut tape, &mut scratch));
+                // Not assert_eq!: a mismatch would print every gradient.
+                assert!(fresh == reused, "{kind:?} after {other:?}, {threads} threads differs");
+            }
+        });
+    }
+}
