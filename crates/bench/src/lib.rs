@@ -123,13 +123,13 @@ impl ExpOptions {
     }
 
     /// The scale profile for ordinary (DGL-sized) datasets.
-    pub fn dataset_scale(&self) -> Scale {
+    pub(crate) fn dataset_scale(&self) -> Scale {
         Scale::new(self.scale, self.feature_cap)
     }
 
     /// The scale profile for the OGB datasets (Collab, PPA), shrunk a
     /// further 20x so the default grid stays CPU-friendly.
-    pub fn ogb_scale(&self) -> Scale {
+    pub(crate) fn ogb_scale(&self) -> Scale {
         Scale::new(self.scale * 0.05, self.feature_cap)
     }
 

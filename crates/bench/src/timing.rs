@@ -37,7 +37,7 @@ fn target_rep_ns() -> u128 {
 
 /// Times `f` (auto-calibrated iteration count, best of `REPS`
 /// repetitions) and returns `(iters, ns_per_iter)`.
-pub fn time_fn<T, F: FnMut() -> T>(mut f: F) -> (u64, f64) {
+pub(crate) fn time_fn<T, F: FnMut() -> T>(mut f: F) -> (u64, f64) {
     let target = target_rep_ns();
     // Calibrate: double the batch until it costs >= a tenth of the
     // budget, then scale to the budget.
@@ -81,7 +81,7 @@ pub fn section(title: &str) {
 }
 
 /// Formats nanoseconds-per-iteration with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
+pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.1} ns/iter")
     } else if ns < 1_000_000.0 {

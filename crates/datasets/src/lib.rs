@@ -16,7 +16,8 @@
 //!
 //! Generation is deterministic per seed. `Scale` profiles shrink node and
 //! feature counts proportionally so the full experiment grid runs in
-//! CPU-minutes; `Scale::full()` reproduces Table I's sizes exactly.
+//! CPU-minutes; `Scale::new(1.0, usize::MAX)` reproduces Table I's sizes
+//! exactly.
 //!
 //! # Examples
 //!

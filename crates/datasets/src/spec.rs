@@ -18,11 +18,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Table I sizes, unmodified.
-    pub fn full() -> Self {
-        Scale { factor: 1.0, feature_cap: usize::MAX }
-    }
-
     /// Default experiment profile: 20% of nodes/edges, features <= 128.
     pub fn small() -> Self {
         Scale { factor: 0.2, feature_cap: 128 }
@@ -96,17 +91,17 @@ impl DatasetSpec {
     }
 
     /// Co-Physics: 34,493 / 495,924 / 8,415.
-    pub fn co_physics() -> Self {
+    pub(crate) fn co_physics() -> Self {
         Self::new("Co-Physics", 34_493, 495_924, 8_415, 256)
     }
 
     /// OGB-Collab: 235,868 / 1,285,465 / 128.
-    pub fn collab() -> Self {
+    pub(crate) fn collab() -> Self {
         Self::new("Collab", 235_868, 1_285_465, 128, 10_240)
     }
 
     /// OGB-PPA: 576,289 / 30,326,273 / 58.
-    pub fn ppa() -> Self {
+    pub(crate) fn ppa() -> Self {
         Self::new("PPA", 576_289, 30_326_273, 58, 51_200)
     }
 
@@ -134,12 +129,6 @@ impl DatasetSpec {
             Self::collab(),
             Self::ppa(),
         ]
-    }
-
-    /// The small/medium datasets used for accuracy experiments in the
-    /// scaled-down default profile (the first seven, from DGL).
-    pub fn dgl_seven() -> Vec<DatasetSpec> {
-        Self::table1().into_iter().take(7).collect()
     }
 
     /// Generates the synthetic stand-in at the given scale, including the
@@ -233,7 +222,7 @@ mod tests {
 
     #[test]
     fn tiny_generation_works_for_all_dgl_datasets() {
-        for spec in DatasetSpec::dgl_seven() {
+        for spec in DatasetSpec::table1().into_iter().take(7) {
             let d = spec.generate(Scale::tiny(), 3).unwrap();
             assert!(d.graph.num_nodes() >= 64, "{} too small", d.name);
             assert_eq!(d.features.num_rows(), d.graph.num_nodes());
@@ -255,7 +244,7 @@ mod tests {
     fn full_scale_keeps_table1_counts() {
         // Generate the smallest dataset at full scale and verify exact
         // counts.
-        let d = DatasetSpec::cora().generate(Scale::full(), 5).unwrap();
+        let d = DatasetSpec::cora().generate(Scale::new(1.0, usize::MAX), 5).unwrap();
         assert_eq!(d.graph.num_nodes(), 2_708);
         assert_eq!(d.graph.num_edges(), 10_556);
         assert_eq!(d.features.dim(), 1_433);

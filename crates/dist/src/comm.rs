@@ -8,7 +8,7 @@ pub const BYTES_PER_NODE_ID: u64 = 8;
 /// Bytes per transferred edge (source id + destination id).
 pub const BYTES_PER_EDGE: u64 = 2 * BYTES_PER_NODE_ID;
 /// Bytes per feature element (`f32`).
-pub const BYTES_PER_FEATURE: u64 = 4;
+pub(crate) const BYTES_PER_FEATURE: u64 = 4;
 
 /// Raw structure bytes a ledger carries at the byte model.
 pub(crate) fn structure_bytes(l: &FetchLedger) -> u64 {
@@ -45,19 +45,8 @@ pub(crate) fn bus_bytes(l: &FetchLedger) -> u64 {
 /// behind Figures 4, 8, 9, 13 and Table III: "the total cumulative amount
 /// of data transferred from the master server to all workers for one
 /// training epoch".
-///
-/// # Examples
-///
-/// ```
-/// use splpg_dist::CommTracker;
-/// let t = CommTracker::new();
-/// t.add_structure(10, 4);
-/// t.add_features(3, 128);
-/// assert_eq!(t.structure_bytes(), 10 * 16 + 4 * 8);
-/// assert_eq!(t.feature_bytes(), 3 * 128 * 4);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct CommTracker {
+pub(crate) struct CommTracker {
     inner: Arc<Counters>,
 }
 
@@ -74,33 +63,21 @@ struct Counters {
 
 impl CommTracker {
     /// A fresh tracker with zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CommTracker::default()
     }
 
     /// Records a structure transfer of `edges` edges and `nodes` node
-    /// ids, shipped uncompressed (wire bytes = raw bytes).
-    pub fn add_structure(&self, edges: u64, nodes: u64) {
-        self.add_structure_wire(edges, nodes, edges * BYTES_PER_EDGE + nodes * BYTES_PER_NODE_ID);
-    }
-
-    /// Records a structure transfer of `edges` edges and `nodes` node
     /// ids that cost `wire_bytes` on the wire under the active codec.
-    pub fn add_structure_wire(&self, edges: u64, nodes: u64, wire_bytes: u64) {
+    pub(crate) fn add_structure_wire(&self, edges: u64, nodes: u64, wire_bytes: u64) {
         self.inner.structure_edges.fetch_add(edges, Ordering::Relaxed);
         self.inner.structure_nodes.fetch_add(nodes, Ordering::Relaxed);
         self.inner.structure_wire.fetch_add(wire_bytes, Ordering::Relaxed);
     }
 
-    /// Records a feature transfer of `rows` rows of width `dim`, shipped
-    /// uncompressed (wire bytes = raw bytes).
-    pub fn add_features(&self, rows: u64, dim: u64) {
-        self.add_features_wire(rows, dim, rows * dim * BYTES_PER_FEATURE);
-    }
-
     /// Records a feature transfer of `rows` rows of width `dim` that
     /// cost `wire_bytes` on the wire under the active codec.
-    pub fn add_features_wire(&self, rows: u64, dim: u64, wire_bytes: u64) {
+    pub(crate) fn add_features_wire(&self, rows: u64, dim: u64, wire_bytes: u64) {
         self.inner.feature_elems.fetch_add(rows * dim, Ordering::Relaxed);
         self.inner.feature_wire.fetch_add(wire_bytes, Ordering::Relaxed);
     }
@@ -108,12 +85,12 @@ impl CommTracker {
     /// Records a feature transfer of `rows` rows of width `dim` served
     /// zero-copy over the shared-memory bus: metered on the local-bus
     /// plane only, never on the raw-feature or wire planes.
-    pub fn add_features_bus(&self, rows: u64, dim: u64) {
+    pub(crate) fn add_features_bus(&self, rows: u64, dim: u64) {
         self.inner.feature_bus_elems.fetch_add(rows * dim, Ordering::Relaxed);
     }
 
     /// Everything recorded so far, as raw counts.
-    pub fn ledger(&self) -> FetchLedger {
+    pub(crate) fn ledger(&self) -> FetchLedger {
         let c = &self.inner;
         FetchLedger {
             structure_edges: c.structure_edges.load(Ordering::Relaxed),
@@ -126,24 +103,27 @@ impl CommTracker {
     }
 
     /// Cumulative structure bytes.
-    pub fn structure_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn structure_bytes(&self) -> u64 {
         structure_bytes(&self.ledger())
     }
 
     /// Cumulative feature bytes.
-    pub fn feature_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn feature_bytes(&self) -> u64 {
         feature_bytes(&self.ledger())
     }
 
     /// Cumulative total bytes.
-    pub fn total_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_bytes(&self) -> u64 {
         raw_bytes(&self.ledger())
     }
 }
 
 /// Per-worker communication meters for a whole cluster.
 ///
-/// Each worker's view writes into its own [`CommTracker`], so a worker's
+/// Each worker's view writes into its own `CommTracker`, so a worker's
 /// remote traffic can be shipped back over the wire as a [`FetchLedger`]
 /// delta. The summing accessors read the cluster-wide ledger.
 #[derive(Debug, Clone, Default)]
@@ -153,17 +133,17 @@ pub struct CommMeter {
 
 impl CommMeter {
     /// A meter with one zeroed tracker per worker.
-    pub fn new(num_workers: usize) -> Self {
+    pub(crate) fn new(num_workers: usize) -> Self {
         CommMeter { workers: (0..num_workers).map(|_| CommTracker::new()).collect() }
     }
 
     /// The tracker of one worker.
-    pub fn worker(&self, w: usize) -> &CommTracker {
+    pub(crate) fn worker(&self, w: usize) -> &CommTracker {
         &self.workers[w]
     }
 
     /// Cluster-wide sum of the workers' ledgers.
-    pub fn ledger(&self) -> FetchLedger {
+    pub(crate) fn ledger(&self) -> FetchLedger {
         let mut sum = FetchLedger::default();
         for t in &self.workers {
             sum.add(&t.ledger());
@@ -177,7 +157,8 @@ impl CommMeter {
     }
 
     /// Cluster-wide feature bytes.
-    pub fn feature_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn feature_bytes(&self) -> u64 {
         feature_bytes(&self.ledger())
     }
 
@@ -245,10 +226,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t = CommTracker::new();
-        t.add_structure(5, 2);
-        t.add_structure(1, 0);
+        t.add_structure_wire(5, 2, 5 * BYTES_PER_EDGE + 2 * BYTES_PER_NODE_ID);
+        t.add_structure_wire(1, 0, BYTES_PER_EDGE);
         assert_eq!(t.structure_bytes(), 6 * BYTES_PER_EDGE + 2 * BYTES_PER_NODE_ID);
-        t.add_features(10, 16);
+        t.add_features_wire(10, 16, 10 * 16 * BYTES_PER_FEATURE);
         assert_eq!(t.feature_bytes(), 640);
         assert_eq!(t.total_bytes(), t.structure_bytes() + 640);
     }
@@ -257,7 +238,7 @@ mod tests {
     fn clones_share_state() {
         let t = CommTracker::new();
         let t2 = t.clone();
-        t2.add_features(1, 1);
+        t2.add_features_wire(1, 1, BYTES_PER_FEATURE);
         assert_eq!(t.feature_bytes(), 4);
     }
 
@@ -295,7 +276,7 @@ mod tests {
     #[test]
     fn bus_plane_is_metered_separately_from_raw_and_wire() {
         let t = CommTracker::new();
-        t.add_features(2, 8);
+        t.add_features_wire(2, 8, 2 * 8 * BYTES_PER_FEATURE);
         t.add_features_bus(3, 8);
         // Bus rows never leak into the raw-feature or wire planes.
         let l = t.ledger();
@@ -322,8 +303,8 @@ mod tests {
         // 3 edges + 2 node ids: 3*16 + 2*8 = 64 bytes; 7 rows of dim 5:
         // 7*5*4 = 140 bytes.
         let t = CommTracker::new();
-        t.add_structure(3, 2);
-        t.add_features(7, 5);
+        t.add_structure_wire(3, 2, 3 * BYTES_PER_EDGE + 2 * BYTES_PER_NODE_ID);
+        t.add_features_wire(7, 5, 7 * 5 * BYTES_PER_FEATURE);
         assert_eq!(t.structure_bytes(), 64);
         assert_eq!(t.feature_bytes(), 140);
         assert_eq!(t.total_bytes(), 204);
@@ -346,8 +327,8 @@ mod tests {
     #[test]
     fn meter_sums_per_worker_trackers() {
         let m = CommMeter::new(3);
-        m.worker(0).add_structure(1, 1);
-        m.worker(2).add_features(2, 4);
+        m.worker(0).add_structure_wire(1, 1, BYTES_PER_EDGE + BYTES_PER_NODE_ID);
+        m.worker(2).add_features_wire(2, 4, 2 * 4 * BYTES_PER_FEATURE);
         assert_eq!(m.structure_bytes(), BYTES_PER_EDGE + BYTES_PER_NODE_ID);
         assert_eq!(m.feature_bytes(), 32);
         assert_eq!(m.total_bytes(), m.structure_bytes() + m.feature_bytes());

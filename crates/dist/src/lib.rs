@@ -4,7 +4,7 @@
 //! The cluster of the paper (one master + `p` GPU workers exchanging graph
 //! data through shared memory) is simulated with OS threads:
 //!
-//! * [`CommTracker`] counts every byte of graph structure and node
+//! * `CommTracker` counts every byte of graph structure and node
 //!   features a worker pulls from outside its own partition; workers ship
 //!   those counts back as fetch ledgers, and the master prices the ledgers
 //!   it accepts into the paper's communication-cost metric (cumulative
@@ -49,9 +49,7 @@ mod strategy;
 mod trainer;
 mod view;
 
-pub use comm::{
-    CommMeter, CommReport, CommTracker, BYTES_PER_EDGE, BYTES_PER_FEATURE, BYTES_PER_NODE_ID,
-};
+pub use comm::{CommMeter, CommReport, BYTES_PER_EDGE, BYTES_PER_NODE_ID};
 pub use runtime::NetReport;
 pub use setup::{ClusterSetup, SparsifierKind, WorkerData};
 pub use splpg_net::process::WorkerEnv;
@@ -61,7 +59,10 @@ pub use trainer::{
     tcp_worker_entry, DistConfig, DistOutcome, DistTrainer, EpochStats, FaultConfig, ShmBusMode,
     SyncMethod,
 };
-pub use view::{RemoteMode, WorkerView};
+pub use view::WorkerView;
+
+pub(crate) use comm::CommTracker;
+pub(crate) use view::RemoteMode;
 
 /// Errors from distributed training.
 #[derive(Debug, Clone, PartialEq)]

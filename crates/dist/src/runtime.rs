@@ -81,11 +81,9 @@ pub struct NetReport {
     ///
     /// [`ShmError`]: splpg_net::ShmError
     pub shm_fault: Option<String>,
-    /// Per-[`MsgKind`] histogram of protocol frames: count, raw-encoding
-    /// bytes, and on-wire bytes for each message kind, recorded
+    /// Per-message-kind histogram of protocol frames: count, raw-encoding
+    /// bytes, and on-wire bytes for each wire kind byte, recorded
     /// master-side (slot 0 aggregates unknown kinds).
-    ///
-    /// [`MsgKind`]: splpg_net::codec::kind_name
     pub kinds: [KindStat; NUM_KINDS],
     /// Workers declared dead after retry exhaustion, in detection order.
     pub dead_workers: Vec<usize>,
@@ -131,7 +129,7 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    pub fn new(
+    pub(crate) fn new(
         model: LinkPredictor,
         params: ParamSet,
         opt: Adam,
@@ -372,7 +370,7 @@ pub(crate) struct MasterNet {
 }
 
 impl MasterNet {
-    pub fn new(hub: MasterHub, policy: RetryPolicy, active: bool, quorum: usize) -> Self {
+    pub(crate) fn new(hub: MasterHub, policy: RetryPolicy, active: bool, quorum: usize) -> Self {
         let workers = hub.workers();
         MasterNet {
             hub,
@@ -528,7 +526,7 @@ impl Backend {
 
     /// One model-averaging epoch: per-worker `(flat params, loss sum,
     /// batch count)` contributions, `None` for down/dead workers.
-    pub fn epoch_ma(
+    pub(crate) fn epoch_ma(
         &mut self,
         epoch: usize,
         flat: &[f32],
@@ -550,7 +548,7 @@ impl Backend {
 
     /// One gradient-averaging round: per-worker `(loss, flat grads)`
     /// contributions, `None` for inactive/down/dead workers.
-    pub fn round_ga(
+    pub(crate) fn round_ga(
         &mut self,
         epoch: usize,
         round: u64,
@@ -572,7 +570,7 @@ impl Backend {
     /// Shuts the cluster down (if any) and reports wire traffic, with the
     /// data plane priced from `fetched`, the run's accepted ledgers. The
     /// sequential reference moves no messages: its report is all zeros.
-    pub fn finish(self, fetched: &FetchLedger) -> NetReport {
+    pub(crate) fn finish(self, fetched: &FetchLedger) -> NetReport {
         match self {
             Backend::Net(mut net) => {
                 net.hub.shutdown();

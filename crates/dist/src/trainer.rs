@@ -55,7 +55,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// Whether `worker` is down during `epoch` (deterministic hash).
-    pub fn is_down(&self, worker: usize, epoch: usize) -> bool {
+    pub(crate) fn is_down(&self, worker: usize, epoch: usize) -> bool {
         let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
         for x in [worker as u64 + 1, epoch as u64 + 1] {
             h ^= x;
@@ -199,16 +199,6 @@ impl DistTrainer {
     /// Creates a trainer from cluster + hyperparameter configuration.
     pub fn new(dist: DistConfig, train: TrainConfig) -> Self {
         DistTrainer { dist, train }
-    }
-
-    /// The cluster configuration.
-    pub fn dist_config(&self) -> &DistConfig {
-        &self.dist
-    }
-
-    /// The training configuration.
-    pub fn train_config(&self) -> &TrainConfig {
-        &self.train
     }
 
     /// Rejects invalid cluster, fault, retry, and quorum parameters
@@ -513,7 +503,7 @@ impl DistTrainer {
     /// [`DistError::Process`] when the rendezvous or dial fails, or when
     /// the spawning master's worker count disagrees with this
     /// configuration.
-    pub fn run_tcp_worker(
+    pub(crate) fn run_tcp_worker(
         &self,
         env: &WorkerEnv,
         kind: ModelKind,
@@ -820,7 +810,7 @@ impl DistTrainer {
 /// # Errors
 ///
 /// [`DistError::Process`] when the worker environment is malformed, plus
-/// whatever `make` or [`DistTrainer::run_tcp_worker`] surface.
+/// whatever `make` or `DistTrainer::run_tcp_worker` surface.
 pub fn tcp_worker_entry<F>(make: F) -> Result<bool, DistError>
 where
     F: FnOnce(usize) -> Result<(DistTrainer, ModelKind, Dataset), DistError>,

@@ -17,7 +17,7 @@ use crate::CommTracker;
 /// re-fetch while it stays cached. Parameter refreshes invalidate the
 /// cache, so it is cleared at every epoch boundary
 /// ([`WorkerView::begin_epoch`]).
-pub const DEFAULT_FEATURE_CACHE_ROWS: usize = 8192;
+pub(crate) const DEFAULT_FEATURE_CACHE_ROWS: usize = 8192;
 
 /// Per-epoch membership set of remote feature rows already fetched (and
 /// therefore free to re-read until the next epoch).
@@ -29,7 +29,7 @@ struct RowCache {
 
 /// How a worker reaches graph structure outside its own partition.
 #[derive(Debug, Clone)]
-pub enum RemoteMode {
+pub(crate) enum RemoteMode {
     /// No remote access: unknown nodes have no visible neighbors.
     None,
     /// Complete data sharing: the full (training) graph in the master's
@@ -76,8 +76,8 @@ impl RemoteMode {
 ///   partition time (partition nodes, plus halo under full-neighbor
 ///   retention) and costs nothing to read.
 ///
-/// Everything else goes through [`RemoteMode`] and is priced on the shared
-/// [`CommTracker`]. Edge-existence checks for negative-sample rejection are
+/// Everything else goes through `RemoteMode` and is priced on the shared
+/// `CommTracker`. Edge-existence checks for negative-sample rejection are
 /// control-plane and unmetered (the paper's cost metric counts graph-data
 /// payloads).
 #[derive(Debug, Clone)]
@@ -111,7 +111,7 @@ impl WorkerView {
     /// # Panics
     ///
     /// Panics if membership vector lengths disagree with the graph.
-    pub fn new(
+    pub(crate) fn new(
         local: Arc<Graph>,
         structure_local: Arc<Vec<bool>>,
         feature_local: Arc<Vec<bool>>,
@@ -157,7 +157,7 @@ impl WorkerView {
     /// matrix — a wiring bug, not a runtime fault (runtime faults are
     /// caught at [`ShmLane::attach`] and degrade to the wire path).
     #[must_use]
-    pub fn with_feature_bus(mut self, lane: ShmLane) -> Self {
+    pub(crate) fn with_feature_bus(mut self, lane: ShmLane) -> Self {
         assert_eq!(lane.rows(), self.features.num_rows(), "bus segment row count");
         assert_eq!(lane.dim(), self.features.dim(), "bus segment feature dim");
         self.bus = Some(lane);
@@ -176,13 +176,8 @@ impl WorkerView {
     }
 
     /// The shared communication tracker.
-    pub fn tracker(&self) -> &CommTracker {
+    pub(crate) fn tracker(&self) -> &CommTracker {
         &self.tracker
-    }
-
-    /// Whether `v`'s adjacency is local.
-    pub fn is_structure_local(&self, v: NodeId) -> bool {
-        self.structure_local[v as usize]
     }
 
     /// Whether `v`'s features are local.
@@ -396,7 +391,7 @@ mod tests {
         let x = v.gather(&[0, 3, 4]);
         assert_eq!(x.shape(), (3, 2));
         assert_eq!(x.row(1), &[3.0, 1.0]);
-        assert_eq!(t.feature_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(t.feature_bytes(), 2 * 2 * crate::comm::BYTES_PER_FEATURE);
     }
 
     #[test]
@@ -435,7 +430,7 @@ mod tests {
         let (mut v, t) = fixture(RemoteMode::None);
         let _ = v.gather(&[3, 4]);
         let first = t.feature_bytes();
-        assert_eq!(first, 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(first, 2 * 2 * crate::comm::BYTES_PER_FEATURE);
         // Cached rows are free on re-fetch within the epoch.
         let _ = v.gather(&[3, 4]);
         assert_eq!(t.feature_bytes(), first);
@@ -446,14 +441,14 @@ mod tests {
         // The next epoch invalidates the cache: re-fetches are priced again.
         v.begin_epoch(1);
         let _ = v.gather(&[3]);
-        assert_eq!(t.feature_bytes(), first + 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(t.feature_bytes(), first + 2 * crate::comm::BYTES_PER_FEATURE);
     }
 
     #[test]
     fn interleaved_epochs_meter_each_first_fetch_once() {
         let (mut v, t) = fixture(RemoteMode::None);
         v.feature_cache_rows = 1;
-        let row = 2 * crate::BYTES_PER_FEATURE;
+        let row = 2 * crate::comm::BYTES_PER_FEATURE;
         let _ = v.gather(&[3, 4, 3]); // 3 priced and cached, 4 priced (cache full), 3 free
         assert_eq!(t.feature_bytes(), 2 * row);
         v.begin_epoch(1);
@@ -476,7 +471,7 @@ mod tests {
         v.feature_cache_rows = 1;
         let _ = v.gather(&[3, 4]); // 3 cached; 4 over capacity
         let _ = v.gather(&[3, 4]); // 3 free, 4 re-metered
-        assert_eq!(t.feature_bytes(), 3 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(t.feature_bytes(), 3 * 2 * crate::comm::BYTES_PER_FEATURE);
     }
 
     #[test]
@@ -485,7 +480,7 @@ mod tests {
         v.feature_cache_rows = 0;
         let _ = v.gather(&[3]);
         let _ = v.gather(&[3]);
-        assert_eq!(t.feature_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(t.feature_bytes(), 2 * 2 * crate::comm::BYTES_PER_FEATURE);
     }
 
     #[test]
@@ -517,14 +512,14 @@ mod tests {
             assert_eq!(got.row(i), expect.row(i), "row {i}");
         }
         // Wire path priced rows 3 and 4 once (second 3 was cached)...
-        assert_eq!(wire_tracker.feature_bytes(), 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(wire_tracker.feature_bytes(), 2 * 2 * crate::comm::BYTES_PER_FEATURE);
         // ...the bus path moved the same rows without touching the
         // raw-feature or wire planes.
         let l = tracker.ledger();
         assert_eq!(tracker.feature_bytes(), 0);
         assert_eq!(l.feature_wire_bytes, 0);
         assert_eq!(l.feature_bus_elems, 2 * 2);
-        assert_eq!(crate::comm::bus_bytes(&l), 2 * 2 * crate::BYTES_PER_FEATURE);
+        assert_eq!(crate::comm::bus_bytes(&l), 2 * 2 * crate::comm::BYTES_PER_FEATURE);
     }
 
     #[test]

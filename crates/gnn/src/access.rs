@@ -93,11 +93,6 @@ impl<'g> FullGraphAccess<'g> {
     pub fn new(graph: &'g Graph) -> Self {
         FullGraphAccess { graph }
     }
-
-    /// The wrapped graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
 }
 
 impl GraphAccess for FullGraphAccess<'_> {

@@ -27,22 +27,22 @@ pub struct Block {
 
 impl Block {
     /// Destination global ids (the prefix of `src_ids`).
-    pub fn dst_ids(&self) -> &[NodeId] {
+    pub(crate) fn dst_ids(&self) -> &[NodeId] {
         &self.src_ids[..self.num_dst]
     }
 
     /// Number of source rows.
-    pub fn num_src(&self) -> usize {
+    pub(crate) fn num_src(&self) -> usize {
         self.src_ids.len()
     }
 
     /// Number of edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edge_src.len()
     }
 
     /// Checks internal consistency (prefix property, index ranges).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.num_dst > self.src_ids.len() {
             return Err(format!(
                 "num_dst {} exceeds src count {}",
@@ -92,11 +92,6 @@ impl MiniBatch {
             Some(b) => &b.src_ids,
             None => &self.seeds,
         }
-    }
-
-    /// Total edges across blocks (proxy for computational-graph size).
-    pub fn total_edges(&self) -> usize {
-        self.blocks.iter().map(Block::num_edges).sum()
     }
 
     /// Validates every block and the seed/prefix correspondence.
@@ -161,7 +156,7 @@ mod tests {
         let b = block();
         let mb = MiniBatch { seeds: vec![7, 9], blocks: vec![b] };
         assert_eq!(mb.input_nodes(), &[7, 9, 3]);
-        assert_eq!(mb.total_edges(), 2);
+        assert_eq!(mb.blocks[0].num_edges(), 2);
         mb.validate().unwrap();
     }
 

@@ -45,7 +45,7 @@ impl Heuristic {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
-    pub fn score(&self, graph: &Graph, u: NodeId, v: NodeId) -> f64 {
+    pub(crate) fn score(&self, graph: &Graph, u: NodeId, v: NodeId) -> f64 {
         match self {
             Heuristic::CommonNeighbors => common_neighbors(graph, u, v).len() as f64,
             Heuristic::Jaccard => {

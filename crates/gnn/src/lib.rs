@@ -12,9 +12,8 @@
 //!   (message-flow graphs) from seed nodes, with per-hop fanouts
 //!   (the paper samples 25/10/5) or full neighborhoods.
 //! * Negative sampling — [`PerSourceNegativeSampler`] (training,
-//!   "per-source uniform") and [`global_uniform_negatives`] (evaluation,
-//!   "global uniform"), with restrictable sample spaces to reproduce the
-//!   *local negative sample* pathology of Section III-B.
+//!   "per-source uniform"), with restrictable sample spaces to reproduce
+//!   the *local negative sample* pathology of Section III-B.
 //! * Models — [`Gcn`], [`GraphSage`], [`Gat`], [`GatV2`] implementing
 //!   [`GnnModel`]; [`EdgePredictor`] (dot product or MLP) computes edge
 //!   scores from pairwise embeddings (Eq. (2)).
@@ -37,8 +36,8 @@ pub mod trainer;
 
 pub use access::{FeatureAccess, FullFeatureAccess, FullGraphAccess, GraphAccess};
 pub use block::{Block, MiniBatch};
-pub use models::{Gat, GatV2, Gcn, Gin, GnnModel, GraphSage};
-pub use negative::{global_uniform_negatives, PerSourceNegativeSampler};
+pub use models::{Gat, GatV2, Gcn, GnnModel, GraphSage};
+pub use negative::PerSourceNegativeSampler;
 pub use predictor::{edges_to_pairs, EdgePredictor, LinkPredictor};
 pub use sampler::{NeighborSampler, SampleStats, SamplerScratch};
 

@@ -39,7 +39,7 @@ impl Gat {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         params: &mut ParamSet,
         dims: &[usize],
         dropout: f32,
@@ -55,7 +55,7 @@ impl Gat {
     ///
     /// Panics if fewer than two sizes are given, `heads == 0`, or any
     /// output width is not divisible by `heads`.
-    pub fn with_heads<R: Rng + ?Sized>(
+    pub(crate) fn with_heads<R: Rng + ?Sized>(
         params: &mut ParamSet,
         dims: &[usize],
         heads: usize,
@@ -97,11 +97,6 @@ impl Gat {
             })
             .collect();
         Gat { layers, dropout, out_dim: *dims.last().expect("non-empty dims"), negative_slope: 0.2 }
-    }
-
-    /// Heads per layer.
-    pub fn heads(&self) -> usize {
-        self.layers.first().map_or(1, Vec::len)
     }
 
     /// Runs one attention head over a block, returning `[num_dst, head_dim]`.
@@ -210,7 +205,7 @@ impl GatV2 {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         params: &mut ParamSet,
         dims: &[usize],
         dropout: f32,
@@ -420,20 +415,12 @@ mod multihead_tests {
     fn multihead_forward_shapes() {
         let mut params = ParamSet::new();
         let gat = Gat::with_heads(&mut params, &[4, 8, 4], 4, 0.0, &mut rng());
-        assert_eq!(gat.heads(), 4);
         let batch = path_batch();
         let mut tape = Tape::new();
         let binding = params.bind(&mut tape);
         let x = tape.leaf(Tensor::ones(3, 4));
         let out = gat.forward(&mut tape, &binding, x, &batch.blocks, None);
         assert_eq!(tape.value(out).shape(), (1, 4));
-    }
-
-    #[test]
-    fn single_head_is_default() {
-        let mut params = ParamSet::new();
-        let gat = Gat::new(&mut params, &[4, 4], 0.0, &mut rng());
-        assert_eq!(gat.heads(), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Gcn {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         params: &mut ParamSet,
         dims: &[usize],
         dropout: f32,

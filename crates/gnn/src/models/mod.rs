@@ -8,12 +8,10 @@
 
 mod gat;
 mod gcn;
-mod gin;
 mod sage;
 
 pub use gat::{Gat, GatV2};
 pub use gcn::Gcn;
-pub use gin::Gin;
 pub use sage::GraphSage;
 
 use splpg_rng::RngCore;
@@ -120,7 +118,7 @@ pub(crate) mod test_support {
     use crate::Block;
 
     /// A tiny two-layer batch over a path 0-1-2 seeded at node 0.
-    pub fn path_batch() -> crate::MiniBatch {
+    pub(crate) fn path_batch() -> crate::MiniBatch {
         // Layer 2 (output): seeds {0}, srcs {0, 1}.
         let b2 = Block {
             src_ids: vec![0, 1],

@@ -85,44 +85,6 @@ impl PerSourceNegativeSampler {
     }
 }
 
-/// Global-uniform negative sampling over an accessible graph — the paper's
-/// evaluation-time scheme: source and destination both uniform over all
-/// nodes, rejecting self-pairs and existing edges. Unlike
-/// [`splpg_graph::EdgeSplit`]'s split-time generator this works through
-/// [`GraphAccess`] so metered accessors price it.
-///
-/// # Errors
-///
-/// [`GnnError::NegativeSampling`] if the attempt budget is exhausted.
-pub fn global_uniform_negatives<A: GraphAccess, R: Rng + ?Sized>(
-    access: &A,
-    count: usize,
-    rng: &mut R,
-) -> Result<Vec<Edge>, GnnError> {
-    let n = access.num_nodes();
-    if n < 2 {
-        return Err(GnnError::NegativeSampling("graph too small".to_string()));
-    }
-    let mut out = Vec::with_capacity(count);
-    let budget = 100 * (count + 10);
-    let mut attempts = 0;
-    while out.len() < count {
-        attempts += 1;
-        if attempts > budget {
-            return Err(GnnError::NegativeSampling(
-                "attempt budget exhausted; graph may be too dense".to_string(),
-            ));
-        }
-        let u = rng.gen_range(0..n) as NodeId;
-        let v = rng.gen_range(0..n) as NodeId;
-        if u == v || access.has_edge(u, v) {
-            continue;
-        }
-        out.push(Edge::new(u, v));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,25 +152,6 @@ mod tests {
             assert!(n.src == p.src || n.dst == p.src, "negative must share the source");
             assert!(!g.has_edge(n.src, n.dst));
         }
-    }
-
-    #[test]
-    fn global_uniform_rejects_edges() {
-        let g = graph();
-        let a = FullGraphAccess::new(&g);
-        let negs = global_uniform_negatives(&a, 30, &mut rng()).unwrap();
-        assert_eq!(negs.len(), 30);
-        for e in &negs {
-            assert!(!g.has_edge(e.src, e.dst));
-            assert!(!e.is_loop());
-        }
-    }
-
-    #[test]
-    fn global_uniform_tiny_graph_errors() {
-        let g = Graph::empty(1);
-        let a = FullGraphAccess::new(&g);
-        assert!(global_uniform_negatives(&a, 1, &mut rng()).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum EdgePredictor {
 impl EdgePredictor {
     /// Registers the paper's 3-layer MLP predictor
     /// (`2 emb -> hidden -> hidden -> 1`).
-    pub fn paper_mlp<R: Rng + ?Sized>(
+    pub(crate) fn paper_mlp<R: Rng + ?Sized>(
         params: &mut ParamSet,
         emb_dim: usize,
         hidden: usize,
@@ -27,7 +27,7 @@ impl EdgePredictor {
     }
 
     /// Scores endpoint embedding pairs, returning `[num_pairs, 1]` logits.
-    pub fn score(&self, tape: &mut Tape, binding: &Binding, h_u: Var, h_v: Var) -> Var {
+    pub(crate) fn score(&self, tape: &mut Tape, binding: &Binding, h_u: Var, h_v: Var) -> Var {
         match self {
             EdgePredictor::Dot => {
                 let prod = tape.mul(h_u, h_v);
@@ -44,15 +44,14 @@ impl EdgePredictor {
 ///
 /// ```
 /// use splpg_rng::SeedableRng;
-/// use splpg_gnn::{EdgePredictor, GraphSage, LinkPredictor};
+/// use splpg_gnn::trainer::{ModelKind, TrainConfig};
 /// use splpg_nn::ParamSet;
 ///
 /// let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(0);
 /// let mut params = ParamSet::new();
-/// let gnn = GraphSage::new(&mut params, &[16, 32, 32], 0.0, &mut rng);
-/// let predictor = EdgePredictor::paper_mlp(&mut params, 32, 32, &mut rng);
-/// let model = LinkPredictor::new(Box::new(gnn), predictor);
-/// assert_eq!(model.gnn().num_layers(), 2);
+/// let config = TrainConfig { layers: 2, hidden: 32, ..TrainConfig::default() };
+/// let model = config.build_model(ModelKind::GraphSage, 16, &mut params, &mut rng);
+/// assert!(format!("{model:?}").contains("layers: 2"));
 /// ```
 pub struct LinkPredictor {
     gnn: Box<dyn GnnModel + Send + Sync>,
@@ -70,17 +69,17 @@ impl std::fmt::Debug for LinkPredictor {
 
 impl LinkPredictor {
     /// Combines an encoder and a predictor head.
-    pub fn new(gnn: Box<dyn GnnModel + Send + Sync>, predictor: EdgePredictor) -> Self {
+    pub(crate) fn new(gnn: Box<dyn GnnModel + Send + Sync>, predictor: EdgePredictor) -> Self {
         LinkPredictor { gnn, predictor }
     }
 
     /// The GNN encoder.
-    pub fn gnn(&self) -> &(dyn GnnModel + Send + Sync) {
+    pub(crate) fn gnn(&self) -> &(dyn GnnModel + Send + Sync) {
         self.gnn.as_ref()
     }
 
     /// The predictor head.
-    pub fn predictor(&self) -> &EdgePredictor {
+    pub(crate) fn predictor(&self) -> &EdgePredictor {
         &self.predictor
     }
 

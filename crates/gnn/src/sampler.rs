@@ -133,7 +133,7 @@ impl NeighborSampler {
     }
 
     /// Number of layers (= blocks produced).
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.fanouts.len()
     }
 
@@ -479,7 +479,7 @@ mod tests {
         let a = FullGraphAccess::new(&g);
         let batch = NeighborSampler::full(2).sample(&a, &[2], &mut rng());
         batch.validate().unwrap();
-        assert_eq!(batch.total_edges(), 0);
+        assert!(batch.blocks.iter().all(|b| b.num_edges() == 0));
         assert_eq!(batch.input_nodes(), &[2]);
     }
 
@@ -702,7 +702,8 @@ mod tests {
             .sample_with_stats(&a, &[1, 2], &mut rng(), &mut scratch);
         batch.validate().unwrap();
         assert_eq!(stats.expansions, 2 + 3);
-        assert_eq!(stats.sampled_edges, batch.total_edges() as u64);
+        let edges: usize = batch.blocks.iter().map(Block::num_edges).sum();
+        assert_eq!(stats.sampled_edges, edges as u64);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl GraphBuilder {
         GraphBuilder { num_nodes, edges: BTreeMap::new(), weighted: false }
     }
 
-    /// Number of nodes the built graph will have.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     /// Number of distinct undirected edges added so far.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
@@ -230,7 +225,7 @@ mod tests {
     fn with_capacity_behaves_like_new() {
         let mut b = GraphBuilder::with_capacity(3, 10);
         b.add_edge(0, 1).unwrap();
-        assert_eq!(b.num_nodes(), 3);
-        assert_eq!(b.build().num_edges(), 1);
+        let g = b.build();
+        assert_eq!((g.num_nodes(), g.num_edges()), (3, 1));
     }
 }

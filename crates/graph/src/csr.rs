@@ -180,17 +180,6 @@ impl Graph {
         }
     }
 
-    /// Estimated resident memory of the structure in bytes. Used by the
-    /// communication-cost model to price structure transfers.
-    pub fn structure_bytes(&self) -> u64 {
-        let mut bytes = (self.offsets.len() * std::mem::size_of::<usize>()) as u64;
-        bytes += (self.neighbors.len() * std::mem::size_of::<NodeId>()) as u64;
-        if let Some(w) = &self.weights {
-            bytes += (w.len() * std::mem::size_of::<f32>()) as u64;
-        }
-        bytes
-    }
-
     /// Validates internal invariants; used by tests and debug assertions.
     ///
     /// Checks: offsets monotone, neighbor ids in range, neighbor lists sorted
@@ -303,12 +292,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(3, 2), (1, 0), (2, 1)]).unwrap();
         let e: Vec<(NodeId, NodeId)> = g.edges().iter().map(|e| (e.src, e.dst)).collect();
         assert_eq!(e, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn structure_bytes_positive() {
-        let g = path4();
-        assert!(g.structure_bytes() > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by graph construction, validation and serialization.
+/// Errors produced by graph construction and validation.
 ///
 /// # Examples
 ///
@@ -38,11 +38,8 @@ pub enum GraphError {
         /// Actual row count supplied.
         actual: usize,
     },
-    /// The binary stream being read is not a valid serialized graph.
+    /// A graph or split failed validation.
     InvalidFormat(String),
-    /// An underlying I/O failure, carried as a string to keep the error
-    /// `Clone`/`Eq` (the original `io::Error` is not).
-    Io(String),
 }
 
 impl fmt::Display for GraphError {
@@ -57,19 +54,12 @@ impl fmt::Display for GraphError {
             GraphError::DimensionMismatch { expected, actual } => {
                 write!(f, "feature matrix has {actual} rows but the graph has {expected} nodes")
             }
-            GraphError::InvalidFormat(msg) => write!(f, "invalid serialized graph: {msg}"),
-            GraphError::Io(msg) => write!(f, "i/o failure: {msg}"),
+            GraphError::InvalidFormat(msg) => write!(f, "invalid graph: {msg}"),
         }
     }
 }
 
 impl Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(err: std::io::Error) -> Self {
-        GraphError::Io(err.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -88,12 +78,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GraphError>();
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof");
-        let e: GraphError = io.into();
-        assert!(matches!(e, GraphError::Io(_)));
     }
 }

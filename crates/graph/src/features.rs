@@ -28,21 +28,6 @@ impl FeatureMatrix {
         FeatureMatrix { data: vec![0.0; num_rows * dim], num_rows, dim }
     }
 
-    /// Builds from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::DimensionMismatch`] when `data.len() != num_rows * dim`.
-    pub fn from_flat(num_rows: usize, dim: usize, data: Vec<f32>) -> Result<Self, GraphError> {
-        if data.len() != num_rows * dim {
-            return Err(GraphError::DimensionMismatch {
-                expected: num_rows * dim,
-                actual: data.len(),
-            });
-        }
-        Ok(FeatureMatrix { data, num_rows, dim })
-    }
-
     /// Builds from per-node rows.
     ///
     /// # Errors
@@ -81,37 +66,14 @@ impl FeatureMatrix {
         &self.data[v * self.dim..(v + 1) * self.dim]
     }
 
-    /// Mutable feature row of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_rows`.
-    pub fn row_mut(&mut self, v: NodeId) -> &mut [f32] {
-        let v = v as usize;
-        &mut self.data[v * self.dim..(v + 1) * self.dim]
-    }
-
     /// The flat row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
-    /// Gathers the rows for `nodes` into a new dense matrix, in order.
-    /// This is the operation a worker performs when materialising the input
-    /// features of a sampled computational graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node id is out of range.
-    pub fn gather(&self, nodes: &[NodeId]) -> FeatureMatrix {
-        let mut data = Vec::with_capacity(nodes.len() * self.dim);
-        self.gather_into(nodes, &mut data);
-        FeatureMatrix { data, num_rows: nodes.len(), dim: self.dim }
-    }
-
-    /// Appends the rows for `nodes` (in order) to `out` — the allocation-free
-    /// variant of [`FeatureMatrix::gather`] for callers that reuse a buffer
-    /// across batches.
+    /// Appends the rows for `nodes` (in order) to `out`: what a worker does
+    /// to materialise the input features of a sampled computational graph,
+    /// into a buffer it reuses across batches.
     ///
     /// # Panics
     ///
@@ -121,11 +83,6 @@ impl FeatureMatrix {
         for &v in nodes {
             out.extend_from_slice(self.row(v));
         }
-    }
-
-    /// Total bytes of the matrix.
-    pub fn total_bytes(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<f32>()) as u64
     }
 }
 
@@ -142,12 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn from_flat_validates_len() {
-        assert!(FeatureMatrix::from_flat(2, 3, vec![0.0; 5]).is_err());
-        assert!(FeatureMatrix::from_flat(2, 3, vec![0.0; 6]).is_ok());
-    }
-
-    #[test]
     fn from_rows_rejects_ragged() {
         let err = FeatureMatrix::from_rows(vec![vec![1.0], vec![1.0, 2.0]]).unwrap_err();
         assert!(matches!(err, GraphError::DimensionMismatch { .. }));
@@ -161,21 +112,8 @@ mod tests {
             vec![2.0, 2.0],
         ])
         .unwrap();
-        let g = x.gather(&[2, 0]);
-        assert_eq!(g.row(0), &[2.0, 2.0]);
-        assert_eq!(g.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn row_mut_updates() {
-        let mut x = FeatureMatrix::zeros(2, 2);
-        x.row_mut(1)[0] = 7.0;
-        assert_eq!(x.row(1), &[7.0, 0.0]);
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let x = FeatureMatrix::zeros(5, 8);
-        assert_eq!(x.total_bytes(), 5 * 32);
+        let mut g = Vec::new();
+        x.gather_into(&[2, 0], &mut g);
+        assert_eq!(g, [2.0, 2.0, 0.0, 0.0]);
     }
 }

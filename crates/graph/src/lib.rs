@@ -5,8 +5,7 @@
 //! structure for undirected (optionally weighted) graphs, a [`GraphBuilder`]
 //! for assembling graphs from edge lists, dense node features
 //! ([`FeatureMatrix`]), train/validation/test edge splits ([`EdgeSplit`]),
-//! traversal helpers (BFS, k-hop neighborhoods, connected components) and a
-//! compact binary serialization format.
+//! and connected components.
 //!
 //! The representation mirrors what DGL's graph storage provides to the
 //! original SpLPG implementation: O(1) access to a node's neighbor slice,
@@ -39,9 +38,7 @@ mod builder;
 mod csr;
 mod error;
 mod features;
-mod io;
 mod split;
-mod stats;
 mod subgraph;
 mod traversal;
 
@@ -49,14 +46,9 @@ pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use error::GraphError;
 pub use features::FeatureMatrix;
-pub use io::{read_features, read_graph, write_features, write_graph};
-pub use split::{sample_global_negatives, EdgeSplit, SplitFractions};
-pub use stats::{
-    average_clustering, core_numbers, degree_stats, local_clustering, summarize, DegreeStats,
-    GraphSummary,
-};
+pub use split::{EdgeSplit, SplitFractions};
 pub use subgraph::{InducedSubgraph, NodeMapping};
-pub use traversal::{bfs_distances, connected_components, khop_neighborhood, KhopStats};
+pub use traversal::connected_components;
 
 /// Node identifier. `u32` keeps memory at half of `usize` on 64-bit targets,
 /// which matters for the PPA-scale graphs (30M+ directed edge slots).
@@ -89,18 +81,6 @@ impl Edge {
         }
     }
 
-    /// Returns the endpoint opposite to `node`, or `None` if `node` is not an
-    /// endpoint of this edge.
-    pub fn other(&self, node: NodeId) -> Option<NodeId> {
-        if node == self.src {
-            Some(self.dst)
-        } else if node == self.dst {
-            Some(self.src)
-        } else {
-            None
-        }
-    }
-
     /// Whether the edge is a self-loop.
     pub fn is_loop(&self) -> bool {
         self.src == self.dst
@@ -121,14 +101,6 @@ mod tests {
     fn edge_canonicalizes_endpoints() {
         assert_eq!(Edge::new(3, 1), Edge::new(1, 3));
         assert!(Edge::new(3, 1).src <= Edge::new(3, 1).dst);
-    }
-
-    #[test]
-    fn edge_other_endpoint() {
-        let e = Edge::new(2, 7);
-        assert_eq!(e.other(2), Some(7));
-        assert_eq!(e.other(7), Some(2));
-        assert_eq!(e.other(5), None);
     }
 
     #[test]

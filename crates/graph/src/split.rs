@@ -23,7 +23,7 @@ impl SplitFractions {
     }
 
     /// Validates that the fractions are positive and sum to 1 (±1e-9).
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.train > 0.0
             && self.valid >= 0.0
             && self.test >= 0.0
@@ -116,11 +116,6 @@ impl EdgeSplit {
             self.train.iter().map(|e| (e.src, e.dst)).collect();
         Graph::from_edges(num_nodes, &pairs)
     }
-
-    /// Total positive edge count across all splits.
-    pub fn num_edges(&self) -> usize {
-        self.train.len() + self.valid.len() + self.test.len()
-    }
 }
 
 /// Draws `count` distinct global-uniform negative samples: node pairs that
@@ -132,7 +127,7 @@ impl EdgeSplit {
 /// Returns [`GraphError::InvalidFormat`] if the graph has fewer than `count`
 /// non-edges or sampling fails to make progress (pathologically dense
 /// graphs).
-pub fn sample_global_negatives<R: Rng + ?Sized>(
+pub(crate) fn sample_global_negatives<R: Rng + ?Sized>(
     graph: &Graph,
     count: usize,
     rng: &mut R,
@@ -183,7 +178,7 @@ mod tests {
         let g = ring(50);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(1);
         let s = EdgeSplit::random(&g, SplitFractions::paper_default(), 3, &mut rng).unwrap();
-        assert_eq!(s.num_edges(), 50);
+        assert_eq!(s.train.len() + s.valid.len() + s.test.len(), 50);
         assert_eq!(s.train.len(), 40);
         assert_eq!(s.valid.len(), 5);
         assert_eq!(s.test.len(), 5);

@@ -8,11 +8,15 @@ use crate::{Graph, GraphBuilder, NodeId};
 /// # Examples
 ///
 /// ```
-/// use splpg_graph::NodeMapping;
-/// let m = NodeMapping::from_globals(vec![10, 4, 7]);
-/// assert_eq!(m.to_global(0), 10);
-/// assert_eq!(m.to_local(7), Some(2));
+/// use splpg_graph::{Graph, InducedSubgraph};
+/// # fn main() -> Result<(), splpg_graph::GraphError> {
+/// let g = Graph::from_edges(11, &[(4, 7), (7, 10)])?;
+/// let m = InducedSubgraph::extract(&g, &[10, 4, 7]).mapping;
+/// assert_eq!(m.to_global(0), 4);
+/// assert_eq!(m.to_local(10), Some(2));
 /// assert_eq!(m.to_local(3), None);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMapping {
@@ -22,7 +26,7 @@ pub struct NodeMapping {
 
 impl NodeMapping {
     /// Builds a mapping where local id `i` corresponds to `globals[i]`.
-    pub fn from_globals(globals: Vec<NodeId>) -> Self {
+    pub(crate) fn from_globals(globals: Vec<NodeId>) -> Self {
         let locals = globals
             .iter()
             .enumerate()
@@ -32,13 +36,8 @@ impl NodeMapping {
     }
 
     /// Number of mapped nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.globals.len()
-    }
-
-    /// Whether the mapping is empty.
-    pub fn is_empty(&self) -> bool {
-        self.globals.is_empty()
     }
 
     /// Global id of local node `local`.
@@ -53,11 +52,6 @@ impl NodeMapping {
     /// Local id of global node `global`, if mapped.
     pub fn to_local(&self, global: NodeId) -> Option<NodeId> {
         self.locals.get(&global).copied()
-    }
-
-    /// The ordered global id list (local id = index).
-    pub fn globals(&self) -> &[NodeId] {
-        &self.globals
     }
 }
 
@@ -221,6 +215,5 @@ mod tests {
             assert_eq!(m.to_local(m.to_global(local)), Some(local));
         }
         assert_eq!(m.len(), 3);
-        assert!(!m.is_empty());
     }
 }

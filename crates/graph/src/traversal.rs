@@ -1,45 +1,20 @@
-use std::collections::VecDeque;
-
 use crate::{Graph, NodeId};
 
-/// BFS distances from `source`; unreachable nodes get `usize::MAX`.
+/// Connected-component labels (0-based, in order of discovery) and the
+/// number of components.
 ///
 /// # Examples
 ///
 /// ```
-/// use splpg_graph::{bfs_distances, Graph};
+/// use splpg_graph::{connected_components, Graph};
 /// # fn main() -> Result<(), splpg_graph::GraphError> {
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 2)])?;
-/// let d = bfs_distances(&g, 0);
-/// assert_eq!(&d[..3], &[0, 1, 2]);
-/// assert_eq!(d[3], usize::MAX);
+/// let (labels, count) = connected_components(&g);
+/// assert_eq!(labels, vec![0, 0, 0, 1]);
+/// assert_eq!(count, 2);
 /// # Ok(())
 /// # }
 /// ```
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<usize> {
-    let n = graph.num_nodes();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &u in graph.neighbors(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = dv + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
-/// Connected-component labels (0-based, in order of discovery) and the
-/// number of components.
 pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     let n = graph.num_nodes();
     let mut label = vec![usize::MAX; n];
@@ -64,105 +39,18 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     (label, next)
 }
 
-/// Summary statistics of a k-hop neighborhood expansion — what the
-/// communication-cost model uses to price fetching a remote computational
-/// graph (nodes carry features, edges carry structure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KhopStats {
-    /// Distinct nodes reached within `k` hops, *including* the seed.
-    pub nodes: usize,
-    /// Directed adjacency slots traversed while expanding.
-    pub edges: usize,
-}
-
-/// Collects the set of nodes within `k` hops of `seed` (full-neighbor
-/// expansion, no fanout cap) together with expansion statistics.
-///
-/// Returned node list is sorted; the seed is always included.
-///
-/// # Panics
-///
-/// Panics if `seed` is out of range.
-pub fn khop_neighborhood(graph: &Graph, seed: NodeId, k: usize) -> (Vec<NodeId>, KhopStats) {
-    let mut visited = vec![false; graph.num_nodes()];
-    let mut frontier = vec![seed];
-    visited[seed as usize] = true;
-    let mut all = vec![seed];
-    let mut edges = 0usize;
-    for _ in 0..k {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for &u in graph.neighbors(v) {
-                edges += 1;
-                if !visited[u as usize] {
-                    visited[u as usize] = true;
-                    next.push(u);
-                    all.push(u);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    all.sort_unstable();
-    let stats = KhopStats { nodes: all.len(), edges };
-    (all, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Graph {
-        // 0-1-2-3 path plus isolated 4; 5-6 separate component.
-        Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (5, 6)]).unwrap()
-    }
-
-    #[test]
-    fn bfs_handles_disconnected() {
-        let g = sample();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[3], 3);
-        assert_eq!(d[4], usize::MAX);
-        assert_eq!(d[5], usize::MAX);
-    }
-
     #[test]
     fn components_count() {
-        let g = sample();
+        // 0-1-2-3 path plus isolated 4; 5-6 separate component.
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (5, 6)]).unwrap();
         let (labels, count) = connected_components(&g);
         assert_eq!(count, 3);
         assert_eq!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[4]);
         assert_eq!(labels[5], labels[6]);
-    }
-
-    #[test]
-    fn khop_zero_is_seed_only() {
-        let g = sample();
-        let (nodes, stats) = khop_neighborhood(&g, 1, 0);
-        assert_eq!(nodes, vec![1]);
-        assert_eq!(stats, KhopStats { nodes: 1, edges: 0 });
-    }
-
-    #[test]
-    fn khop_expands_by_hops() {
-        let g = sample();
-        let (n1, _) = khop_neighborhood(&g, 0, 1);
-        assert_eq!(n1, vec![0, 1]);
-        let (n2, _) = khop_neighborhood(&g, 0, 2);
-        assert_eq!(n2, vec![0, 1, 2]);
-        let (n3, s3) = khop_neighborhood(&g, 0, 3);
-        assert_eq!(n3, vec![0, 1, 2, 3]);
-        assert_eq!(s3.nodes, 4);
-    }
-
-    #[test]
-    fn khop_saturates() {
-        let g = sample();
-        let (n, _) = khop_neighborhood(&g, 0, 100);
-        assert_eq!(n, vec![0, 1, 2, 3]);
     }
 }

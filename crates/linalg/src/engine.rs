@@ -108,7 +108,7 @@ pub struct SolveStats {
 impl SolveStats {
     /// Accumulates `other` into `self` (used when per-group stats from a
     /// parallel batch are merged in deterministic group order).
-    pub fn merge(&mut self, other: &SolveStats) {
+    pub(crate) fn merge(&mut self, other: &SolveStats) {
         self.solves += other.solves;
         self.iterations += other.iterations;
         self.matvec_rows += other.matvec_rows;
@@ -123,7 +123,7 @@ impl SolveStats {
 /// monotonically and are recycled across solves; growth events are
 /// counted so benches can prove the steady state allocation-free.
 #[derive(Debug, Default)]
-pub struct CgWorkspace {
+pub(crate) struct CgWorkspace {
     x: Vec<f64>,
     /// The right-hand-side block; once the first residual is formed it
     /// is dead, and collects the solution in the caller's `n x k` layout
@@ -174,13 +174,13 @@ fn grow_with<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T, events: &mut u64) 
 
 impl CgWorkspace {
     /// A fresh, empty workspace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CgWorkspace::default()
     }
 
     /// Buffer growth events so far (zero after warm-up is the
     /// steady-state guarantee).
-    pub fn alloc_events(&self) -> u64 {
+    pub(crate) fn alloc_events(&self) -> u64 {
         self.grow_events
     }
 
@@ -617,7 +617,7 @@ fn close_up<T: Copy>(vals: &mut [T], keep: &[bool]) -> usize {
 }
 
 /// Fast effective-resistance engine: Jacobi-preconditioned, blocked
-/// multi-RHS CG over a reusable [`CgWorkspace`], with per-node solve
+/// multi-RHS CG over a reusable `CgWorkspace`, with per-node solve
 /// reuse for edge batches and warm-started solves for shared-endpoint
 /// pair batches.
 ///

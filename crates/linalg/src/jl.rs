@@ -130,11 +130,6 @@ impl ResistanceEstimator {
         CgOptions { tolerance: 1.0 / (20.0 * (k as f64).sqrt()), ..CgOptions::default() }
     }
 
-    /// Number of projections in the sketch.
-    pub fn dimensions(&self) -> usize {
-        self.k
-    }
-
     /// Estimated effective resistance between `u` and `v`.
     ///
     /// # Panics
@@ -209,7 +204,6 @@ mod tests {
         let g = wheel(8);
         let est = ResistanceEstimator::build(&g, 50, CgOptions::default(), &mut rng()).unwrap();
         assert_eq!(est.estimate(4, 4), 0.0);
-        assert_eq!(est.dimensions(), 50);
     }
 
     #[test]

@@ -10,22 +10,8 @@ use crate::LinalgError;
 ///
 /// Edge weights of the underlying graph are honoured (the sparsifier emits
 /// weighted graphs), with unweighted edges treated as weight `1.0`.
-///
-/// # Examples
-///
-/// ```
-/// use splpg_graph::Graph;
-/// use splpg_linalg::LaplacianOperator;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)])?;
-/// let lap = LaplacianOperator::new(&g);
-/// let y = lap.apply(&[1.0, 0.0, 0.0])?;
-/// assert_eq!(y, vec![1.0, -1.0, 0.0]); // L e_0
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug)]
-pub struct LaplacianOperator<'g> {
+pub(crate) struct LaplacianOperator<'g> {
     graph: Cow<'g, Graph>,
     /// Weighted degree of each node.
     degrees: Vec<f64>,
@@ -38,7 +24,7 @@ const MIN_CHUNK_FLOPS: usize = 500_000;
 
 impl<'g> LaplacianOperator<'g> {
     /// Wraps `graph` as a Laplacian operator.
-    pub fn new(graph: &'g Graph) -> Self {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
         Self::from_cow(Cow::Borrowed(graph))
     }
 
@@ -60,12 +46,12 @@ impl<'g> LaplacianOperator<'g> {
     }
 
     /// Operator dimension (number of nodes).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.graph.num_nodes()
     }
 
     /// Weighted degrees `D_{v,v}`.
-    pub fn degrees(&self) -> &[f64] {
+    pub(crate) fn degrees(&self) -> &[f64] {
         &self.degrees
     }
 
@@ -81,7 +67,7 @@ impl<'g> LaplacianOperator<'g> {
     /// # Errors
     ///
     /// [`LinalgError::DimensionMismatch`] if `x.len() != dim()`.
-    pub fn apply(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn apply(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut y = vec![0.0; self.dim()];
         self.apply_into(x, &mut y)?;
         Ok(y)
@@ -95,7 +81,7 @@ impl<'g> LaplacianOperator<'g> {
     ///
     /// [`LinalgError::DimensionMismatch`] if either length differs from
     /// `dim()`.
-    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
         self.check_dim(x)?;
         self.check_dim(y)?;
         for v in 0..self.dim() {
@@ -137,7 +123,7 @@ impl<'g> LaplacianOperator<'g> {
     ///
     /// [`LinalgError::DimensionMismatch`] if `x`/`y` are not `dim() * k`
     /// long.
-    pub fn apply_block_into(
+    pub(crate) fn apply_block_into(
         &self,
         x: &[f64],
         k: usize,
@@ -201,7 +187,7 @@ impl<'g> LaplacianOperator<'g> {
     /// # Errors
     ///
     /// [`LinalgError::DimensionMismatch`] if `x.len() != dim()`.
-    pub fn apply_normalized(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn apply_normalized(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.check_dim(x)?;
         let inv_sqrt: Vec<f64> = self
             .degrees

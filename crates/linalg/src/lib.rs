@@ -5,7 +5,7 @@
 //! (`r_(u,v) <= (1/d_u + 1/d_v)/gamma`, Lovász). This crate provides the
 //! *exact* quantities so the approximation can be validated:
 //!
-//! * [`LaplacianOperator`] — matrix-free `L x` / `L_sym x` products;
+//! * `LaplacianOperator` — matrix-free `L x` / `L_sym x` products;
 //! * [`solve_laplacian`] — conjugate-gradient solve of `L x = b` projected
 //!   onto the space orthogonal to the constant vector (the Laplacian's null
 //!   space on a connected graph);
@@ -26,12 +26,11 @@ mod laplacian;
 mod solver;
 mod spectral;
 
-pub use engine::{CgWorkspace, EngineOptions, SolveStats, SolverEngine};
+pub use engine::{EngineOptions, SolveStats, SolverEngine};
 pub use jl::ResistanceEstimator;
-pub use laplacian::{quadratic_form, LaplacianOperator};
+pub use laplacian::quadratic_form;
 pub use solver::{
-    effective_resistance, effective_resistances, effective_resistances_with_stats,
-    solve_laplacian, CgOptions, CgOutcome,
+    effective_resistance, effective_resistances_with_stats, solve_laplacian, CgOptions, CgOutcome,
 };
 pub use spectral::{lambda2_normalized, PowerIterOptions};
 

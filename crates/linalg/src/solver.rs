@@ -148,7 +148,11 @@ pub fn effective_resistance(
 }
 
 /// Exact effective resistances for a batch of node pairs, through the
-/// Jacobi-preconditioned engine with **warm-started** solves.
+/// Jacobi-preconditioned engine with **warm-started** solves, together with
+/// the engine's [`SolveStats`]: solve and iteration counts, matvec work,
+/// warm-start hits and estimated saved iterations, and workspace growth
+/// events (per-group workspaces start empty, so this counts one warm-up
+/// growth burst per group).
 ///
 /// Pairs are grouped by first endpoint (sorted); within a group each
 /// solve seeds CG with the previous solution — the right-hand sides
@@ -175,22 +179,6 @@ pub fn effective_resistance(
 /// [`LinalgError::Disconnected`] for a pair spanning two components
 /// (checked for all pairs before any solve runs), or a solver error
 /// ([`LinalgError::Breakdown`] / [`LinalgError::NoConvergence`]).
-pub fn effective_resistances(
-    graph: &Graph,
-    pairs: &[(NodeId, NodeId)],
-    options: CgOptions,
-) -> Result<Vec<f64>, LinalgError> {
-    effective_resistances_with_stats(graph, pairs, options).map(|(out, _)| out)
-}
-
-/// [`effective_resistances`] plus the engine's [`SolveStats`]: solve and
-/// iteration counts, matvec work, warm-start hits and estimated saved
-/// iterations, and workspace growth events (per-group workspaces start
-/// empty, so this counts one warm-up growth burst per group).
-///
-/// # Errors
-///
-/// As [`effective_resistances`].
 pub fn effective_resistances_with_stats(
     graph: &Graph,
     pairs: &[(NodeId, NodeId)],
@@ -353,10 +341,11 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> =
             g.edges().iter().map(|e| (e.src, e.dst)).collect();
         splpg_par::set_num_threads(1);
-        let one = effective_resistances(&g, &pairs, CgOptions::default()).unwrap();
+        let one = effective_resistances_with_stats(&g, &pairs, CgOptions::default()).unwrap().0;
         for threads in [3usize, 8] {
             splpg_par::set_num_threads(threads);
-            let batch = effective_resistances(&g, &pairs, CgOptions::default()).unwrap();
+            let batch =
+                effective_resistances_with_stats(&g, &pairs, CgOptions::default()).unwrap().0;
             assert_eq!(batch, one, "bitwise thread invariance at {threads} threads");
         }
         splpg_par::set_num_threads(0);
@@ -370,7 +359,8 @@ mod tests {
     #[test]
     fn batch_resistances_propagate_errors() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let err = effective_resistances(&g, &[(0, 2)], CgOptions::default()).unwrap_err();
+        let err =
+            effective_resistances_with_stats(&g, &[(0, 2)], CgOptions::default()).unwrap_err();
         assert_eq!(err, LinalgError::Disconnected);
     }
 
@@ -381,8 +371,8 @@ mod tests {
         // disconnected. This is the partition-local shape dist::setup
         // produces.
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let rs =
-            effective_resistances(&g, &[(0, 1), (2, 3)], CgOptions::default()).unwrap();
+        let pairs = [(0, 1), (2, 3)];
+        let (rs, _) = effective_resistances_with_stats(&g, &pairs, CgOptions::default()).unwrap();
         for r in rs {
             assert!((r - 1.0).abs() < 1e-6, "single-edge resistance {r}");
         }

@@ -319,8 +319,8 @@ mod tests {
     #[test]
     fn relative_paths_are_slash_separated() {
         let root = Path::new("/w");
-        let file = Path::new("/w/crates/graph/src/io.rs");
-        assert_eq!(relative_path(root, file), "crates/graph/src/io.rs");
+        let file = Path::new("/w/crates/graph/src/csr.rs");
+        assert_eq!(relative_path(root, file), "crates/graph/src/csr.rs");
     }
 
     #[test]

@@ -21,11 +21,7 @@ fn fired_content(path: &str, src: &str) -> Vec<&'static str> {
 
 #[test]
 fn unwrap_fires_on_bad_fixture_in_all_scoped_crates() {
-    for path in [
-        "crates/graph/src/io.rs",
-        "crates/linalg/src/fixture.rs",
-        "crates/datasets/src/fixture.rs",
-    ] {
+    for path in ["crates/linalg/src/fixture.rs", "crates/datasets/src/fixture.rs"] {
         let rules = fired_content(path, include_str!("fixtures/unwrap_bad.rs"));
         assert_eq!(rules, vec!["unwrap-expect"], "scope {path}");
     }
@@ -35,8 +31,7 @@ fn unwrap_fires_on_bad_fixture_in_all_scoped_crates() {
 fn unwrap_passes_good_fixture_and_unscoped_files() {
     let good = fired_content("crates/linalg/src/fixture.rs", include_str!("fixtures/unwrap_good.rs"));
     assert!(good.is_empty(), "{good:?}");
-    // graph is only scoped at io.rs; the rest of the crate may panic on
-    // internal invariants.
+    // Crates outside the scope may panic on internal invariants.
     let other = fired_content("crates/graph/src/csr.rs", include_str!("fixtures/unwrap_bad.rs"));
     assert!(other.is_empty(), "{other:?}");
 }

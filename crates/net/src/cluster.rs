@@ -53,7 +53,7 @@ impl MasterHub {
     /// Assembles a hub from already-connected lanes: one send lane per
     /// worker plus a merged response inbox. Used by the channel builder
     /// and the TCP acceptor alike.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         to_workers: Vec<Option<Box<dyn Transport>>>,
         inbox: Box<dyn Transport>,
         stats: WireStats,
@@ -64,7 +64,7 @@ impl MasterHub {
     /// Sets the codec pair this hub encodes requests under. The per-kind
     /// histogram meters both directions against this hub's counters.
     #[must_use]
-    pub fn with_codec(mut self, codec: CodecConfig) -> Self {
+    pub(crate) fn with_codec(mut self, codec: CodecConfig) -> Self {
         self.codec = codec;
         self
     }
@@ -194,7 +194,7 @@ pub struct WorkerPort {
 impl WorkerPort {
     /// Wraps an already-connected duplex lane as worker `worker`'s port.
     /// Used by the channel builder and the TCP dialer alike.
-    pub fn from_duplex(worker: usize, lane: Box<dyn Transport>) -> Self {
+    pub(crate) fn from_duplex(worker: usize, lane: Box<dyn Transport>) -> Self {
         WorkerPort { worker, lane, codec: CodecConfig::default() }
     }
 
@@ -243,7 +243,7 @@ impl WorkerPort {
 ///
 /// Lane numbering for the fault schedule: master→worker `w` is lane
 /// `2w`, worker `w`→master is lane `2w + 1`.
-pub fn build_cluster(config: &ClusterConfig) -> (MasterHub, Vec<WorkerPort>) {
+pub(crate) fn build_cluster(config: &ClusterConfig) -> (MasterHub, Vec<WorkerPort>) {
     let stats = WireStats::new();
     let (inbox_tx, inbox_rx) = sync_channel::<Vec<u8>>(config.inbox_capacity());
     let mut to_workers: Vec<Option<Box<dyn Transport>>> = Vec::with_capacity(config.workers);

@@ -35,7 +35,7 @@ use crate::NetError;
 
 /// Bytes of the identity header (kind + codec + worker + epoch + round +
 /// attempt).
-pub const HEADER_LEN: usize = 1 + 1 + 4 + 8 + 8 + 4;
+pub(crate) const HEADER_LEN: usize = 1 + 1 + 4 + 8 + 8 + 4;
 
 /// Default ceiling on the body length a frame may declare (bytes after
 /// the 4-byte length prefix) — and on the *decoded* size a compressed
@@ -63,20 +63,6 @@ pub(crate) const KIND_RESP_FAILED: u8 = 7;
 /// Number of distinct wire-kind slots (index 0 is unused; kinds are
 /// 1–7) — the size of per-kind accounting tables.
 pub const NUM_KINDS: usize = 8;
-
-/// Human-readable name of a message kind byte, for histograms and logs.
-pub fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        KIND_REQ_EPOCH => "req-epoch",
-        KIND_REQ_ROUND => "req-round",
-        KIND_REQ_STOP => "req-stop",
-        KIND_RESP_EPOCH => "resp-epoch",
-        KIND_RESP_ROUND => "resp-round",
-        KIND_RESP_UNAVAILABLE => "resp-unavailable",
-        KIND_RESP_FAILED => "resp-failed",
-        _ => "unknown",
-    }
-}
 
 struct Writer {
     buf: Vec<u8>,
@@ -333,7 +319,7 @@ pub fn encode_with(msg: &Message, cfg: CodecConfig) -> Vec<u8> {
 
 /// [`encode_with`] for a request the caller holds by reference, without
 /// wrapping (and so cloning) it into a [`Message`].
-pub fn encode_request(req: &Request, cfg: CodecConfig) -> Vec<u8> {
+pub(crate) fn encode_request(req: &Request, cfg: CodecConfig) -> Vec<u8> {
     match req {
         Request::Epoch { id, params } => {
             let mut w = Writer::new(KIND_REQ_EPOCH, cfg, *id);
@@ -350,7 +336,7 @@ pub fn encode_request(req: &Request, cfg: CodecConfig) -> Vec<u8> {
 }
 
 /// [`encode_with`] for a response held by reference.
-pub fn encode_response(resp: &Response, cfg: CodecConfig) -> Vec<u8> {
+pub(crate) fn encode_response(resp: &Response, cfg: CodecConfig) -> Vec<u8> {
     match resp {
         Response::Epoch { id, params, loss_sum, batches, ledger } => {
             let mut w = Writer::new(KIND_RESP_EPOCH, cfg, *id);
@@ -377,21 +363,13 @@ pub fn encode_response(resp: &Response, cfg: CodecConfig) -> Vec<u8> {
     }
 }
 
-/// Frame length [`encode`] would produce under the default codec — the
-/// "raw bytes" side of every compression-ratio meter, computed
-/// arithmetically so hot paths never re-encode just to measure.
-pub fn raw_frame_len(msg: &Message) -> usize {
-    match msg {
-        Message::Request(r) => raw_request_frame_len(r),
-        Message::Response(r) => raw_response_frame_len(r),
-    }
-}
-
 /// Raw ledger payload bytes: six fixed-width u64 counters.
 const LEDGER_RAW_LEN: usize = 6 * 8;
 
-/// [`raw_frame_len`] for a request without wrapping it in a [`Message`].
-pub fn raw_request_frame_len(req: &Request) -> usize {
+/// Frame length [`encode`] would produce for a request under the default
+/// codec — the "raw bytes" side of every compression-ratio meter, computed
+/// arithmetically so hot paths never re-encode just to measure.
+pub(crate) fn raw_request_frame_len(req: &Request) -> usize {
     let payload = match req {
         Request::Epoch { params, .. } | Request::Round { params, .. } => 8 + 4 * params.len(),
         Request::Stop { .. } => 0,
@@ -399,8 +377,8 @@ pub fn raw_request_frame_len(req: &Request) -> usize {
     4 + HEADER_LEN + payload
 }
 
-/// [`raw_frame_len`] for a response without wrapping it in a [`Message`].
-pub fn raw_response_frame_len(resp: &Response) -> usize {
+/// [`raw_request_frame_len`] for a response.
+pub(crate) fn raw_response_frame_len(resp: &Response) -> usize {
     let payload = match resp {
         Response::Epoch { params, .. } => (8 + 4 * params.len()) + 8 + 8 + LEDGER_RAW_LEN,
         Response::Round { grads, .. } => 1 + 4 + (8 + 4 * grads.len()) + LEDGER_RAW_LEN,
@@ -540,7 +518,7 @@ pub fn read_frame<R: Read>(
 ///
 /// Returns [`NetError::Codec`] when the frame is shorter than the fixed
 /// header.
-pub fn peek_identity(frame: &[u8]) -> Result<(u8, MsgId), NetError> {
+pub(crate) fn peek_identity(frame: &[u8]) -> Result<(u8, MsgId), NetError> {
     let mut r = Reader::new(frame);
     let _len = r.u32()?;
     let kind = r.u8()?;
@@ -620,7 +598,11 @@ mod tests {
     #[test]
     fn raw_frame_len_matches_default_encode() {
         for msg in all_messages() {
-            assert_eq!(raw_frame_len(&msg), encode(&msg).len(), "{msg:?}");
+            let raw = match &msg {
+                Message::Request(r) => raw_request_frame_len(r),
+                Message::Response(r) => raw_response_frame_len(r),
+            };
+            assert_eq!(raw, encode(&msg).len(), "{msg:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! [`CodecConfig`] names a `(structure, features)` codec pair. Every
 //! frame carries the pair packed into one self-describing byte (high
-//! nibble = format version, see [`FORMAT_VERSION`]), so a receiver
+//! nibble = format version, see `FORMAT_VERSION`), so a receiver
 //! decodes whatever arrives without out-of-band negotiation, and a
 //! version-mismatched peer surfaces as a typed [`NetError::Codec`]
 //! instead of silently mangled payloads.
@@ -31,13 +31,13 @@ use crate::NetError;
 /// any incompatible change to the packed layouts below; decoders reject
 /// other versions with a typed [`NetError::Codec`]. Version 2 added the
 /// `feature_bus_elems` counter to the on-wire fetch ledger.
-pub const FORMAT_VERSION: u8 = 2;
+pub(crate) const FORMAT_VERSION: u8 = 2;
 
 /// Row width used to quantize *flat* `f32` vectors (parameters,
 /// gradients), which have no natural row structure: the vector is cut
 /// into blocks of this many elements, each with its own `[lo, scale]`
 /// header. Feature matrices quantize per real row instead.
-pub const INT8_BLOCK: usize = 64;
+pub(crate) const INT8_BLOCK: usize = 64;
 
 /// Codec for structure payloads: node-id lists and integer side-data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,7 +81,7 @@ pub struct CodecConfig {
 impl CodecConfig {
     /// Packs the pair into the self-describing codec byte:
     /// `[version: 4][features: 2][structure: 2]`.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         let s = match self.structure {
             StructCodec::None => 0u8,
             StructCodec::Varint => 1,
@@ -102,7 +102,7 @@ impl CodecConfig {
     /// [`NetError::Codec`] when the version nibble is not
     /// [`FORMAT_VERSION`] or either field holds a value this build does
     /// not speak.
-    pub fn from_byte(b: u8) -> Result<CodecConfig, NetError> {
+    pub(crate) fn from_byte(b: u8) -> Result<CodecConfig, NetError> {
         let version = b >> 4;
         if version != FORMAT_VERSION {
             return Err(NetError::Codec(format!(
@@ -142,7 +142,7 @@ impl CodecConfig {
 
 /// Appends `v` as an LEB128 varint (7 payload bits per byte, high bit =
 /// continuation; 1–10 bytes).
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let low = v & 0x7f;
         v >>= 7;
@@ -160,7 +160,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 ///
 /// [`NetError::Codec`] when the buffer ends mid-varint or the encoding
 /// overflows 64 bits.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, NetError> {
+pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, NetError> {
     let mut v = 0u64;
     for i in 0..10 {
         let Some(&b) = buf.get(*pos) else {
@@ -187,12 +187,12 @@ pub fn varint_len(v: u64) -> usize {
 
 /// Maps a signed delta onto the unsigned varint domain so small
 /// magnitudes of either sign stay short: `0, -1, 1, -2, 2, …`.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -428,7 +428,7 @@ pub fn f16_to_f32(h: u16) -> f32 {
 
 /// Per-row affine parameters: `value ≈ lo + code × scale`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowQuant {
+pub(crate) struct RowQuant {
     /// Row minimum — the value code 0 reconstructs to.
     pub lo: f32,
     /// Step between adjacent codes, `(max - min) / 255`; `0.0` for
@@ -438,7 +438,7 @@ pub struct RowQuant {
 
 /// Computes the affine parameters for one row. Non-finite elements are
 /// ignored for the range; a row with no finite spread gets `scale = 0`.
-pub fn row_quant(row: &[f32]) -> RowQuant {
+pub(crate) fn row_quant(row: &[f32]) -> RowQuant {
     let mut lo = f32::INFINITY;
     let mut hi = f32::NEG_INFINITY;
     for &x in row {
@@ -456,7 +456,7 @@ pub fn row_quant(row: &[f32]) -> RowQuant {
 
 /// The sanctioned float→code narrowing: the value is clamped to
 /// `[0, 255]` before the cast, so the cast itself cannot truncate.
-pub fn quantize_value(x: f32, q: &RowQuant) -> u8 {
+pub(crate) fn quantize_value(x: f32, q: &RowQuant) -> u8 {
     if q.scale == 0.0 {
         return 0;
     }
@@ -466,13 +466,13 @@ pub fn quantize_value(x: f32, q: &RowQuant) -> u8 {
 }
 
 /// Reconstructs one element from its code.
-pub fn dequantize_value(code: u8, q: &RowQuant) -> f32 {
+pub(crate) fn dequantize_value(code: u8, q: &RowQuant) -> f32 {
     q.lo + f32::from(code) * q.scale
 }
 
 /// Quantizes a row, appending one code per element to `out`; returns the
 /// header the decoder needs.
-pub fn quantize_row(row: &[f32], out: &mut Vec<u8>) -> RowQuant {
+pub(crate) fn quantize_row(row: &[f32], out: &mut Vec<u8>) -> RowQuant {
     let q = row_quant(row);
     out.reserve(row.len());
     for &x in row {

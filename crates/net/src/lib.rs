@@ -54,11 +54,11 @@ pub mod shm;
 mod tcp;
 mod transport;
 
-pub use cluster::{build_cluster, run_cluster, ClusterConfig, MasterHub, WorkerPort};
+pub use cluster::{run_cluster, ClusterConfig, MasterHub, WorkerPort};
 pub use compress::{CodecConfig, FeatCodec, StructCodec};
 pub use fault::{FaultPlan, FaultyTransport, RetryPolicy};
 pub use message::{FetchLedger, Message, MsgId, Request, Response};
-pub use shm::{SegmentSpec, ShmError, ShmLane, ShmOwner, ShmSegment};
+pub use shm::{SegmentSpec, ShmError, ShmLane, ShmOwner};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{ChannelTransport, KindStat, Transport, WireSnapshot, WireStats};
 

@@ -2,7 +2,7 @@
 //! `p` real worker processes, rendezvousing with the master over TCP.
 //!
 //! Role handoff is by environment variable: [`spawn_cluster`] execs the
-//! current binary with [`ENV_ROLE`]`=worker` plus the worker index, the
+//! current binary with `ENV_ROLE=worker` plus the worker index, the
 //! worker count, and the path of a *port file* naming the master's
 //! ephemeral listener address. A freshly started child calls
 //! [`worker_from_env`]; a `Some` answer means "this process is a
@@ -42,13 +42,13 @@ use crate::transport::{Transport, WireStats};
 use crate::NetError;
 
 /// Set to `worker` in a spawned child; unset in the master.
-pub const ENV_ROLE: &str = "SPLPG_PROC_ROLE";
+pub(crate) const ENV_ROLE: &str = "SPLPG_PROC_ROLE";
 /// The child's worker index, `0..workers`.
 pub const ENV_WORKER: &str = "SPLPG_PROC_WORKER";
 /// Total worker count `p` of the cluster.
-pub const ENV_WORKERS: &str = "SPLPG_PROC_WORKERS";
+pub(crate) const ENV_WORKERS: &str = "SPLPG_PROC_WORKERS";
 /// Path of the port file naming the master's listener address.
-pub const ENV_PORT_FILE: &str = "SPLPG_PROC_PORT_FILE";
+pub(crate) const ENV_PORT_FILE: &str = "SPLPG_PROC_PORT_FILE";
 /// Name of the shared-memory feature segment the master published, when
 /// the feature bus is enabled — unset otherwise. Children attach
 /// read-only via [`crate::shm::ShmLane::attach`] and silently fall back

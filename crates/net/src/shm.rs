@@ -9,7 +9,7 @@
 //!   checksummed segment under `/dev/shm` holding the full feature
 //!   matrix (`rows × dim` little-endian `f32`), seals it, and unlinks
 //!   it on drop;
-//! * [`ShmSegment`] / [`ShmLane`] — a reader's validated, read-only
+//! * `ShmSegment` / [`ShmLane`] — a reader's validated, read-only
 //!   mapping: attach verifies magic, layout version, seal flag,
 //!   geometry, run identity and a checksum over the payload, then
 //!   serves `&[f32]` rows straight out of the shared pages;
@@ -54,13 +54,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// First 8 bytes of every feature-bus segment.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"SPLPGFB1";
+pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"SPLPGFB1";
 
 /// Layout version this build writes and accepts.
-pub const LAYOUT_VERSION: u32 = 1;
+pub(crate) const LAYOUT_VERSION: u32 = 1;
 
 /// Byte offset of the payload (and total header size).
-pub const HEADER_LEN: usize = 64;
+pub(crate) const HEADER_LEN: usize = 64;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -79,7 +79,7 @@ pub enum ShmError {
     /// The host has no usable shared-memory filesystem, or the segment
     /// file could not be created/opened/mapped.
     Unavailable(String),
-    /// The attached file does not start with [`SEGMENT_MAGIC`].
+    /// The attached file does not start with `SEGMENT_MAGIC`.
     BadMagic,
     /// The segment was written by a different layout version.
     Version {
@@ -134,7 +134,7 @@ impl std::error::Error for ShmError {}
 
 /// FNV-1a over `bytes` — the segment payload checksum. Deterministic,
 /// dependency-free, and plenty to catch torn or flipped pages.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -383,7 +383,7 @@ impl Drop for ShmOwner {
 /// A validated, attached, read-only segment. Construction *is* the
 /// validation: once a `ShmSegment` exists, every row read is a plain
 /// bounds-checked slice over sealed shared pages.
-pub struct ShmSegment {
+pub(crate) struct ShmSegment {
     map: Mapping,
     rows: usize,
     dim: usize,
@@ -415,7 +415,7 @@ impl ShmSegment {
     ///
     /// Every [`ShmError`] variant, one per way the segment can be
     /// untrustworthy. Callers fall back to the wire path on any of them.
-    pub fn attach(name: &str, spec: &SegmentSpec) -> Result<ShmSegment, ShmError> {
+    pub(crate) fn attach(name: &str, spec: &SegmentSpec) -> Result<ShmSegment, ShmError> {
         let path = segment_path(name);
         let file = File::open(&path)
             .map_err(|e| ShmError::Unavailable(format!("open {}: {e}", path.display())))?;
@@ -471,12 +471,12 @@ impl ShmSegment {
     }
 
     /// Feature rows held.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Elements per row.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -486,7 +486,7 @@ impl ShmSegment {
     ///
     /// When `i >= rows()` — attach already pinned the geometry, so an
     /// out-of-range row is a caller logic error, not a data fault.
-    pub fn row(&self, i: usize) -> &[f32] {
+    pub(crate) fn row(&self, i: usize) -> &[f32] {
         assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
         let start = HEADER_LEN + i * self.dim * 4;
         let bytes = &self.map.bytes()[start..start + self.dim * 4];
@@ -509,12 +509,12 @@ impl ShmLane {
     ///
     /// # Errors
     ///
-    /// Propagates [`ShmSegment::attach`] failures.
+    /// Propagates `ShmSegment::attach` failures.
     pub fn attach(name: &str, spec: &SegmentSpec) -> Result<ShmLane, ShmError> {
         Ok(ShmLane { segment: Arc::new(ShmSegment::attach(name, spec)?) })
     }
 
-    /// Zero-copy row read; see [`ShmSegment::row`].
+    /// Zero-copy row read; see `ShmSegment::row`.
     pub fn row(&self, i: usize) -> &[f32] {
         self.segment.row(i)
     }

@@ -56,7 +56,7 @@ pub struct TcpConfig {
     /// enforced before any allocation. Defaults to
     /// [`codec::DEFAULT_MAX_FRAME_LEN`].
     pub max_frame_len: usize,
-    /// Dial attempts before [`TcpTransport::connect`] gives up.
+    /// Dial attempts before `TcpTransport::connect` gives up.
     pub connect_attempts: u32,
     /// Sleep between dial attempts, in milliseconds.
     pub connect_backoff_ms: u64,
@@ -105,8 +105,8 @@ fn is_peer_death(kind: std::io::ErrorKind) -> bool {
 
 /// A [`Transport`] over one TCP stream.
 ///
-/// Duplex endpoints (built by [`TcpTransport::connect`],
-/// [`TcpTransport::from_stream`] or [`TcpTransport::pair`]) own a reader
+/// Duplex endpoints (built by `TcpTransport::connect`,
+/// `TcpTransport::from_stream` or [`TcpTransport::pair`]) own a reader
 /// thread that turns the byte stream back into frames; write-half
 /// endpoints (built by the acceptor, whose read sides feed a merged
 /// inbox) have no reader and report [`NetError::Closed`] on `recv`.
@@ -137,7 +137,11 @@ impl TcpTransport {
     ///
     /// [`NetError::Io`] when socket options or the thread spawn fail.
     #[expect(clippy::disallowed_methods, reason = "a socket reader thread is a cluster actor of splpg-net")]
-    pub fn from_stream(stream: TcpStream, config: &TcpConfig, stats: WireStats) -> Result<Self, NetError> {
+    pub(crate) fn from_stream(
+        stream: TcpStream,
+        config: &TcpConfig,
+        stats: WireStats,
+    ) -> Result<Self, NetError> {
         stream.set_nodelay(true).map_err(|e| io_err("set_nodelay failed", e))?;
         stream
             .set_write_timeout(config.io_timeout())
@@ -169,7 +173,11 @@ impl TcpTransport {
     /// # Errors
     ///
     /// [`NetError::Io`] when socket options fail.
-    pub fn write_half(stream: TcpStream, config: &TcpConfig, stats: WireStats) -> Result<Self, NetError> {
+    pub(crate) fn write_half(
+        stream: TcpStream,
+        config: &TcpConfig,
+        stats: WireStats,
+    ) -> Result<Self, NetError> {
         stream.set_nodelay(true).map_err(|e| io_err("set_nodelay failed", e))?;
         stream
             .set_write_timeout(config.io_timeout())
@@ -193,7 +201,7 @@ impl TcpTransport {
     ///
     /// [`NetError::Io`] when every dial attempt fails or the hello
     /// cannot be written.
-    pub fn connect(
+    pub(crate) fn connect(
         addr: SocketAddr,
         worker: u32,
         config: &TcpConfig,

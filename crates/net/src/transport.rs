@@ -105,8 +105,8 @@ pub struct WireSnapshot {
     pub delayed: u64,
     /// Retransmission rounds the master performed.
     pub retries: u64,
-    /// Raw-vs-wire byte histogram indexed by message kind (slot 0
-    /// unused; see [`crate::codec::kind_name`]). Recorded once per
+    /// Raw-vs-wire byte histogram indexed by message kind byte (slot 0
+    /// unused; kinds are 1–7). Recorded once per
     /// protocol message on the master side, so duplicates injected by
     /// the fault layer do not inflate it.
     pub kinds: [KindStat; crate::codec::NUM_KINDS],
@@ -119,34 +119,34 @@ impl WireStats {
     }
 
     /// Records one frame of `bytes` bytes entering a lane.
-    pub fn record_send(&self, bytes: u64) {
+    pub(crate) fn record_send(&self, bytes: u64) {
         self.inner.messages.fetch_add(1, Ordering::Relaxed);
         self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records a fault-injected drop.
-    pub fn record_drop(&self) {
+    pub(crate) fn record_drop(&self) {
         self.inner.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a fault-injected duplicate.
-    pub fn record_duplicate(&self) {
+    pub(crate) fn record_duplicate(&self) {
         self.inner.duplicated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a fault-injected delay.
-    pub fn record_delay(&self) {
+    pub(crate) fn record_delay(&self) {
         self.inner.delayed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retransmission round.
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.inner.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one protocol message of `kind` into the raw-vs-wire
     /// histogram. Unknown kind bytes land in slot 0.
-    pub fn record_kind(&self, kind: u8, raw_bytes: u64, wire_bytes: u64) {
+    pub(crate) fn record_kind(&self, kind: u8, raw_bytes: u64, wire_bytes: u64) {
         let slot = usize::from(kind);
         let slot = if slot < crate::codec::NUM_KINDS { slot } else { 0 };
         self.inner.kind_count[slot].fetch_add(1, Ordering::Relaxed);
@@ -190,7 +190,7 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// A full-duplex endpoint.
-    pub fn new(tx: SyncSender<Vec<u8>>, rx: Receiver<Vec<u8>>, stats: WireStats) -> Self {
+    pub(crate) fn new(tx: SyncSender<Vec<u8>>, rx: Receiver<Vec<u8>>, stats: WireStats) -> Self {
         ChannelTransport {
             tx: Some(tx),
             rx: Some(rx),
@@ -200,7 +200,7 @@ impl ChannelTransport {
     }
 
     /// A send-only endpoint.
-    pub fn sender(tx: SyncSender<Vec<u8>>, stats: WireStats) -> Self {
+    pub(crate) fn sender(tx: SyncSender<Vec<u8>>, stats: WireStats) -> Self {
         ChannelTransport {
             tx: Some(tx),
             rx: None,
@@ -210,7 +210,7 @@ impl ChannelTransport {
     }
 
     /// A receive-only endpoint.
-    pub fn receiver(rx: Receiver<Vec<u8>>, stats: WireStats) -> Self {
+    pub(crate) fn receiver(rx: Receiver<Vec<u8>>, stats: WireStats) -> Self {
         ChannelTransport {
             tx: None,
             rx: Some(rx),

@@ -12,8 +12,6 @@ use crate::{glorot_uniform, Binding, ParamSet};
 pub struct Linear {
     weight: usize,
     bias: usize,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -27,17 +25,7 @@ impl Linear {
     ) -> Self {
         let weight = params.register(format!("{name}.weight"), glorot_uniform(in_dim, out_dim, rng));
         let bias = params.register(format!("{name}.bias"), Tensor::zeros(1, out_dim));
-        Linear { weight, bias, in_dim, out_dim }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+        Linear { weight, bias }
     }
 
     /// Parameter index of the weight matrix.
@@ -92,11 +80,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Applies the MLP on the tape.
     pub fn forward(&self, tape: &mut Tape, binding: &Binding, x: Var) -> Var {
         let h = self.layers[0].forward(tape, binding, x);
@@ -134,8 +117,6 @@ mod tests {
     fn linear_shapes() {
         let mut params = ParamSet::new();
         let l = Linear::new(&mut params, "l", 4, 3, &mut rng());
-        assert_eq!(l.in_dim(), 4);
-        assert_eq!(l.out_dim(), 3);
         let mut tape = Tape::new();
         let b = params.bind(&mut tape);
         let x = tape.leaf(Tensor::ones(5, 4));
@@ -157,9 +138,6 @@ mod tests {
 
     #[test]
     fn mlp_hidden_relu_but_linear_output() {
-        let mut params = ParamSet::new();
-        let mlp = Mlp::new(&mut params, "m", &[3, 4, 1], &mut rng());
-        assert_eq!(mlp.num_layers(), 2);
         // Output layer must not clamp negatives: feed inputs engineered to
         // produce a negative logit sometimes over several random inits.
         let mut saw_negative = false;

@@ -10,8 +10,7 @@
 //!   leaves, plus gradient collection in parameter order;
 //! * [`Linear`] and [`Mlp`] — dense layers with Glorot initialization (the
 //!   3-layer MLP edge predictor of the paper is an `Mlp`);
-//! * [`Sgd`] and [`Adam`] — optimizers (the paper trains with Adam,
-//!   lr = 0.001).
+//! * [`Adam`] — the optimizer (the paper trains with Adam, lr = 0.001).
 //!
 //! # Examples
 //!
@@ -43,13 +42,11 @@ mod init;
 mod layers;
 mod optim;
 mod params;
-mod schedule;
 
 pub use init::glorot_uniform;
 pub use layers::{Linear, Mlp};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use params::{average_grads, Binding, ParamSet};
-pub use schedule::{apply_weight_decay, clip_grad_norm, ConstantLr, LrSchedule, StepDecay, WarmupCosine};
 
 /// Errors from parameter management.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -20,36 +20,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent: `w -= lr * g` (Algorithm 1 line 30).
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet, grads: &[Tensor]) {
-        assert_eq!(grads.len(), params.len(), "one gradient per parameter");
-        for (i, g) in grads.iter().enumerate() {
-            params.value_mut(i).axpy(-self.lr, g);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction — the paper's optimizer
 /// (lr = 0.001).
 #[derive(Debug, Clone)]
@@ -67,11 +37,6 @@ impl Adam {
     /// Creates Adam with the standard betas (0.9, 0.999) and eps 1e-8.
     pub fn new(lr: f32) -> Self {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     fn ensure_state(&mut self, params: &ParamSet) {
@@ -140,18 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let (mut params, target) = quadratic_setup();
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let g = gradient(&params, &target);
-            opt.step(&mut params, &g);
-        }
-        let err = params.value(0).sub(&target).norm_sq();
-        assert!(err < 1e-8, "error {err}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let (mut params, target) = quadratic_setup();
         let mut opt = Adam::new(0.05);
@@ -161,7 +114,6 @@ mod tests {
         }
         let err = params.value(0).sub(&target).norm_sq();
         assert!(err < 1e-4, "error {err}");
-        assert_eq!(opt.steps(), 800);
     }
 
     #[test]
@@ -178,9 +130,6 @@ mod tests {
 
     #[test]
     fn learning_rate_adjustable() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_learning_rate(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
         let mut adam = Adam::new(0.1);
         adam.set_learning_rate(0.2);
         assert_eq!(adam.learning_rate(), 0.2);
@@ -190,7 +139,7 @@ mod tests {
     #[should_panic(expected = "one gradient per parameter")]
     fn mismatched_grads_panic() {
         let (mut params, _) = quadratic_setup();
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut params, &[]);
     }
 }

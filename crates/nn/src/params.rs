@@ -153,16 +153,6 @@ impl Binding {
         self.vars[idx]
     }
 
-    /// Number of bound parameters.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Whether the binding is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
     /// Collects per-parameter gradients in canonical order. Parameters that
     /// did not participate in the loss get zero gradients.
     pub fn collect_grads(&self, set: &ParamSet, grads: &mut Gradients) -> Vec<Tensor> {

@@ -55,7 +55,7 @@ static NUM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Resolution order: [`set_num_threads`] override, then the
 /// `SPLPG_NUM_THREADS` environment variable, then
 /// [`std::thread::available_parallelism`]. Always at least 1.
-pub fn num_threads() -> usize {
+pub(crate) fn num_threads() -> usize {
     let over = NUM_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if over > 0 {
         return over;
@@ -79,7 +79,7 @@ pub fn set_num_threads(n: usize) {
 
 /// Threads the hardware can actually run concurrently
 /// ([`std::thread::available_parallelism`], min 1). Unlike
-/// [`num_threads`], this ignores `SPLPG_NUM_THREADS` and
+/// `num_threads`, this ignores `SPLPG_NUM_THREADS` and
 /// [`set_num_threads`]: it answers "how many chunks can make progress at
 /// once", not "how many the caller asked for".
 pub fn hardware_threads() -> usize {
@@ -89,7 +89,7 @@ pub fn hardware_threads() -> usize {
 /// Concurrency that fan-out can actually buy:
 /// `min(num_threads(), hardware_threads())`.
 ///
-/// Dispatch heuristics should consult this instead of [`num_threads`]:
+/// Dispatch heuristics should consult this instead of `num_threads`:
 /// an oversubscribed pool (e.g. `SPLPG_NUM_THREADS=8` inside a 1-CPU
 /// container) pays full fork-join overhead while its chunks run
 /// *serially*, so work that is only worth splitting across real cores
@@ -100,7 +100,7 @@ pub fn effective_threads() -> usize {
     num_threads().min(hardware_threads())
 }
 
-/// The global pool, sized per [`num_threads`] at each call.
+/// The global pool, sized per `num_threads` at each call.
 pub fn global() -> Pool {
     Pool::new(num_threads())
 }
@@ -186,38 +186,6 @@ impl Pool {
     /// The configured thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Runs `f(range)` over a balanced partition of `0..items`.
-    ///
-    /// Falls back to a single inline call when the pool has one thread or
-    /// `items < min_per_thread * 2` (not enough work to pay for a spawn).
-    /// `f` observes each item index exactly once across all invocations.
-    #[expect(clippy::disallowed_methods, reason = "the fork-join pool itself: parallel work is routed here")]
-    pub fn parallel_for<F>(&self, items: usize, min_per_thread: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if items == 0 {
-            return;
-        }
-        let parts = self.effective_parts(items, min_per_thread);
-        if parts <= 1 {
-            f(0..items);
-            return;
-        }
-        let ranges = partition_items(items, parts);
-        thread::scope(|s| {
-            let f = &f;
-            // First chunk runs on the calling thread; spawn the rest.
-            let (head, tail) = ranges.split_first().expect("non-empty partition");
-            let handles: Vec<_> =
-                tail.iter().map(|r| s.spawn(move || f(r.clone()))).collect();
-            f(head.clone());
-            for h in handles {
-                h.join().expect("pool worker panicked");
-            }
-        });
     }
 
     /// Order-preserving parallel map: returns `items.iter().map(f)` with
@@ -342,18 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_touches_every_index() {
-        let pool = Pool::new(4);
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(hits.len(), 1, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn parallel_map_preserves_order() {
         let pool = Pool::new(3);
         let items: Vec<usize> = (0..997).collect();
@@ -404,9 +360,9 @@ mod tests {
         // &mut capture proves f ran on the calling thread (Fn + Sync would
         // forbid this if it were spawned).
         let cell = std::sync::Mutex::new(&mut sum);
-        pool.parallel_for(100, 1, |range| {
+        pool.parallel_for_mut(&mut [0u8; 100], 1, 1, |_, chunk| {
             let mut guard = cell.lock().unwrap();
-            **guard += range.len() as u64;
+            **guard += chunk.len() as u64;
         });
         assert_eq!(sum, 100);
     }
@@ -464,6 +420,6 @@ mod tests {
         assert!(pool.parallel_map_chunks(&empty, 1, |_, &x| x).is_empty());
         let one = [7u32];
         assert_eq!(pool.parallel_map_chunks(&one, 1, |_, &x| x + 1), vec![8]);
-        pool.parallel_for(0, 1, |_| panic!("no items, no calls"));
+        pool.parallel_for_mut(&mut [0u8; 0], 1, 1, |_, _| panic!("no items, no calls"));
     }
 }

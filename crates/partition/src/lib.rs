@@ -49,7 +49,7 @@ mod partitioned;
 mod random_tma;
 mod super_tma;
 
-pub use metis_like::{MetisLike, MetisOptions};
+pub use metis_like::MetisLike;
 pub use partitioned::PartitionedGraph;
 pub use random_tma::RandomTma;
 pub use super_tma::SuperTma;
@@ -101,7 +101,7 @@ impl Partition {
     ///
     /// [`PartitionError::InvalidAssignment`] if any label is `>= num_parts`
     /// or `num_parts == 0`.
-    pub fn new(assignments: Vec<u32>, num_parts: usize) -> Result<Self, PartitionError> {
+    pub(crate) fn new(assignments: Vec<u32>, num_parts: usize) -> Result<Self, PartitionError> {
         if num_parts == 0 {
             return Err(PartitionError::InvalidAssignment("zero parts".to_string()));
         }

@@ -23,7 +23,7 @@ use crate::{check_part_count, Partition, PartitionError, Partitioner};
 
 /// Tuning knobs for [`MetisLike`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetisOptions {
+pub(crate) struct MetisOptions {
     /// Stop coarsening when the graph has at most this many nodes.
     pub coarsen_threshold: usize,
     /// FM refinement passes per level.
@@ -45,18 +45,6 @@ impl Default for MetisOptions {
 #[derive(Debug, Clone, Default)]
 pub struct MetisLike {
     options: MetisOptions,
-}
-
-impl MetisLike {
-    /// Creates a partitioner with custom options.
-    pub fn new(options: MetisOptions) -> Self {
-        MetisLike { options }
-    }
-
-    /// The options in use.
-    pub fn options(&self) -> &MetisOptions {
-        &self.options
-    }
 }
 
 impl Partitioner for MetisLike {

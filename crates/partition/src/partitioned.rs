@@ -34,8 +34,6 @@ use crate::Partition;
 #[derive(Debug)]
 pub struct PartitionedGraph {
     parts: Vec<InducedSubgraph>,
-    partition: Partition,
-    with_halo: bool,
 }
 
 impl PartitionedGraph {
@@ -51,36 +49,12 @@ impl PartitionedGraph {
                 }
             })
             .collect();
-        PartitionedGraph { parts, partition: partition.clone(), with_halo }
-    }
-
-    /// Number of parts.
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The subgraph of part `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_parts()`.
-    pub fn part(&self, i: usize) -> &InducedSubgraph {
-        &self.parts[i]
+        PartitionedGraph { parts }
     }
 
     /// All per-part subgraphs.
     pub fn parts(&self) -> &[InducedSubgraph] {
         &self.parts
-    }
-
-    /// The underlying assignment.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// Whether halo (full-neighbor) retention was used.
-    pub fn with_halo(&self) -> bool {
-        self.with_halo
     }
 
     /// Total edges across all part subgraphs (cross-partition edges are
@@ -164,7 +138,6 @@ mod tests {
             owned.sort_unstable();
             assert_eq!(owned, p.part_nodes(w as u32), "part {w}");
         }
-        assert!(pg.with_halo());
-        assert_eq!(pg.num_parts(), 2);
+        assert_eq!(pg.parts().len(), 2);
     }
 }

@@ -30,13 +30,6 @@ use crate::{check_part_count, Partition, PartitionError, Partitioner};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomTma;
 
-impl RandomTma {
-    /// Creates a RandomTMA partitioner.
-    pub fn new() -> Self {
-        RandomTma
-    }
-}
-
 impl Partitioner for RandomTma {
     fn partition<R: Rng + ?Sized>(
         &self,
@@ -62,7 +55,7 @@ mod tests {
     fn covers_all_nodes() {
         let g = Graph::empty(1000);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(1);
-        let p = RandomTma::new().partition(&g, 4, &mut rng).unwrap();
+        let p = RandomTma.partition(&g, 4, &mut rng).unwrap();
         assert_eq!(p.assignments().len(), 1000);
         assert_eq!(p.part_sizes().iter().sum::<usize>(), 1000);
     }
@@ -71,7 +64,7 @@ mod tests {
     fn roughly_balanced() {
         let g = Graph::empty(4000);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(2);
-        let p = RandomTma::new().partition(&g, 4, &mut rng).unwrap();
+        let p = RandomTma.partition(&g, 4, &mut rng).unwrap();
         for &s in &p.part_sizes() {
             assert!((800..1200).contains(&s), "size {s} far from 1000");
         }
@@ -85,7 +78,7 @@ mod tests {
             (0..n - 1).map(|i| (i as NodeId, (i + 1) as NodeId)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(3);
-        let p = RandomTma::new().partition(&g, 4, &mut rng).unwrap();
+        let p = RandomTma.partition(&g, 4, &mut rng).unwrap();
         let local = p.local_edge_fraction(&g);
         assert!((local - 0.25).abs() < 0.08, "local fraction {local} not ~0.25");
     }
@@ -94,6 +87,6 @@ mod tests {
     fn rejects_zero_parts() {
         let g = Graph::empty(10);
         let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(4);
-        assert!(RandomTma::new().partition(&g, 0, &mut rng).is_err());
+        assert!(RandomTma.partition(&g, 0, &mut rng).is_err());
     }
 }

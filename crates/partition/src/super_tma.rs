@@ -23,14 +23,9 @@ impl SuperTma {
     /// # Panics
     ///
     /// Panics if `cluster_factor == 0`.
-    pub fn new(cluster_factor: usize) -> Self {
+    pub(crate) fn new(cluster_factor: usize) -> Self {
         assert!(cluster_factor > 0, "cluster_factor must be positive");
         SuperTma { metis: MetisLike::default(), cluster_factor }
-    }
-
-    /// Mini-clusters created per requested partition.
-    pub fn cluster_factor(&self) -> usize {
-        self.cluster_factor
     }
 }
 
@@ -119,12 +114,6 @@ mod tests {
             sup.local_edge_fraction(&g),
             rand_p.local_edge_fraction(&g)
         );
-    }
-
-    #[test]
-    fn cluster_factor_accessor() {
-        assert_eq!(SuperTma::new(4).cluster_factor(), 4);
-        assert_eq!(SuperTma::default().cluster_factor(), 16);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `gen`/`gen_range`/`gen_bool`, and slice shuffling — on top of two
 //! classic, well-studied generators:
 //!
-//! * **SplitMix64** ([`SplitMix64`]) expands a single `u64` seed into the
+//! * **SplitMix64** expands a single `u64` seed into the
 //!   256-bit state of the main generator (and derives independent streams
 //!   for parallel work);
 //! * **xoshiro256++** ([`Xoshiro256pp`], aliased as [`rngs::StdRng`]) is
@@ -53,18 +53,18 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// outputs are used to initialize [`Xoshiro256pp`] state (the construction
 /// recommended by the xoshiro authors).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a SplitMix64 generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -75,7 +75,7 @@ impl SpanningForestSparsifier {
     }
 
     /// The BFS spanning forest of `graph` as canonical edges.
-    pub fn forest_edges(graph: &Graph) -> Vec<(NodeId, NodeId)> {
+    pub(crate) fn forest_edges(graph: &Graph) -> Vec<(NodeId, NodeId)> {
         let n = graph.num_nodes();
         let mut visited = vec![false; n];
         let mut forest = Vec::with_capacity(n.saturating_sub(1));

@@ -40,11 +40,6 @@ impl DegreeSparsifier {
         DegreeSparsifier { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SparsifyConfig {
-        &self.config
-    }
-
     /// The degree-based sampling scores `1/d_u + 1/d_v` for every canonical
     /// edge, in edge-list order. Exposed so callers (and the validation
     /// tests) can inspect the distribution (C-INTERMEDIATE).

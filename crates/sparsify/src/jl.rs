@@ -34,11 +34,6 @@ impl JlSparsifier {
         assert!(projections > 0, "at least one projection required");
         JlSparsifier { config, projections }
     }
-
-    /// Number of random projections used.
-    pub fn projections(&self) -> usize {
-        self.projections
-    }
 }
 
 impl Sparsifier for JlSparsifier {

@@ -53,7 +53,7 @@ pub use baselines::{SpanningForestSparsifier, UniformSparsifier};
 pub use degree::DegreeSparsifier;
 pub use exact::ExactSparsifier;
 pub use jl::JlSparsifier;
-pub use sampling::{sample_weighted_with_replacement, AliasTable};
+pub use sampling::AliasTable;
 
 use splpg_rng::Rng;
 use splpg_graph::Graph;

@@ -108,20 +108,6 @@ impl AliasTable {
     }
 }
 
-/// Draws `count` indices with replacement from the distribution given by
-/// `weights` (unnormalized). Returns an empty vector if the weights are
-/// degenerate (empty / zero-sum / invalid).
-pub fn sample_weighted_with_replacement<R: Rng + ?Sized>(
-    weights: &[f64],
-    count: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    match AliasTable::new(weights) {
-        Some(table) => (0..count).map(|_| table.sample(rng)).collect(),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,20 +150,6 @@ mod tests {
         assert!((table.probability(1) - 0.75).abs() < 1e-12);
         assert_eq!(table.len(), 2);
         assert!(!table.is_empty());
-    }
-
-    #[test]
-    fn with_replacement_count() {
-        let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(7);
-        let draws = sample_weighted_with_replacement(&[1.0, 1.0], 17, &mut rng);
-        assert_eq!(draws.len(), 17);
-        assert!(draws.iter().all(|&d| d < 2));
-    }
-
-    #[test]
-    fn degenerate_with_replacement_empty() {
-        let mut rng = splpg_rng::rngs::StdRng::seed_from_u64(8);
-        assert!(sample_weighted_with_replacement(&[], 5, &mut rng).is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub const PAR_FLOP_THRESHOLD: usize = 2_000_000;
 
 /// Flop count below which even the single-thread microkernel is not
 /// engaged: for tiny products the tile setup costs more than it saves.
-pub const MICRO_FLOP_THRESHOLD: usize = 16_384;
+pub(crate) const MICRO_FLOP_THRESHOLD: usize = 16_384;
 
 /// Minimum flops per chunk handed to a worker thread.
 const MIN_CHUNK_FLOPS: usize = 500_000;
@@ -75,7 +75,7 @@ fn min_rows_per_chunk(k: usize, m: usize) -> usize {
 /// workers the projected per-thread work *can* keep profitable. The
 /// scalar and microkernel paths are bit-identical, so this choice
 /// affects time only, never results.
-pub fn par_parts(rows: usize, k: usize, m: usize) -> usize {
+pub(crate) fn par_parts(rows: usize, k: usize, m: usize) -> usize {
     par_parts_with(splpg_par::effective_threads(), rows, k, m)
 }
 
@@ -251,7 +251,7 @@ pub fn matmul_nn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, pool: &Pool
 /// # Panics
 ///
 /// Panics if `out.len() != n * m`.
-pub fn matmul_nn_into(
+pub(crate) fn matmul_nn_into(
     a: &[f32],
     b: &[f32],
     n: usize,
@@ -310,7 +310,7 @@ pub fn matmul_tn(a: &[f32], b: &[f32], k: usize, n: usize, m: usize, pool: &Pool
 /// # Panics
 ///
 /// Panics if `out.len() != n * m`.
-pub fn matmul_tn_into(
+pub(crate) fn matmul_tn_into(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -504,7 +504,7 @@ pub fn matmul_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, pool: &Pool
 /// # Panics
 ///
 /// Panics if `out.len() != n * m`.
-pub fn matmul_nt_into(
+pub(crate) fn matmul_nt_into(
     a: &[f32],
     b: &[f32],
     n: usize,

@@ -193,7 +193,7 @@ pub fn gather_rows(a: &[f32], m: usize, idx: &[u32], out: &mut [f32], pool: &Poo
 /// # Panics
 ///
 /// Panics if buffer lengths disagree.
-pub fn gather_rows_grad(grad: &[f32], m: usize, idx: &[u32], da: &mut [f32], pool: &Pool) {
+pub(crate) fn gather_rows_grad(grad: &[f32], m: usize, idx: &[u32], da: &mut [f32], pool: &Pool) {
     assert_eq!(grad.len(), idx.len() * m, "gather grad shape");
     if m == 0 || da.is_empty() {
         return;
@@ -259,7 +259,7 @@ pub fn segment_sum(a: &[f32], m: usize, seg: &[u32], out: &mut [f32], pool: &Poo
 }
 
 /// Fused weighted aggregation: `out[to[e]] += coeff[e] * x[from[e]]` for
-/// every edge `e` in ascending order — [`gather_rows`], [`row_scale`] and
+/// every edge `e` in ascending order — [`gather_rows`], `row_scale` and
 /// [`segment_sum`] in one pass that never materializes a per-edge row —
 /// then, with `scale`, each output row `d` multiplied by `scale[d]` once
 /// its sum is complete (GraphSAGE's `1/Σw` mean).
@@ -269,7 +269,7 @@ pub fn segment_sum(a: &[f32], m: usize, seg: &[u32], out: &mut [f32], pool: &Poo
 /// is the backward scatter into the source rows. Per element the product
 /// is formed, rounded, then added, in edge order, and the scale is one
 /// rounded multiply of the finished sum, so the result is bit-identical
-/// to the three-kernel composition followed by [`row_scale`]. `out`
+/// to the three-kernel composition followed by `row_scale`. `out`
 /// (zero-initialized by the caller) is partitioned by destination row
 /// exactly like [`segment_sum`]: each thread scans the edge list
 /// ascending and accumulates only the rows it owns.
@@ -329,7 +329,7 @@ pub fn aggregate(
 /// # Panics
 ///
 /// Panics if buffer lengths disagree.
-pub fn segment_sum_grad(grad: &[f32], m: usize, seg: &[u32], da: &mut [f32], pool: &Pool) {
+pub(crate) fn segment_sum_grad(grad: &[f32], m: usize, seg: &[u32], da: &mut [f32], pool: &Pool) {
     assert_eq!(da.len(), seg.len() * m, "segment grad shape");
     if m == 0 {
         return;
@@ -428,7 +428,7 @@ pub fn segment_softmax(
 /// # Panics
 ///
 /// Panics if a segment id is out of range or lengths disagree.
-pub fn segment_softmax_grad(
+pub(crate) fn segment_softmax_grad(
     y: &[f32],
     g: &[f32],
     seg: &[u32],
@@ -472,7 +472,7 @@ pub fn segment_softmax_grad(
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn unary_map<F>(a: &[f32], out: &mut [f32], f: F, pool: &Pool)
+pub(crate) fn unary_map<F>(a: &[f32], out: &mut [f32], f: F, pool: &Pool)
 where
     F: Fn(f32) -> f32 + Sync,
 {
@@ -495,7 +495,7 @@ where
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn binary_map<F>(a: &[f32], b: &[f32], out: &mut [f32], f: F, pool: &Pool)
+pub(crate) fn binary_map<F>(a: &[f32], b: &[f32], out: &mut [f32], f: F, pool: &Pool)
 where
     F: Fn(f32, f32) -> f32 + Sync,
 {
@@ -519,7 +519,7 @@ where
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn row_scale(a: &[f32], m: usize, factors: &[f32], out: &mut [f32], pool: &Pool) {
+pub(crate) fn row_scale(a: &[f32], m: usize, factors: &[f32], out: &mut [f32], pool: &Pool) {
     assert_eq!(a.len(), out.len(), "row scale shape");
     if m == 0 {
         return;
@@ -573,7 +573,7 @@ pub(crate) fn row_scale_in_place(x: &mut [f32], m: usize, factors: &[f32], pool:
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn row_dot(a: &[f32], b: &[f32], m: usize, out: &mut [f32], pool: &Pool) {
+pub(crate) fn row_dot(a: &[f32], b: &[f32], m: usize, out: &mut [f32], pool: &Pool) {
     assert_eq!(a.len(), b.len(), "row dot shape");
     if m == 0 {
         for o in out.iter_mut() {
@@ -627,7 +627,7 @@ pub fn add_bias(a: &[f32], bias: &[f32], out: &mut [f32], pool: &Pool) {
 /// # Panics
 ///
 /// Panics if lengths disagree.
-pub fn rows_from_col(col: &[f32], m: usize, out: &mut [f32], pool: &Pool) {
+pub(crate) fn rows_from_col(col: &[f32], m: usize, out: &mut [f32], pool: &Pool) {
     if m == 0 {
         return;
     }

@@ -53,7 +53,6 @@ enum Op {
     LeakyRelu { a: Var, slope: f32 },
     Dropout { a: Var, mask: Vec<f32> },
     ConcatCols { a: Var, b: Var },
-    RowPrefix { a: Var },
     GatherRows { a: Var, idx: Vec<u32> },
     SegmentSum { a: Var, seg: Vec<u32> },
     /// `scale` holds one factor per output row, or nothing for a plain sum.
@@ -81,7 +80,6 @@ impl Op {
             Op::Relu { a }
             | Op::LeakyRelu { a, .. }
             | Op::Dropout { a, .. }
-            | Op::RowPrefix { a }
             | Op::GatherRows { a, .. }
             | Op::SegmentSum { a, .. }
             | Op::Aggregate { a, .. }
@@ -176,7 +174,6 @@ struct Node {
 /// // Reuse the tape for the next step without reallocating:
 /// t.recycle_gradients(grads);
 /// t.reset();
-/// assert!(t.is_empty());
 /// ```
 #[derive(Debug, Default)]
 pub struct Tape {
@@ -188,16 +185,6 @@ impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Tape { nodes: Vec::new(), arena: TapeArena::default() }
-    }
-
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tape has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Clears the recorded graph while keeping every backing buffer —
@@ -341,7 +328,7 @@ impl Tape {
     ///
     /// Forward, weight gradient and input gradients are each one
     /// fork-join over both operands, and bit-identical to
-    /// `add_bias(matmul(concat_cols(row_prefix(a, n), b), w), bias)` (see
+    /// `add_bias(matmul(concat_cols(gather_rows(a, 0..n), b), w), bias)` (see
     /// [`kernels::concat_matmul_into`]). `a`'s gradient is zero below the
     /// prefix.
     ///
@@ -489,20 +476,6 @@ impl Tape {
             &splpg_par::global(),
         );
         self.push(Tensor::from_raw(na, ma + mb, out), Op::ConcatCols { a, b })
-    }
-
-    /// The first `rows` rows of `a` — a block's destination nodes are a
-    /// prefix of its sources, so this reads the previous layer's
-    /// self-embeddings without an index list (GIN's self term).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has fewer than `rows` rows.
-    pub fn row_prefix(&mut self, a: Var, rows: usize) -> Var {
-        let (n, m) = self.value(a).shape();
-        assert!(rows <= n, "row_prefix of {rows} rows from {n}");
-        let out = self.arena.copy_f32(&self.nodes[a.0].value.data()[..rows * m]);
-        self.push(Tensor::from_raw(rows, m, out), Op::RowPrefix { a })
     }
 
     /// Row gather: output row `i` is `a`'s row `idx[i]`. Rows may repeat
@@ -875,7 +848,7 @@ impl Backward<'_> {
     /// `b`, `w` that need one: `dw` as the two `tn` halves of one buffer,
     /// `da`'s prefix rows and `db` as the two `nt` blocks of one pass.
     ///
-    /// `da` matches what `row_prefix`'s backward makes, `0.0 + g` on the
+    /// `da` matches what `gather_rows(a, 0..n)`'s backward makes, `0.0 + g` on the
     /// prefix rows and zero below: the `nt` dot starts at `+0.0`, and an
     /// accumulator that starts at `+0.0` never becomes `-0.0`, so writing
     /// it straight into the prefix rows already is `0.0 + g`.
@@ -995,16 +968,6 @@ impl Backward<'_> {
                     self.add(*bias, dbias);
                 }
                 self.linear_grads(*a, *b, *w, &grad);
-            }
-            Op::RowPrefix { a } => {
-                // `0.0 + g` on the prefix rows, exactly what scattering
-                // them through `gather_rows(a, 0..rows)` produces.
-                let (n, m) = val(a).shape();
-                let mut da = self.arena.zeroed_f32(n * m);
-                for (o, &g) in da.iter_mut().zip(grad.data()) {
-                    *o += g;
-                }
-                self.add(*a, Tensor::from_raw(n, m, da));
             }
             Op::GatherRows { a, idx } => {
                 let (n, m) = val(a).shape();
@@ -1278,7 +1241,7 @@ mod tests {
             let [xv, loss, v0, v1] = two_layer(&mut tape, &x, [&w0, &w1], constant);
             let mut grads = tape.backward(loss);
             // Interior gradients are transient: only leaves still hold one.
-            let held = (0..tape.len()).filter(|&i| grads.get(Var(i)).is_some());
+            let held = (0..tape.nodes.len()).filter(|&i| grads.get(Var(i)).is_some());
             let leaves = [xv.0, v0.0, v1.0];
             assert_eq!(held.collect::<Vec<_>>(), leaves[usize::from(constant)..]);
             let dx = grads.take(xv);

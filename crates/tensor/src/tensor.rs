@@ -128,15 +128,6 @@ impl Tensor {
         self.data[r * self.cols + c]
     }
 
-    /// Sets element at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Row `r` as a slice.
     ///
     /// # Panics
@@ -146,23 +137,14 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self @ other` (`[n,k] x [k,m] -> [n,m]`).
     ///
-    /// [`crate::kernels::par_parts`] picks the worker count: products
+    /// `crate::kernels::par_parts` picks the worker count: products
     /// with enough flops, more than one *hardware-backed* worker, and
     /// enough output rows to feed each of them run on the
     /// register-blocked microkernel row-partitioned across that many
     /// workers; single-worker products above
-    /// [`crate::kernels::MICRO_FLOP_THRESHOLD`] still run the
+    /// `crate::kernels::MICRO_FLOP_THRESHOLD` still run the
     /// microkernel inline (it beats the scalar loop even on one
     /// thread); only tiny products stay scalar. The result is
     /// bit-identical to [`Tensor::matmul_scalar`] on every path, at
@@ -294,19 +276,9 @@ impl Tensor {
         out
     }
 
-    /// Element-wise sum. Panics on shape mismatch.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a + b)
-    }
-
     /// Element-wise difference. Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product. Panics on shape mismatch.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
     }
 
     /// Scalar multiple.
@@ -315,7 +287,7 @@ impl Tensor {
     }
 
     /// Element-wise map.
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
+    pub(crate) fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor {
             rows: self.rows,
             cols: self.cols,
@@ -422,9 +394,7 @@ mod tests {
     fn elementwise_ops() {
         let a = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
         let b = Tensor::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 

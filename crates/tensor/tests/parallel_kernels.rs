@@ -348,7 +348,7 @@ fn concat_linear_bit_identical_to_prefix_concat_matmul_bias() {
         let what = format!("[{rows_a}x{ka}][..{n}] ‖ [{n}x{kb}] x [{}x{m}] inf={inf:?}", ka + kb);
         let leaves = [&a, &b, &w, &bias];
         let reference = record(&leaves, &g, |tape, v| {
-            let prefix = tape.row_prefix(v[0], n);
+            let prefix = tape.gather_rows(v[0], &(0..n as u32).collect::<Vec<_>>());
             let cat = tape.concat_cols(prefix, v[1]);
             unfused_affine(tape, cat, v)
         });

@@ -136,7 +136,8 @@ fn agg_bits(case: &AggCase, fused: bool, threads: usize) -> [Vec<u32>; 3] {
         let scaled = tape.scale_rows_with(msgs, |f| f.extend_from_slice(&case.coeff));
         tape.segment_sum(scaled, &case.dst, case.num_dst)
     };
-    let own = tape.row_prefix(h, case.num_dst);
+    let prefix: Vec<u32> = (0..case.num_dst as u32).collect();
+    let own = tape.gather_rows(h, &prefix);
     let mixed = tape.add(own, agg);
     let y = tape.matmul(mixed, w);
     let t = tape.leaky_relu(y, 0.2);

@@ -82,6 +82,14 @@ echo "== experiment suite smoke (repro --quick) =="
 # Exits nonzero if any experiment fails; the rest still run first.
 cargo run -q -p splpg-bench --release --bin repro -- --quick >/dev/null
 
+echo "== benchmark smoke (benchmark/run.sh --smoke) =="
+# Builds benchmark/ (its own package, through the splpg facade) against
+# this checkout and runs every workload on a toy graph. Fails if an item
+# the benchmark names is gone, or if the entry point, run_reference and
+# the trace replay disagree on a single bit. Its build (.bench_build/)
+# and its output (benchmark/results/smoke.json) are gitignored.
+bash benchmark/run.sh --smoke >/dev/null
+
 if [ "${SPLPG_BENCH_ASSERT:-0}" = "1" ]; then
     echo "== kernel bench speedup assertion =="
     # Fails if multi-threaded matmul/sampling lose to scalar, or the

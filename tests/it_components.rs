@@ -99,19 +99,6 @@ fn dataset_split_feeds_training_pipeline() {
     }
 }
 
-#[test]
-fn graph_io_round_trips_generated_dataset() {
-    let data = DatasetSpec::actor().generate(Scale::new(0.05, 8), 10).expect("generate");
-    let mut buf = Vec::new();
-    splpg::graph::write_graph(&mut buf, &data.graph).expect("write");
-    let g2 = splpg::graph::read_graph(buf.as_slice()).expect("read");
-    assert_eq!(data.graph, g2);
-    let mut fbuf = Vec::new();
-    splpg::graph::write_features(&mut fbuf, &data.features).expect("write features");
-    let f2 = splpg::graph::read_features(fbuf.as_slice()).expect("read features");
-    assert_eq!(data.features, f2);
-}
-
 /// Warmed-up training tape of `kind` at `threads` pool workers: one
 /// fixed batch of `config.batch_size` edges of the community graph
 /// `shape`, resampled identically every step, Adam between steps. Returns the arena allocations of three steps after

@@ -89,7 +89,6 @@ fn cora_scores_of_every_model_kind_are_pinned() {
         (ModelKind::GraphSage, (2635723272881059008, 5453887456751632085, rng_after)),
         (ModelKind::Gat, (17828959572452303542, 4353242793524499710, rng_after)),
         (ModelKind::GatV2, (9941220562341820284, 4062519135712738289, rng_after)),
-        (ModelKind::Gin, (9845792434538917815, 12636940076762335711, rng_after)),
     ];
     for threads in POOL_SIZES {
         for (kind, pins) in expected {
